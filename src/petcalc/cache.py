@@ -5,13 +5,16 @@ header; every other line is either a restriction entry keyed by the
 root system, the class word and the fixed-point word, or a marker that
 a whole fixed-point row has been computed (missing pairs of a marked
 row are genuinely zero). Corrupt lines and stale formats are skipped
-and recomputed, never trusted; rewrites are atomic.
+and recomputed, never trusted; rewrites are atomic, each through a
+temp file of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .poly import Polynomial
@@ -128,6 +131,15 @@ class BilleyDiskCache:
                     )
                 )
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text("\n".join(out) + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        # a temp file of its own, so concurrent writers cannot clobber it
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=_FILENAME + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(out) + "\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise

@@ -3,8 +3,7 @@
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 a
 mathematical verification failed (positivity or localization-condition
 violation), 2 usage error, 3 resource cap exceeded. Output bytes are
-deterministic for a given job, independent of worker count and cache
-state.
+deterministic for a given job, independent of cache state.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class JobConfig:
     cartan_path: str | None = None
     out_format: str = "text"
     cache_dir: str | None = None
-    jobs: int = 1
     max_weyl: int = DEFAULT_MAX_WEYL
     params: dict = field(default_factory=dict)
 
@@ -194,10 +192,99 @@ def localized_class_from_json(rs, payload):
         raise click.UsageError(str(exc)) from exc
 
 
-# -- command bodies ------------------------------------------------------
+# -- commands ------------------------------------------------------------
 
 
+@click.group()
+def main():
+    """Exact equivariant Schubert and Peterson Schubert calculus."""
+
+
+def _common_options(fn):
+    decorators = [
+        click.argument("root_system", required=False),
+        click.option("--type", "type_label", default=None,
+                     help="Root system label such as A3 or B2."),
+        click.option("--cartan", "cartan_path", default=None,
+                     help='JSON file {"cartan": [[...]]} with a Cartan matrix.'),
+        click.option("--out", "out_format",
+                     type=click.Choice(["text", "csv", "json"]),
+                     default="text", help="Output format."),
+        click.option("--cache", "cache_dir", default=None,
+                     help="Directory for the restriction disk cache."),
+        click.option("--jobs", type=int, default=1,
+                     help="Accepted for compatibility; has no effect."),
+        click.option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
+                     help="Abort if the Weyl group is larger than this."),
+    ]
+    for decorator in reversed(decorators):
+        fn = decorator(fn)
+    return fn
+
+
+def _make_config(command, root_system, type_label, cartan_path, out_format,
+                 cache_dir, jobs, max_weyl, **params):
+    if root_system and type_label and root_system != type_label:
+        raise click.UsageError(
+            "positional root system and --type disagree"
+        )
+    if jobs < 1:
+        raise click.UsageError("--jobs must be at least 1")
+    return JobConfig(
+        command=command,
+        root_label=root_system or type_label,
+        cartan_path=cartan_path,
+        out_format=out_format,
+        cache_dir=cache_dir,
+        max_weyl=max_weyl,
+        params=params,
+    )
+
+
+def _finish(code):
+    if code:
+        sys.exit(code)
+
+
+_COMMANDS = {}
+
+
+def _command(name, *options):
+    """Register ``body(config, rs)`` as the command ``name``.
+
+    The command takes the common options followed by ``options``, and
+    its help is the body's docstring.
+    """
+
+    def register(body):
+        def callback(**params):
+            _finish(run(_make_config(name, **params)))
+
+        callback.__doc__ = body.__doc__
+        for option in reversed(options):
+            callback = option(callback)
+        main.command(name)(_common_options(callback))
+        _COMMANDS[name] = body
+        return body
+
+    return register
+
+
+_COXETER_ORDER = click.option(
+    "--coxeter-order", default="increasing",
+    type=click.Choice(["increasing", "decreasing"]),
+)
+
+
+@_command(
+    "restrict",
+    click.option("--class", "class_spec", required=True,
+                 help="Schubert class index (one-line such as 231, or a word)."),
+    click.option("--at", "at_spec", required=True,
+                 help="Fixed point at which to restrict."),
+)
 def _cmd_restrict(config, rs):
+    """Restriction of a Schubert class at a fixed point."""
     v = parse_element(rs, config.params["class_spec"])
     w = parse_element(rs, config.params["at_spec"])
     poly = billey_restriction(rs, v, w)
@@ -218,7 +305,13 @@ def _cmd_restrict(config, rs):
     return 0
 
 
+@_command(
+    "mult",
+    click.option("--u", "u_spec", required=True, help="First Schubert class."),
+    click.option("--v", "v_spec", required=True, help="Second Schubert class."),
+)
 def _cmd_mult(config, rs):
+    """Structure constants of a product of two Schubert classes."""
     u = parse_element(rs, config.params["u_spec"])
     v = parse_element(rs, config.params["v_spec"])
     coeffs = structure_constants(rs, u, v, config.max_weyl)
@@ -236,7 +329,13 @@ def _cmd_mult(config, rs):
     return 0
 
 
+@_command(
+    "expand",
+    click.option("--values", "class_file", required=True,
+                 help="JSON file with the class (or - for stdin)."),
+)
 def _cmd_expand(config, rs):
+    """Expand a localized class in the Schubert basis."""
     source = config.params["class_file"]
     try:
         if source == "-":
@@ -261,7 +360,17 @@ def _cmd_expand(config, rs):
     return 0
 
 
+@_command(
+    "peterson-mult",
+    click.option("--I", "i_spec", required=True,
+                 help='First subset of simple roots, e.g. "1,2" ("" for empty).'),
+    click.option("--J", "j_spec", required=True, help="Second subset."),
+    click.option("--coxeter-order", default="increasing",
+                 type=click.Choice(["increasing", "decreasing"]),
+                 help="Order in which Coxeter elements multiply their letters."),
+)
 def _cmd_peterson_mult(config, rs):
+    """Structure constants of a product of Peterson basis classes."""
     members_i = parse_subset(rs, config.params["i_spec"])
     members_j = parse_subset(rs, config.params["j_spec"])
     order = config.params.get("coxeter_order", "increasing")
@@ -287,7 +396,14 @@ def _cmd_peterson_mult(config, rs):
     return 0
 
 
+@_command(
+    "pullback",
+    click.option("--w", "w_spec", required=True,
+                 help="Schubert class to pull back."),
+    _COXETER_ORDER,
+)
 def _cmd_pullback(config, rs):
+    """Expand the pullback of a Schubert class in the Peterson basis."""
     w = parse_element(rs, config.params["w_spec"])
     order = config.params.get("coxeter_order", "increasing")
     expansion = pullback_expansion(rs, w, order)
@@ -306,58 +422,31 @@ def _cmd_pullback(config, rs):
     return 0
 
 
+@_command(
+    "table",
+    click.option("--kind", type=click.Choice(["schubert", "peterson"]),
+                 default="schubert", help="Which structure-constant table."),
+    _COXETER_ORDER,
+)
 def _cmd_table(config, rs):
-    kind = config.params.get("kind", "schubert")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PositivityViolation)
-        if kind == "schubert":
-            table = structure_table(rs, config.jobs, config.max_weyl)
-            rows = [
-                [word_text(u), word_text(v), word_text(w), poly.text()]
-                for u, v, w, poly in table.rows()
-            ]
-            payload = {
-                "kind": "schubert",
-                "entries": [
-                    {
-                        "u": word_text(u),
-                        "v": word_text(v),
-                        "w": word_text(w),
-                        "coefficient": poly.to_json(),
-                    }
-                    for u, v, w, poly in table.rows()
-                ],
-            }
-            _emit_rows(config, ["u", "v", "w", "coefficient"], rows, payload)
-        else:
-            order = config.params.get("coxeter_order", "increasing")
-            prows = peterson_table(rs, config.jobs, order)
-            rows = [
-                [
-                    subset_text(mi),
-                    subset_text(mj),
-                    subset_text(mk),
-                    poly.text(),
-                ]
-                for mi, mj, mk, poly in prows
-            ]
-            payload = {
-                "kind": "peterson",
-                "entries": [
-                    {
-                        "I": subset_text(mi),
-                        "J": subset_text(mj),
-                        "K": subset_text(mk),
-                        "coefficient": poly.to_json(),
-                    }
-                    for mi, mj, mk, poly in prows
-                ],
-            }
-            _emit_rows(config, ["I", "J", "K", "coefficient"], rows, payload)
-    violations = [w for w in caught if issubclass(w.category, PositivityViolation)]
-    for violation in violations:
-        click.echo(f"positivity violation: {violation.message}", err=True)
-    return EXIT_VERIFY_FAILED if violations else 0
+    """Full structure-constant table."""
+    kind = config.params["kind"]
+    if kind == "schubert":
+        columns, label = ("u", "v", "w"), word_text
+        table = structure_table(rs, config.max_weyl).rows()
+    else:
+        columns, label = ("I", "J", "K"), subset_text
+        table = peterson_table(rs, config.params["coxeter_order"])
+    rows, entries = [], []
+    for *keys, poly in table:
+        labels = [label(key) for key in keys]
+        rows.append(labels + [poly.text()])
+        entries.append(
+            {**dict(zip(columns, labels)), "coefficient": poly.to_json()}
+        )
+    payload = {"kind": kind, "entries": entries}
+    _emit_rows(config, [*columns, "coefficient"], rows, payload)
+    return 0
 
 
 # -- verification sweeps -------------------------------------------------
@@ -415,8 +504,8 @@ def _verify_billey_words(rs, max_weyl):
     }
 
 
-def _verify_structure(rs, jobs, max_weyl):
-    table = structure_table(rs, jobs, max_weyl)
+def _verify_structure(rs, max_weyl):
+    table = structure_table(rs, max_weyl)
     failures = []
     checked = 0
     for u, v, w, poly in table.rows():
@@ -518,7 +607,16 @@ _HEAVY_SWEEP_LIMIT = 48  # Weyl group size above which 'all' skips the full tabl
 _CONSISTENCY_LIMIT = 130  # covers A4; the sweep squares the subset lattice
 
 
+@_command(
+    "verify",
+    click.option("--suite", required=True,
+                 type=click.Choice(["positivity", "gkm", "billey",
+                                    "closed-form", "consistency", "all"]),
+                 help="Which verification sweep to run."),
+    _COXETER_ORDER,
+)
 def _cmd_verify(config, rs):
+    """Run a verification sweep; exits 1 if any check fails."""
     suite = config.params["suite"]
     order = config.params.get("coxeter_order", "increasing")
     checks = []
@@ -530,7 +628,7 @@ def _cmd_verify(config, rs):
     if suite in ("positivity", "all"):
         checks.append(_verify_restriction_positivity(rs, config.max_weyl))
         if group_size <= _HEAVY_SWEEP_LIMIT:
-            checks.append(_verify_structure(rs, config.jobs, config.max_weyl))
+            checks.append(_verify_structure(rs, config.max_weyl))
         else:
             checks.append(
                 skipped(
@@ -611,189 +709,31 @@ def _cmd_verify(config, rs):
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
-_COMMANDS = {
-    "restrict": _cmd_restrict,
-    "mult": _cmd_mult,
-    "expand": _cmd_expand,
-    "peterson-mult": _cmd_peterson_mult,
-    "pullback": _cmd_pullback,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-}
-
-
 def run(config):
     """Execute a job: resolve the root system, warm and persist the cache,
-    dispatch, and map resource exhaustion to exit code 3."""
+    dispatch, and map resource exhaustion to exit code 3 and positivity
+    violations (reported after the output) to exit code 1."""
     rs = _resolve_root_system(config)
     cache = BilleyDiskCache(config.cache_dir) if config.cache_dir else None
     if cache:
         cache.load(rs)
     try:
-        code = _COMMANDS[config.command](config, rs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", PositivityViolation)
+            code = _COMMANDS[config.command](config, rs)
     except ResourceCapError as exc:
         click.echo(f"resource cap: {exc}", err=True)
         return EXIT_RESOURCE
     if cache:
         cache.save(rs)
+    for warning in caught:
+        if issubclass(warning.category, PositivityViolation):
+            click.echo(f"positivity violation: {warning.message}", err=True)
+            code = code or EXIT_VERIFY_FAILED
+        else:
+            warnings.showwarning(warning.message, warning.category,
+                                 warning.filename, warning.lineno)
     return code
-
-
-def _common_options(fn):
-    decorators = [
-        click.argument("root_system", required=False),
-        click.option("--type", "type_label", default=None,
-                     help="Root system label such as A3 or B2."),
-        click.option("--cartan", "cartan_path", default=None,
-                     help='JSON file {"cartan": [[...]]} with a Cartan matrix.'),
-        click.option("--out", "out_format",
-                     type=click.Choice(["text", "csv", "json"]),
-                     default="text", help="Output format."),
-        click.option("--cache", "cache_dir", default=None,
-                     help="Directory for the restriction disk cache."),
-        click.option("--jobs", type=int, default=1,
-                     help="Worker pool size for table and verify sweeps."),
-        click.option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
-                     help="Abort if the Weyl group is larger than this."),
-    ]
-    for decorator in reversed(decorators):
-        fn = decorator(fn)
-    return fn
-
-
-def _make_config(command, root_system, type_label, cartan_path, out_format,
-                 cache_dir, jobs, max_weyl, **params):
-    if root_system and type_label and root_system != type_label:
-        raise click.UsageError(
-            "positional root system and --type disagree"
-        )
-    if jobs < 1:
-        raise click.UsageError("--jobs must be at least 1")
-    return JobConfig(
-        command=command,
-        root_label=root_system or type_label,
-        cartan_path=cartan_path,
-        out_format=out_format,
-        cache_dir=cache_dir,
-        jobs=jobs,
-        max_weyl=max_weyl,
-        params=params,
-    )
-
-
-def _finish(code):
-    if code:
-        sys.exit(code)
-
-
-@click.group()
-def main():
-    """Exact equivariant Schubert and Peterson Schubert calculus."""
-
-
-@main.command("restrict")
-@_common_options
-@click.option("--class", "class_spec", required=True,
-              help="Schubert class index (one-line such as 231, or a word).")
-@click.option("--at", "at_spec", required=True,
-              help="Fixed point at which to restrict.")
-def restrict_cmd(root_system, type_label, cartan_path, out_format, cache_dir,
-                 jobs, max_weyl, class_spec, at_spec):
-    """Restriction of a Schubert class at a fixed point."""
-    _finish(run(_make_config(
-        "restrict", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, class_spec=class_spec, at_spec=at_spec,
-    )))
-
-
-@main.command("mult")
-@_common_options
-@click.option("--u", "u_spec", required=True, help="First Schubert class.")
-@click.option("--v", "v_spec", required=True, help="Second Schubert class.")
-def mult_cmd(root_system, type_label, cartan_path, out_format, cache_dir,
-             jobs, max_weyl, u_spec, v_spec):
-    """Structure constants of a product of two Schubert classes."""
-    _finish(run(_make_config(
-        "mult", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, u_spec=u_spec, v_spec=v_spec,
-    )))
-
-
-@main.command("expand")
-@_common_options
-@click.option("--values", "class_file", required=True,
-              help="JSON file with the class (or - for stdin).")
-def expand_cmd(root_system, type_label, cartan_path, out_format, cache_dir,
-               jobs, max_weyl, class_file):
-    """Expand a localized class in the Schubert basis."""
-    _finish(run(_make_config(
-        "expand", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, class_file=class_file,
-    )))
-
-
-@main.command("peterson-mult")
-@_common_options
-@click.option("--I", "i_spec", required=True,
-              help='First subset of simple roots, e.g. "1,2" ("" for empty).')
-@click.option("--J", "j_spec", required=True, help="Second subset.")
-@click.option("--coxeter-order", default="increasing",
-              type=click.Choice(["increasing", "decreasing"]),
-              help="Order in which Coxeter elements multiply their letters.")
-def peterson_mult_cmd(root_system, type_label, cartan_path, out_format,
-                      cache_dir, jobs, max_weyl, i_spec, j_spec, coxeter_order):
-    """Structure constants of a product of Peterson basis classes."""
-    _finish(run(_make_config(
-        "peterson-mult", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, i_spec=i_spec, j_spec=j_spec,
-        coxeter_order=coxeter_order,
-    )))
-
-
-@main.command("pullback")
-@_common_options
-@click.option("--w", "w_spec", required=True, help="Schubert class to pull back.")
-@click.option("--coxeter-order", default="increasing",
-              type=click.Choice(["increasing", "decreasing"]))
-def pullback_cmd(root_system, type_label, cartan_path, out_format, cache_dir,
-                 jobs, max_weyl, w_spec, coxeter_order):
-    """Expand the pullback of a Schubert class in the Peterson basis."""
-    _finish(run(_make_config(
-        "pullback", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, w_spec=w_spec, coxeter_order=coxeter_order,
-    )))
-
-
-@main.command("table")
-@_common_options
-@click.option("--kind", type=click.Choice(["schubert", "peterson"]),
-              default="schubert", help="Which structure-constant table.")
-@click.option("--coxeter-order", default="increasing",
-              type=click.Choice(["increasing", "decreasing"]))
-def table_cmd(root_system, type_label, cartan_path, out_format, cache_dir,
-              jobs, max_weyl, kind, coxeter_order):
-    """Full structure-constant table."""
-    _finish(run(_make_config(
-        "table", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, kind=kind, coxeter_order=coxeter_order,
-    )))
-
-
-@main.command("verify")
-@_common_options
-@click.option("--suite", required=True,
-              type=click.Choice(["positivity", "gkm", "billey", "closed-form",
-                                 "consistency", "all"]),
-              help="Which verification sweep to run.")
-@click.option("--coxeter-order", default="increasing",
-              type=click.Choice(["increasing", "decreasing"]))
-def verify_cmd(root_system, type_label, cartan_path, out_format, cache_dir,
-               jobs, max_weyl, suite, coxeter_order):
-    """Run a verification sweep; exits 1 if any check fails."""
-    _finish(run(_make_config(
-        "verify", root_system, type_label, cartan_path, out_format,
-        cache_dir, jobs, max_weyl, suite=suite, coxeter_order=coxeter_order,
-    )))
 
 
 if __name__ == "__main__":

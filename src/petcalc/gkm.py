@@ -11,7 +11,6 @@ inverse Euler classes.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -282,56 +281,83 @@ def gkm_verify(f, max_size=None):
     return True
 
 
-def class_product(f, g):
-    """Pointwise product of localized classes."""
-    return f * g
+def back_substitute(values, order, column, label):
+    """Coefficients d_k with ``values`` equal to the sum of d_k times the
+    basis class of k, for a basis that is triangular along ``order``.
 
-
-def expand_in_schubert_basis(f, max_size=None):
-    """Coefficients d_w with f equal to the sum of d_w times the Schubert
-    class of w.
-
-    Works up the Bruhat order: at the shortest fixed point carrying a
-    nonzero residual only its own Schubert class can contribute, so the
-    coefficient there is the residual divided by the diagonal restriction
-    (the division must be exact). Subtracting and repeating terminates
-    because Schubert classes are supported above their index.
+    ``column(k)`` returns the diagonal value of the basis class of k at k
+    and its (key, value) pairs; every key of the support must come at or
+    after k in ``order``. At the first key carrying a nonzero residual
+    only its own basis class can contribute, so the coefficient there is
+    the residual divided by the diagonal value (the division must be
+    exact). Subtracting and repeating terminates because of the support
+    condition; a residual left at a key outside ``order`` means the input
+    is not in the span. ``label(k)`` renders a key for error messages.
     """
-    rs = f.rs
-    order = weyl_enumerate(rs, max_size)
-    residual = dict(f.values)
+    residual = dict(values)
     coeffs = {}
-    for w in order:
-        r = residual.get(w)
+    for k in order:
+        r = residual.get(k)
         if r is None or r.is_zero():
             continue
-        diagonal = billey_restriction(rs, w, w)
+        diagonal, entries = column(k)
         try:
             d = divide_exact(r, diagonal)
         except NotDivisible as exc:
             raise NotInSpan(
-                f"residual at {word_text(w)} is not a multiple of the "
+                f"residual at {label(k)} is not a multiple of the "
                 "diagonal restriction; the input is not in the span",
-                element=w,
+                element=k,
                 remainder=exc.remainder,
             ) from exc
-        coeffs[w] = d
-        for x, val in _billey_column(rs, w, max_size):
+        coeffs[k] = d
+        for x, val in entries:
             cur = residual.get(x)
             new = (cur - d * val) if cur is not None else -(d * val)
             if new.is_zero():
                 residual.pop(x, None)
             else:
                 residual[x] = new
-    leftover = {w for w, r in residual.items() if not r.is_zero()}
-    if leftover:
-        w = min(leftover, key=lambda e: e.sort_key())
-        raise NotInSpan(
-            f"nonzero residual survived at {word_text(w)}",
-            element=w,
-            remainder=residual[w],
-        )
+    for k, r in residual.items():
+        if not r.is_zero():
+            raise NotInSpan(
+                f"nonzero residual survived at {label(k)}",
+                element=k,
+                remainder=r,
+            )
     return coeffs
+
+
+def pair_table(keys, work):
+    """``work(a, b)`` for every ordered pair of keys, as a dict keyed by
+    (a, b). The product is commutative, so each unordered pair is
+    computed once, in a fixed order, and its result is shared with the
+    mirrored pair.
+    """
+    table = {}
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
+            table[(a, b)] = table[(b, a)] = work(a, b)
+    return table
+
+
+def expand_in_schubert_basis(f, max_size=None):
+    """Coefficients d_w with f equal to the sum of d_w times the Schubert
+    class of w.
+
+    Works up the Bruhat order: Schubert classes are supported above
+    their index, so ``back_substitute`` applies with the Weyl group in
+    length order, the diagonal restriction of each class and its Billey
+    column.
+    """
+    rs = f.rs
+
+    def column(w):
+        return billey_restriction(rs, w, w), _billey_column(rs, w, max_size)
+
+    return back_substitute(
+        f.values, weyl_enumerate(rs, max_size), column, word_text
+    )
 
 
 def structure_constants(rs, u, v, max_size=None):
@@ -381,38 +407,20 @@ class StructTable:
         return [(u, v, w, self.entries[(u, v, w)]) for u, v, w in keys]
 
 
-def structure_table(rs, jobs=1, max_size=None):
+def structure_table(rs, max_size=None):
     """The full structure-constant table, one entry per (u, v, w).
 
-    Pairs are computed independently (in parallel when jobs > 1) and
-    merged in a fixed order, so the output does not depend on the worker
-    count. The product is commutative, so each unordered pair is computed
-    once and mirrored.
+    Each unordered pair is computed once and mirrored, in a fixed order,
+    so the output is deterministic.
     """
-    order = weyl_enumerate(rs, max_size)
-    for x in order:
-        _fill_billey_row(rs, x)
-    pairs = [
-        (order[i], order[j])
-        for i in range(len(order))
-        for j in range(i, len(order))
-    ]
-
-    def work(pair):
-        return structure_constants(rs, pair[0], pair[1], max_size)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(pair) for pair in pairs]
-
+    pairs = pair_table(
+        weyl_enumerate(rs, max_size),
+        lambda u, v: structure_constants(rs, u, v, max_size),
+    )
     entries = {}
-    for (u, v), coeffs in zip(pairs, results):
+    for (u, v), coeffs in pairs.items():
         for w, c in coeffs.items():
             entries[(u, v, w)] = c
-            if u != v:
-                entries[(v, u, w)] = c
     return StructTable(rs, entries)
 
 

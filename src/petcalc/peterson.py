@@ -12,18 +12,18 @@ inclusion-triangular back-substitution over those fixed-point values.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
 from .gkm import (
-    NotInSpan,
     PositivityViolation,
+    back_substitute,
     billey_restriction,
+    pair_table,
     structure_constants,
 )
-from .poly import NotDivisible, PolyT, divide_exact, specialize_to_t
+from .poly import PolyT, specialize_to_t
 from .rootsys import coxeter_element, longest_element
 
 
@@ -177,37 +177,20 @@ def expand_in_peterson_basis(f, order="increasing"):
     """Coefficients d_K with f equal to the sum of d_K times the basis
     class for K.
 
-    Back-substitution over subsets by increasing size: at an
-    inclusion-minimal subset with nonzero residual only its own basis
-    class contributes, so the coefficient is the residual divided by the
-    diagonal value (exact division in t required). Not-in-span inputs
-    surface as failed divisions.
+    Back-substitution over subsets by increasing size: basis classes
+    vanish outside the subsets containing their index, so
+    ``back_substitute`` applies with the diagonal value of each basis
+    class and its values. Not-in-span inputs raise NotInSpan.
     """
     rs = f.rs
-    residual = dict(f.values)
-    coeffs = {}
-    for members in all_subsets(rs):
-        r = residual.get(members)
-        if r is None or r.is_zero():
-            continue
+
+    def column(members):
         basis = peterson_class(rs, members, order)
-        try:
-            d = divide_exact(r, basis.value(members))
-        except NotDivisible as exc:
-            raise NotInSpan(
-                f"residual at {{{subset_text(members)}}} is not a multiple "
-                "of the diagonal value",
-                element=members,
-                remainder=exc.remainder,
-            ) from exc
-        coeffs[members] = d
-        for subset, val in basis.values.items():
-            cur = residual.get(subset)
-            new = (cur - d * val) if cur is not None else -(d * val)
-            if new.is_zero():
-                residual.pop(subset, None)
-            else:
-                residual[subset] = new
+        return basis.value(members), basis.values.items()
+
+    coeffs = back_substitute(
+        f.values, all_subsets(rs), column, lambda m: f"{{{subset_text(m)}}}"
+    )
     return PetersonExpansion(coeffs)
 
 
@@ -410,44 +393,22 @@ def cross_validate(rs, bound=4, order="increasing"):
     return CrossValidationReport(rs.rank, entries)
 
 
-def peterson_table(rs, jobs=1, order="increasing"):
+def peterson_table(rs, order="increasing"):
     """Structure constants for every pair of subsets, as sorted rows
     (I, J, K, coefficient).
 
-    Pairs are independent; with jobs > 1 they run on a worker pool and
-    are merged in a fixed order, so output does not depend on the worker
-    count. Products commute, so each unordered pair is computed once.
+    Each unordered pair is computed once and mirrored, so the rows are
+    deterministic.
     """
-    subsets = all_subsets(rs)
-    pairs = [
-        (subsets[i], subsets[j])
-        for i in range(len(subsets))
-        for j in range(i, len(subsets))
+    pairs = pair_table(
+        all_subsets(rs),
+        lambda mi, mj: peterson_structure_constants(rs, mi, mj, order),
+    )
+    rows = [
+        (mi, mj, members_k, expansion.coeff(members_k))
+        for (mi, mj), expansion in pairs.items()
+        for members_k in expansion.support()
     ]
-
-    def work(pair):
-        return peterson_structure_constants(rs, pair[0], pair[1], order)
-
-    # warm the shared basis-class memo so workers only multiply/expand
-    for members in subsets:
-        peterson_class(rs, members, order)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(pair) for pair in pairs]
-
-    rows = []
-    for (members_i, members_j), expansion in zip(pairs, results):
-        ordered = [(members_i, members_j)]
-        if members_i != members_j:
-            ordered.append((members_j, members_i))
-        for mi, mj in ordered:
-            for members_k in expansion.support():
-                rows.append(
-                    (mi, mj, members_k, expansion.coeff(members_k))
-                )
     rows.sort(
         key=lambda r: (
             (len(r[0]), sorted(r[0])),

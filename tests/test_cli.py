@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
+from petcalc import gkm, peterson, root_system_from_label
+from petcalc.cache import BilleyDiskCache
 from petcalc.cli import main
+from petcalc.peterson import PetersonExpansion
 
 
 @pytest.fixture
@@ -185,6 +191,24 @@ def test_table_deterministic_across_jobs(runner):
     assert "\r" not in outputs[0]  # LF line endings, not CRLF
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["table", "A2", "--out", "json"],
+         "d9117abf4193ccaffd1249f2becb453eaadc0b13ff49ba86235d135e272e194b"),
+        (["table", "A2", "--kind", "peterson", "--out", "json"],
+         "34630c2472e4fd9ef96fa79210c1d5df3c1627ea61e95fa63c929683148b2d30"),
+        (["table", "A3", "--kind", "peterson"],
+         "af87e5d711530707fce72734100c78cc0f136aaaeece682bb65f6b67f9fd05fc"),
+    ],
+    ids=["schubert-json", "peterson-json", "peterson-text"],
+)
+def test_table_output_bytes_pinned(runner, args, digest):
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 def test_peterson_table_csv(runner):
     result = invoke(
         runner, ["table", "A2", "--kind", "peterson", "--out", "csv"]
@@ -226,6 +250,29 @@ def test_corrupt_cache_is_ignored(runner, tmp_path):
     assert again == baseline
 
 
+def test_cache_save_survives_a_squatted_temp_name(runner, tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "billey-cache.tmp").mkdir(parents=True)
+    result = runner.invoke(
+        main, ["restrict", "A2", "--class", "231", "--at", "321",
+               "--cache", str(cache)]
+    )
+    assert result.exit_code == 0
+    assert result.stdout == "a1*a2 + a1^2\n"
+    assert sorted(os.listdir(cache)) == ["billey-cache.jsonl",
+                                         "billey-cache.tmp"]
+
+
+def test_cache_save_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        BilleyDiskCache(tmp_path).save(root_system_from_label("A1"))
+    assert os.listdir(tmp_path) == []
+
+
 def test_stale_cache_format_is_ignored(runner, tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -246,3 +293,51 @@ def test_verify_reports_failures_loudly(runner, monkeypatch):
     )
     assert result.exit_code == 1
     assert "restriction-positivity" in result.output
+
+
+def _negated(expand):
+    def negated(f, order="increasing"):
+        coeffs = expand(f, order).coeffs
+        return PetersonExpansion({k: c * -1 for k, c in coeffs.items()})
+
+    return negated
+
+
+@pytest.mark.parametrize(
+    "args, module, attr, fake",
+    [
+        (["mult", "A2", "--u", "213", "--v", "213"],
+         gkm, "is_graham_positive", lambda expand: lambda p: False),
+        (["peterson-mult", "A2", "--I", "1", "--J", "2"],
+         peterson, "expand_in_peterson_basis", _negated),
+    ],
+    ids=["mult", "peterson-mult"],
+)
+def test_positivity_violation_exits_one(runner, monkeypatch, args, module,
+                                        attr, fake):
+    monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stdout  # the honest value is still printed
+    assert result.stderr.startswith("positivity violation: ")
+
+
+def test_other_warnings_are_shown(runner, monkeypatch):
+    from petcalc import cli as cli_module
+
+    restriction = cli_module.billey_restriction
+
+    def noisy(*args, **kwargs):
+        warnings.warn("something odd", RuntimeWarning)
+        return restriction(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "billey_restriction", noisy)
+    # re-shown through warnings.showwarning, which prints to stderr outside
+    # of pytest and records the warning here
+    with pytest.warns(RuntimeWarning, match="something odd"):
+        result = runner.invoke(
+            main, ["restrict", "A2", "--class", "231", "--at", "321"],
+            catch_exceptions=False,
+        )
+    assert result.exit_code == 0
+    assert result.stdout == "a1*a2 + a1^2\n"

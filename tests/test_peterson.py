@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from petcalc import (
+    NotInSpan,
     PetersonClass,
     PolyT,
     all_subsets,
@@ -261,20 +262,33 @@ def test_alternate_coxeter_order_round_trips(a3):
         assert expansion.coeffs == {frozenset(members): PolyT.one()}
 
 
-def test_peterson_table_rows_sorted_and_parallel_stable(a2):
-    rows_serial = peterson_table(a2, jobs=1)
-    rows_parallel = peterson_table(a2, jobs=3)
-    assert rows_serial == rows_parallel
+def test_peterson_table_rows_sorted(a2):
+    rows = peterson_table(a2)
     keys = [
         (tuple(sorted(mi)), tuple(sorted(mj)), tuple(sorted(mk)))
-        for mi, mj, mk, _ in rows_serial
+        for mi, mj, mk, _ in rows
     ]
     pair_keys = [
         ((len(mi), sorted(mi)), (len(mj), sorted(mj)), (len(mk), sorted(mk)))
-        for mi, mj, mk, _ in rows_serial
+        for mi, mj, mk, _ in rows
     ]
     assert pair_keys == sorted(pair_keys)
     assert len(keys) == len(set(keys))
+
+
+def test_expand_rejects_non_multiple_of_diagonal(a2):
+    bad = PetersonClass(a2, {frozenset({1}): PolyT.one()}, 0)
+    with pytest.raises(NotInSpan) as caught:
+        expand_in_peterson_basis(bad)
+    assert caught.value.element == frozenset({1})
+
+
+def test_expand_rejects_residual_outside_the_subsets(a2):
+    # {5} is no subset of A2's simple roots, so no basis class reaches it
+    bad = PetersonClass(a2, {frozenset({5}): t_mono(1, 1)}, 1)
+    with pytest.raises(NotInSpan, match="survived") as caught:
+        expand_in_peterson_basis(bad)
+    assert caught.value.element == frozenset({5})
 
 
 def test_monomial_value_constraint_enforced(a2):
