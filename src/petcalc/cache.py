@@ -1,12 +1,17 @@
 """Disk cache for memoised Billey restrictions.
 
-One JSON-lines file per cache directory. The first line is a format
-header; every other line is either a restriction entry keyed by the
-root system, the class word and the fixed-point word, or a marker that
-a whole fixed-point row has been computed (missing pairs of a marked
-row are genuinely zero). Corrupt lines and stale formats are skipped
-and recomputed, never trusted; rewrites are atomic, each through a
-temp file of its own.
+One JSON-lines file per cache directory. The first line is the format
+header ``{"format": 2}``; every other line holds one whole row of the
+Billey memo: a root system, a fixed point w and the nonzero
+restrictions at w of all Schubert classes, as
+``{"rs": ..., "w": [...], "row": [[v_word, poly_json], ...]}`` with
+rows and entries sorted. A line is adopted whole or not at all: one
+malformed part rejects the line and its row is recomputed, so a corrupt
+line costs time but never reads as a zero. Files of any other format
+are ignored and replaced by the next save that writes. A save whose
+memo holds only rows that ``load`` adopted leaves the file untouched;
+any other save keeps the lines of other root systems and rewrites the
+file atomically, each through a temp file of its own.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import os
 import tempfile
 from pathlib import Path
 
+from .gkm import adopt_billey_row, billey_rows
 from .poly import Polynomial
 from .rootsys import element_from_word
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FILENAME = "billey-cache.jsonl"
 
 
@@ -44,92 +50,73 @@ class BilleyDiskCache:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.path = self.directory / _FILENAME
+        self._adopted = set()  # (root system key, w) of every loaded row
+
+    def _lines(self):
+        """The lines after the header of a current-format file, else []."""
+        try:
+            lines = self.path.read_text(encoding="utf-8").splitlines()
+            if lines and json.loads(lines[0]).get("format") == FORMAT_VERSION:
+                return lines[1:]
+        except (OSError, ValueError, AttributeError):
+            pass
+        return []
 
     def load(self, rs):
-        """Merge valid entries for this root system into its memo tables.
+        """Adopt every valid row for this root system into its memo.
 
         Returns the number of restriction entries adopted.
         """
-        if not self.path.exists():
-            return 0
         key = root_system_key(rs)
         adopted = 0
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return 0
-        if not lines:
-            return 0
-        try:
-            header = json.loads(lines[0])
-            if header.get("format") != FORMAT_VERSION:
-                return 0
-        except (json.JSONDecodeError, AttributeError):
-            return 0
-        for line in lines[1:]:
+        for line in self._lines():
             try:
                 entry = json.loads(line)
                 if entry.get("rs") != key:
                     continue
                 w = _element_for_words(rs, entry["w"])
-                if entry.get("row_complete"):
-                    rs._billey_rows_done.add(w)
-                    continue
-                v = _element_for_words(rs, entry["v"])
-                poly = Polynomial.from_json(rs.rank, entry["poly"])
-                rs._billey[(v, w)] = poly
-                adopted += 1
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                continue  # corrupt entry: recompute instead of trusting it
+                row = {
+                    _element_for_words(rs, v): Polynomial.from_json(rs.rank, p)
+                    for v, p in entry["row"]
+                }
+                if len(row) != len(entry["row"]):
+                    raise ValueError("repeated class in a row")
+            except (ValueError, KeyError, TypeError, AttributeError,
+                    ZeroDivisionError):
+                continue  # corrupt line: recompute the row, never trust it
+            adopt_billey_row(rs, w, row)
+            self._adopted.add((key, w))
+            adopted += len(row)
         return adopted
 
     def save(self, rs):
-        """Write the current memo contents for this root system.
-
-        Entries for other root systems already in the file are kept.
-        Pairs of a row are written before the row marker, so a truncated
-        write can never claim completeness it does not have.
+        """Write the memo's rows for this root system, keeping the lines
+        of other root systems; do nothing if ``load`` adopted them all.
         """
         key = root_system_key(rs)
-        foreign = []
-        if self.path.exists():
-            try:
-                lines = self.path.read_text(encoding="utf-8").splitlines()
-                if lines and json.loads(lines[0]).get("format") == FORMAT_VERSION:
-                    for line in lines[1:]:
-                        try:
-                            if json.loads(line).get("rs") != key:
-                                foreign.append(line)
-                        except json.JSONDecodeError:
-                            continue
-            except OSError:
-                pass
-
-        by_row = {}
-        for (v, w), poly in rs._billey.items():
-            by_row.setdefault(w, []).append((v, poly))
+        rows = billey_rows(rs)
+        if all((key, w) in self._adopted for w, _ in rows):
+            return
         out = [json.dumps({"format": FORMAT_VERSION})]
-        out.extend(foreign)
-        for w in sorted(by_row, key=lambda e: e.sort_key()):
-            for v, poly in sorted(by_row[w], key=lambda p: p[0].sort_key()):
-                out.append(
-                    json.dumps(
-                        {
-                            "rs": key,
-                            "v": list(v.word),
-                            "w": list(w.word),
-                            "poly": poly.to_json(),
-                        },
-                        separators=(",", ":"),
-                    )
+        for line in self._lines():
+            try:
+                if json.loads(line).get("rs") != key:
+                    out.append(line)
+            except (ValueError, AttributeError):
+                continue
+        for w, row in sorted(rows, key=lambda item: item[0].sort_key()):
+            entries = sorted(row.items(), key=lambda item: item[0].sort_key())
+            out.append(
+                json.dumps(
+                    {
+                        "rs": key,
+                        "w": list(w.word),
+                        "row": [[list(v.word), poly.to_json()]
+                                for v, poly in entries],
+                    },
+                    separators=(",", ":"),
                 )
-            if w in rs._billey_rows_done:
-                out.append(
-                    json.dumps(
-                        {"rs": key, "w": list(w.word), "row_complete": True},
-                        separators=(",", ":"),
-                    )
-                )
+            )
         self.directory.mkdir(parents=True, exist_ok=True)
         # a temp file of its own, so concurrent writers cannot clobber it
         fd, tmp = tempfile.mkstemp(

@@ -273,6 +273,7 @@ def _command(name, *options):
 _COXETER_ORDER = click.option(
     "--coxeter-order", default="increasing",
     type=click.Choice(["increasing", "decreasing"]),
+    help="Order in which Coxeter elements multiply their letters.",
 )
 
 
@@ -365,9 +366,7 @@ def _cmd_expand(config, rs):
     click.option("--I", "i_spec", required=True,
                  help='First subset of simple roots, e.g. "1,2" ("" for empty).'),
     click.option("--J", "j_spec", required=True, help="Second subset."),
-    click.option("--coxeter-order", default="increasing",
-                 type=click.Choice(["increasing", "decreasing"]),
-                 help="Order in which Coxeter elements multiply their letters."),
+    _COXETER_ORDER,
 )
 def _cmd_peterson_mult(config, rs):
     """Structure constants of a product of Peterson basis classes."""

@@ -196,15 +196,29 @@ def _billey_dp(rs, word, keep=None):
 
 
 def _fill_billey_row(rs, w):
-    """Memoise the restriction of every Schubert class at w at once."""
-    if w in rs._billey_rows_done:
-        return
-    states = _billey_dp(rs, w.word)
-    memo = rs._billey
-    for u, poly in states.items():
-        if poly:
-            memo[(u, w)] = poly
-    rs._billey_rows_done.add(w)
+    """The restriction of every Schubert class at w, as {v: restriction}.
+
+    Rows are computed whole and memoised on ``rs._billey``, so a row in
+    the memo is complete: a class absent from it restricts to zero at w.
+    """
+    row = rs._billey.get(w)
+    if row is None:
+        states = _billey_dp(rs, w.word)
+        row = rs._billey[w] = {u: poly for u, poly in states.items() if poly}
+    return row
+
+
+def billey_rows(rs):
+    """The memoised Billey rows of rs, as (w, {v: restriction}) pairs."""
+    return list(rs._billey.items())
+
+
+def adopt_billey_row(rs, w, row):
+    """Memoise a complete row {v: restriction} computed elsewhere.
+
+    A row already in the memo is kept.
+    """
+    rs._billey.setdefault(w, row)
 
 
 def billey_restriction(rs, v, w, word=None):
@@ -222,29 +236,20 @@ def billey_restriction(rs, v, w, word=None):
             raise ValueError(f"{word} is not a reduced word for {w!r}")
         states = _billey_dp(rs, word, keep=v)
         return states.get(v, Polynomial.zero(rs.rank))
-    poly = rs._billey.get((v, w))
-    if poly is not None:
-        return poly
-    if w not in rs._billey_rows_done:
-        _fill_billey_row(rs, w)
-        poly = rs._billey.get((v, w))
-        if poly is not None:
-            return poly
-    return Polynomial.zero(rs.rank)
+    # a memo hit skips the call: this lookup is hot on the Peterson path
+    poly = (rs._billey.get(w) or _fill_billey_row(rs, w)).get(v)
+    return Polynomial.zero(rs.rank) if poly is None else poly
 
 
 def _billey_column(rs, w, max_size=None):
     # all fixed points where the Schubert class of w restricts nonzero
     col = rs._billey_cols.get(w)
     if col is None:
-        order = weyl_enumerate(rs, max_size)
-        for x in order:
-            _fill_billey_row(rs, x)
-        col = [
-            (x, rs._billey[(w, x)])
-            for x in order
-            if (w, x) in rs._billey
-        ]
+        col = []
+        for x in weyl_enumerate(rs, max_size):
+            poly = _fill_billey_row(rs, x).get(w)
+            if poly is not None:
+                col.append((x, poly))
         rs._billey_cols[w] = col
     return col
 

@@ -226,8 +226,7 @@ class RootSystem:
         # memo tables (idempotent writes; safe under the GIL)
         self._weyl_list = None
         self._bruhat = {}
-        self._billey = {}
-        self._billey_rows_done = set()
+        self._billey = {}  # w -> complete row {v: restriction}, owned by gkm
         self._billey_cols = {}
         self._parabolic_longest = {}
         self._peterson_classes = {}

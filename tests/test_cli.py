@@ -241,7 +241,8 @@ def test_corrupt_cache_is_ignored(runner, tmp_path):
     path = cache / "billey-cache.jsonl"
     content = path.read_text().splitlines()
     content.insert(1, "not json at all")
-    content.insert(2, json.dumps({"rs": "A2", "v": [99], "w": [1], "poly": []}))
+    content.insert(2, json.dumps({"rs": "A2", "w": [1], "row": [[[99], []]]}))
+    content.insert(3, "[1]")
     path.write_text("\n".join(content) + "\n")
     again = invoke(
         runner, ["restrict", "A2", "--class", "231", "--at", "321",
@@ -267,21 +268,91 @@ def test_cache_save_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("replace refused")
 
+    rs = root_system_from_label("A1")
+    gkm.billey_restriction(rs, rs.identity(), rs.simple_reflection(1))
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        BilleyDiskCache(tmp_path).save(root_system_from_label("A1"))
+        BilleyDiskCache(tmp_path).save(rs)
     assert os.listdir(tmp_path) == []
 
 
-def test_stale_cache_format_is_ignored(runner, tmp_path):
+FORMAT_1_A2 = (
+    '{"format": 1}\n'
+    '{"rs":"A2","v":[],"w":[1,2,1],"poly":[[[0,0],1,1]]}\n'
+    '{"rs":"A2","w":[1,2,1],"row_complete":true}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "stale", ['{"format": 99}\n{"rs": "A2"}\n', FORMAT_1_A2],
+    ids=["format-99", "format-1"],
+)
+def test_stale_cache_format_is_ignored(runner, tmp_path, stale):
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "billey-cache.jsonl").write_text('{"format": 99}\n{"rs": "A2"}\n')
+    (cache / "billey-cache.jsonl").write_text(stale)
     result = invoke(
         runner, ["restrict", "A2", "--class", "231", "--at", "321",
                  "--cache", str(cache)]
     )
     assert result.output == "a1*a2 + a1^2\n"
+    assert (cache / "billey-cache.jsonl").read_text().startswith(
+        '{"format": 2}\n'
+    )
+
+
+RESTRICT_231_AT_321 = ["restrict", "A2", "--class", "231", "--at", "321"]
+
+
+def test_clean_cache_is_not_rewritten(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    assert invoke(runner, args).output == "a1*a2 + a1^2\n"
+    before = os.stat(cache / "billey-cache.jsonl")
+    assert invoke(runner, args).output == "a1*a2 + a1^2\n"
+    after = os.stat(cache / "billey-cache.jsonl")
+    assert (after.st_ino, after.st_mtime_ns) == (
+        before.st_ino, before.st_mtime_ns
+    )
+
+
+def _cached_row_lines(cache):
+    """The A2 cache after one restriction run: header and the row of s1 s2 s1."""
+    lines = (cache / "billey-cache.jsonl").read_text().splitlines()
+    assert lines[0] == '{"format": 2}'
+    (index,) = [i for i, line in enumerate(lines) if '"w":[1,2,1]' in line]
+    return lines, index
+
+
+def test_truncated_cache_row_is_recomputed_whole(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    invoke(runner, args)
+    lines, index = _cached_row_lines(cache)
+    whole = lines[index]
+    # cut the line before the (v = s1 s2) entry that the query reads
+    lines[index] = whole[: whole.index("[[1,2],")]
+    (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.output == "a1*a2 + a1^2\n"
+    assert _cached_row_lines(cache)[0][index] == whole
+
+
+def test_cache_row_with_a_non_reduced_word_is_rejected(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    baseline = invoke(runner, args).output
+    lines, index = _cached_row_lines(cache)
+    whole = lines[index]
+    entry = json.loads(whole)
+    entry["row"][3][0] = [1, 1, 2]  # s1 s1 s2 is not reduced
+    lines[index] = json.dumps(entry, separators=(",", ":"))
+    (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
+    rs = root_system_from_label("A2")
+    assert BilleyDiskCache(cache).load(rs) == 0
+    assert invoke(runner, args).output == baseline
+    assert _cached_row_lines(cache)[0][index] == whole
 
 
 def test_verify_reports_failures_loudly(runner, monkeypatch):
