@@ -1,17 +1,20 @@
 """Disk cache for memoised Billey restrictions.
 
 One JSON-lines file per cache directory. The first line is the format
-header ``{"format": 2}``; every other line holds one whole row of the
+header ``{"format": 3}``; every other line holds one whole row of the
 Billey memo: a root system, a fixed point w and the nonzero
 restrictions at w of all Schubert classes, as
-``{"rs": ..., "w": [...], "row": [[v_word, poly_json], ...]}`` with
-rows and entries sorted. A line is adopted whole or not at all: one
-malformed part rejects the line and its row is recomputed, so a corrupt
-line costs time but never reads as a zero. Files of any other format
-are ignored and replaced by the next save that writes. A save whose
-memo holds only rows that ``load`` adopted leaves the file untouched;
-any other save keeps the lines of other root systems and rewrites the
-file atomically, each through a temp file of its own.
+``{"rs": ..., "w": [...], "row": [[v_word, poly_json], ...],
+"digest": ...}`` with rows and entries sorted. The digest is the CRC-32
+of the line's text up to the digest key, so a line that was cut,
+edited or written by hand without it is rejected even when it parses.
+A line is adopted whole or not at all: one malformed part rejects the
+line and its row is recomputed, so a corrupt line costs time but never
+reads as a zero. Files of any other format are ignored and replaced by
+the next save that writes. A save whose memo holds only rows that
+``load`` adopted leaves the file untouched; any other save keeps the
+lines of other root systems and rewrites the file atomically, each
+through a temp file of its own.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ import contextlib
 import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 from .gkm import adopt_billey_row, billey_rows
 from .poly import Polynomial
 from .rootsys import element_from_word
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _FILENAME = "billey-cache.jsonl"
+_DIGEST_KEY = ',"digest":"'
 
 
 def root_system_key(rs):
@@ -44,6 +49,22 @@ def _element_for_words(rs, word):
     if elt.length != len(word):
         raise ValueError("cached word is not reduced")
     return elt
+
+
+def _digest(text):
+    return format(zlib.crc32(text.encode("utf-8")), "08x")
+
+
+def _signed_line(payload):
+    """The compact JSON of payload with the digest of that text appended."""
+    text = json.dumps(payload, separators=(",", ":"))
+    return f'{text[:-1]}{_DIGEST_KEY}{_digest(text)}"}}'
+
+
+def _check_digest(line):
+    head, key, tail = line.rpartition(_DIGEST_KEY)
+    if not key or tail != _digest(head + "}") + '"}':
+        raise ValueError("row digest missing or wrong")
 
 
 class BilleyDiskCache:
@@ -74,6 +95,7 @@ class BilleyDiskCache:
                 entry = json.loads(line)
                 if entry.get("rs") != key:
                     continue
+                _check_digest(line)
                 w = _element_for_words(rs, entry["w"])
                 row = {
                     _element_for_words(rs, v): Polynomial.from_json(rs.rank, p)
@@ -107,14 +129,13 @@ class BilleyDiskCache:
         for w, row in sorted(rows, key=lambda item: item[0].sort_key()):
             entries = sorted(row.items(), key=lambda item: item[0].sort_key())
             out.append(
-                json.dumps(
+                _signed_line(
                     {
                         "rs": key,
                         "w": list(w.word),
                         "row": [[list(v.word), poly.to_json()]
                                 for v, poly in entries],
-                    },
-                    separators=(",", ":"),
+                    }
                 )
             )
         self.directory.mkdir(parents=True, exist_ok=True)

@@ -157,42 +157,51 @@ class LocalizedClass:
         return payload
 
 
-def _billey_dp(rs, word, keep=None):
+def _billey_dp(rs, word, weight, unit, keep=None):
     """Run the subword sum along a reduced word.
 
     Returns the map u -> sum over subsequences of the word that multiply
-    to u (necessarily reduced) of the product of the partial-product
-    images of the chosen letters. ``keep`` restricts the state space to
-    weak-order prefixes of one target element.
+    to u (necessarily reduced) of the product of the weights of the
+    chosen letters. A letter weighs ``weight(root)``, where root is the
+    image of its simple root under the preceding partial product, and
+    ``unit`` is the empty product: Billey's formula weighs a root by its
+    linear form, its restriction to the Peterson parameter t by its
+    height. ``keep`` restricts the state space to weak-order prefixes of
+    one target element.
     """
-    rank = rs.rank
-    forms = []
+    weights = []
     prefix = rs.identity()
     for letter in word:
         signed = prefix.perm[rs.simple_index(letter)]
-        root = rs.positive_roots[signed - 1]
-        forms.append(Polynomial.linear_form(rank, root.coeffs))
+        weights.append(weight(rs.positive_roots[signed - 1]))
         prefix = prefix * rs.simple_reflection(letter)
+    if keep is not None:
+        # u is a prefix of keep iff every positive root that u^-1 sends
+        # negative is one that keep^-1 sends negative
+        targets = {k + 1 for k, v in enumerate(keep.inverse().perm) if v < 0}
 
-    states = {rs.identity(): Polynomial.one(rank)}
-    for j, letter in enumerate(word):
+    states = {rs.identity(): unit}
+    for letter, wt in zip(word, weights):
+        index = rs.simple_index(letter)
         s = rs.simple_reflection(letter)
-        form = forms[j]
         additions = []
         for u, acc in states.items():
-            u2 = u * s
-            if u2.length != u.length + 1:
+            # u s is longer than u iff u sends the simple root positive;
+            # that image is the one root (u s)^-1 sends negative and u^-1
+            # does not
+            image = u.perm[index]
+            if image < 0 or (keep is not None and image not in targets):
                 continue
-            if keep is not None:
-                # u2 must start some reduced word of the target
-                rest = u2.inverse() * keep
-                if u2.length + rest.length != keep.length:
-                    continue
-            additions.append((u2, acc * form))
+            additions.append((u * s, acc * wt))
         for u2, add in additions:
             cur = states.get(u2)
             states[u2] = add if cur is None else cur + add
     return states
+
+
+def _root_form(rank):
+    """Billey's weight: a root as a linear form in the simple roots."""
+    return lambda root: Polynomial.linear_form(rank, root.coeffs)
 
 
 def _fill_billey_row(rs, w):
@@ -203,7 +212,9 @@ def _fill_billey_row(rs, w):
     """
     row = rs._billey.get(w)
     if row is None:
-        states = _billey_dp(rs, w.word)
+        states = _billey_dp(
+            rs, w.word, _root_form(rs.rank), Polynomial.one(rs.rank)
+        )
         row = rs._billey[w] = {u: poly for u, poly in states.items() if poly}
     return row
 
@@ -234,9 +245,11 @@ def billey_restriction(rs, v, w, word=None):
         word = tuple(int(i) for i in word)
         if len(word) != w.length or element_from_word(rs, word) != w:
             raise ValueError(f"{word} is not a reduced word for {w!r}")
-        states = _billey_dp(rs, word, keep=v)
+        states = _billey_dp(
+            rs, word, _root_form(rs.rank), Polynomial.one(rs.rank), keep=v
+        )
         return states.get(v, Polynomial.zero(rs.rank))
-    # a memo hit skips the call: this lookup is hot on the Peterson path
+    # a memo hit skips the call: this lookup is hot in the Schubert solve
     poly = (rs._billey.get(w) or _fill_billey_row(rs, w)).get(v)
     return Polynomial.zero(rs.rank) if poly is None else poly
 

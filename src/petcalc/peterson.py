@@ -1,30 +1,41 @@
 """Peterson Schubert calculus via restriction to Peterson fixed points.
 
 The circle-equivariant cohomology of the Peterson variety has one fixed
-point per subset K of the simple roots, namely the longest element of
-the parabolic subgroup on K. Pulling back the Schubert class of a
-Coxeter element for K and restricting every simple root to the common
-parameter t gives the basis class for K; everything else (expansions,
-structure constants, pullbacks of general Schubert classes) is
-inclusion-triangular back-substitution over those fixed-point values.
+point per subset J of the simple roots, namely the longest element w_J
+of the parabolic subgroup on J. Every simple root restricts to the
+common parameter t there, so a positive root restricts to its height
+times t, and the Schubert class of v restricts at w_J to N t^length(v)
+for an integer N: Billey's subword sum along a reduced word of w_J with
+each root replaced by its height. The sum is nonzero exactly when the
+support of v lies in J, and it runs over integers on the weak-order
+prefixes of v alone, so no Weyl group is enumerated and no polynomial
+restriction is formed. The basis class for K is the class of a Coxeter
+element for K; everything else (expansions, structure constants,
+pullbacks of general Schubert classes) is inclusion-triangular
+back-substitution over those fixed-point values.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
 from .gkm import (
     PositivityViolation,
+    _billey_dp,
     back_substitute,
-    billey_restriction,
     pair_table,
     structure_constants,
 )
 from .poly import PolyT, specialize_to_t
-from .rootsys import coxeter_element, longest_element
+from .rootsys import Root, coxeter_element, longest_element
+
+# root system -> {key: basis class or pullback expansion}; an entry lives
+# as long as its root system
+_memo = weakref.WeakKeyDictionary()
 
 
 def subset_text(members):
@@ -144,32 +155,43 @@ def _order_key(order):
     return order if isinstance(order, str) else tuple(order)
 
 
+def _fixed_point_values(rs, v):
+    """The Schubert class of v at every Peterson fixed point, as
+    {J: N t^length(v)} over the subsets J containing the support of v
+    (elsewhere v is not below w_J and the value is zero).
+    """
+    support = v.support()
+    values = {}
+    for subset in all_subsets(rs):
+        if support <= subset:
+            word = longest_element(rs, subset).word
+            count = _billey_dp(rs, word, Root.height, 1, keep=v)[v]
+            values[subset] = PolyT.monomial(count, v.length)
+    return values
+
+
 def peterson_class(rs, members, order="increasing"):
     """The basis class for a subset K of the simple roots.
 
-    Its value at the fixed point for J is the Billey restriction of the
-    Coxeter element for K at the longest element of the parabolic on J,
-    with every simple root specialised to t. Values vanish unless K is
-    contained in J (support triangularity), and the value at K itself is
-    a nonzero monomial of degree the size of K.
+    Its value at the fixed point for J is the Schubert class of the
+    Coxeter element v_K restricted there: the height-weighted Billey sum
+    along a reduced word of w_J, kept to the weak-order prefixes of v_K,
+    times t^|K|. Values vanish unless K is contained in J (support
+    triangularity), and the value at K itself is a positive multiple of
+    t^|K|.
     """
     members = frozenset(int(i) for i in members)
-    key = (_order_key(order), members)
-    cached = rs._peterson_classes.get(key)
+    memo = _memo.setdefault(rs, {})
+    key = ("class", _order_key(order), members)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     if members:
         v = coxeter_element(rs, members, order)
     else:
         v = rs.identity()
-    values = {}
-    for subset in all_subsets(rs):
-        w = longest_element(rs, subset)
-        poly = specialize_to_t(billey_restriction(rs, v, w))
-        if poly:
-            values[subset] = poly
-    result = PetersonClass(rs, values, len(members))
-    rs._peterson_classes[key] = result
+    result = PetersonClass(rs, _fixed_point_values(rs, v), len(members))
+    memo[key] = result
     return result
 
 
@@ -219,24 +241,19 @@ def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
 def pullback_expansion(rs, w, order="increasing"):
     """Expansion of the pullback of the Schubert class of w.
 
-    Restricts the class at every Peterson fixed point (Billey plus
-    specialisation to t) and expands in the basis. Each coefficient is a
-    single monomial in t of degree length(w) - |K| with nonnegative
-    coefficient.
+    Restricts the class at every Peterson fixed point by the
+    height-weighted Billey sum, kept to the weak-order prefixes of w, and
+    expands in the basis. Each coefficient is a single monomial in t of
+    degree length(w) - |K| with nonnegative coefficient.
     """
-    key = (w, _order_key(order))
-    cached = rs._pullbacks.get(key)
+    memo = _memo.setdefault(rs, {})
+    key = ("pullback", w, _order_key(order))
+    cached = memo.get(key)
     if cached is not None:
         return cached
-    values = {}
-    for subset in all_subsets(rs):
-        x = longest_element(rs, subset)
-        poly = specialize_to_t(billey_restriction(rs, w, x))
-        if poly:
-            values[subset] = poly
-    cls = PetersonClass(rs, values, w.length)
+    cls = PetersonClass(rs, _fixed_point_values(rs, w), w.length)
     expansion = expand_in_peterson_basis(cls, order)
-    rs._pullbacks[key] = expansion
+    memo[key] = expansion
     return expansion
 
 

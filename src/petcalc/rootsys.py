@@ -229,8 +229,6 @@ class RootSystem:
         self._billey = {}  # w -> complete row {v: restriction}, owned by gkm
         self._billey_cols = {}
         self._parabolic_longest = {}
-        self._peterson_classes = {}
-        self._pullbacks = {}
 
     # -- construction helpers -------------------------------------------
 

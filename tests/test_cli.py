@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from petcalc import gkm, peterson, root_system_from_label
-from petcalc.cache import BilleyDiskCache
+from petcalc.cache import BilleyDiskCache, _signed_line
 from petcalc.cli import main
 from petcalc.peterson import PetersonExpansion
 
@@ -179,6 +179,17 @@ def test_resource_cap_exit_three(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("cap", [[], ["--max-weyl", "100"]],
+                         ids=["default-cap", "cap-100"])
+def test_peterson_mult_needs_no_weyl_group(runner, cap):
+    # E6 has 51,840 Weyl group elements, above both caps
+    result = invoke(runner, ["peterson-mult", "E6", "--I", "1", "--J", "2",
+                             *cap])
+    assert result.exit_code == 0
+    assert result.stdout == "1 2 1,2 1\n"
+    assert result.stderr == ""
+
+
 def test_table_deterministic_across_jobs(runner):
     outputs = [
         invoke(runner, ["table", "A2", "--out", "csv", "--jobs", str(jobs)]).output
@@ -200,8 +211,13 @@ def test_table_deterministic_across_jobs(runner):
          "34630c2472e4fd9ef96fa79210c1d5df3c1627ea61e95fa63c929683148b2d30"),
         (["table", "A3", "--kind", "peterson"],
          "af87e5d711530707fce72734100c78cc0f136aaaeece682bb65f6b67f9fd05fc"),
+        (["table", "F4", "--kind", "peterson", "--out", "csv"],
+         "eb1c621e1347da3661a0a5f98d1e46c382bc4efa8dbb9d8a9040b15ab7bc0648"),
+        (["table", "A5", "--kind", "peterson", "--out", "csv"],
+         "c32b53ad0ee43e2ea30616ca14b5deef48fcd7960b8117f115e631128fb66b3f"),
     ],
-    ids=["schubert-json", "peterson-json", "peterson-text"],
+    ids=["schubert-json", "peterson-json", "peterson-text", "peterson-f4-csv",
+         "peterson-a5-csv"],
 )
 def test_table_output_bytes_pinned(runner, args, digest):
     result = invoke(runner, args)
@@ -241,7 +257,7 @@ def test_corrupt_cache_is_ignored(runner, tmp_path):
     path = cache / "billey-cache.jsonl"
     content = path.read_text().splitlines()
     content.insert(1, "not json at all")
-    content.insert(2, json.dumps({"rs": "A2", "w": [1], "row": [[[99], []]]}))
+    content.insert(2, _signed_line({"rs": "A2", "w": [1], "row": [[[99], []]]}))
     content.insert(3, "[1]")
     path.write_text("\n".join(content) + "\n")
     again = invoke(
@@ -297,8 +313,27 @@ def test_stale_cache_format_is_ignored(runner, tmp_path, stale):
     )
     assert result.output == "a1*a2 + a1^2\n"
     assert (cache / "billey-cache.jsonl").read_text().startswith(
-        '{"format": 2}\n'
+        '{"format": 3}\n'
     )
+
+
+EMPTY_A2_ROW = '{"rs":"A2","w":[1,2,1],"row":[]}\n'
+
+
+@pytest.mark.parametrize("header", ['{"format": 3}\n', '{"format": 2}\n'],
+                         ids=["unsigned", "format-2"])
+def test_well_formed_but_wrong_cache_row_is_rejected(runner, tmp_path, header):
+    # parses as a complete row in which every class restricts to zero
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "billey-cache.jsonl").write_text(header + EMPTY_A2_ROW)
+    assert BilleyDiskCache(cache).load(root_system_from_label("A2")) == 0
+    result = invoke(
+        runner, ["restrict", "A2", "--class", "231", "--at", "321",
+                 "--cache", str(cache)]
+    )
+    assert result.exit_code == 0
+    assert result.output == "a1*a2 + a1^2\n"
 
 
 RESTRICT_231_AT_321 = ["restrict", "A2", "--class", "231", "--at", "321"]
@@ -319,7 +354,7 @@ def test_clean_cache_is_not_rewritten(runner, tmp_path):
 def _cached_row_lines(cache):
     """The A2 cache after one restriction run: header and the row of s1 s2 s1."""
     lines = (cache / "billey-cache.jsonl").read_text().splitlines()
-    assert lines[0] == '{"format": 2}'
+    assert lines[0] == '{"format": 3}'
     (index,) = [i for i, line in enumerate(lines) if '"w":[1,2,1]' in line]
     return lines, index
 
@@ -346,8 +381,9 @@ def test_cache_row_with_a_non_reduced_word_is_rejected(runner, tmp_path):
     lines, index = _cached_row_lines(cache)
     whole = lines[index]
     entry = json.loads(whole)
+    del entry["digest"]
     entry["row"][3][0] = [1, 1, 2]  # s1 s1 s2 is not reduced
-    lines[index] = json.dumps(entry, separators=(",", ":"))
+    lines[index] = _signed_line(entry)  # only the word check can reject it
     (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
     rs = root_system_from_label("A2")
     assert BilleyDiskCache(cache).load(rs) == 0

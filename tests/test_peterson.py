@@ -8,12 +8,14 @@ from petcalc import (
     PetersonClass,
     PolyT,
     all_subsets,
+    billey_restriction,
     closed_form_coefficient,
     coxeter_element,
     cross_validate,
     element_from_word,
     expand_in_peterson_basis,
     flag_consistency_report,
+    longest_element,
     one_line,
     peterson_class,
     peterson_fixed_point,
@@ -89,6 +91,52 @@ def test_class_values_match_naive_restriction_oracle(a2, a3):
                     oracles.naive_billey(one_line(v), one_line(w), rs.rank)
                 )
                 assert cls.value(subset) == expected
+
+
+def _polynomial_route_values(rs, v):
+    """Values of the Schubert class of v at the Peterson fixed points by
+    the multivariate Billey restriction specialised to t."""
+    values = {}
+    for subset in all_subsets(rs):
+        poly = specialize_to_t(
+            billey_restriction(rs, v, longest_element(rs, subset))
+        )
+        if poly:
+            values[subset] = poly
+    return values
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "A4", "A5", "B3", "C3", "D4", "G2"]
+)
+def test_basis_classes_match_polynomial_route(label, order):
+    rs = root_system_from_label(label)
+    for members in all_subsets(rs):
+        v = coxeter_element(rs, members, order) if members else rs.identity()
+        cls = peterson_class(rs, members, order)
+        assert cls.values == _polynomial_route_values(rs, v), subset_text(
+            members
+        )
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_pullbacks_match_polynomial_route(label):
+    rs = root_system_from_label(label)
+    for w in weyl_enumerate(rs):
+        oracle = PetersonClass(rs, _polynomial_route_values(rs, w), w.length)
+        assert pullback_expansion(rs, w) == expand_in_peterson_basis(oracle)
+
+
+def test_peterson_path_needs_no_weyl_group_or_billey_rows():
+    f4 = root_system_from_label("F4")
+    peterson_table(f4)
+    e6 = root_system_from_label("E6")
+    peterson_class(e6, {1, 2, 3, 4, 5, 6})
+    pullback_expansion(e6, coxeter_element(e6, {1, 2}))
+    for rs in (f4, e6):
+        assert rs._billey == {}
+        assert rs._weyl_list is None
 
 
 def test_expand_round_trip(a2, a3):
