@@ -230,6 +230,8 @@ def _make_config(command, root_system, type_label, cartan_path, out_format,
         )
     if jobs < 1:
         raise click.UsageError("--jobs must be at least 1")
+    if max_weyl < 1:
+        raise click.UsageError("--max-weyl must be at least 1")
     return JobConfig(
         command=command,
         root_label=root_system or type_label,
@@ -708,13 +710,21 @@ def _cmd_verify(config, rs):
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
+def _reads_billey_rows(config):
+    """False for the Peterson jobs, which read no Billey row: loading the
+    disk cache for them is wasted work."""
+    if config.command == "table":
+        return config.params["kind"] == "schubert"
+    return config.command not in ("peterson-mult", "pullback")
+
+
 def run(config):
     """Execute a job: resolve the root system, warm and persist the cache,
     dispatch, and map resource exhaustion to exit code 3 and positivity
     violations (reported after the output) to exit code 1."""
     rs = _resolve_root_system(config)
     cache = BilleyDiskCache(config.cache_dir) if config.cache_dir else None
-    if cache:
+    if cache and _reads_billey_rows(config):
         cache.load(rs)
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -311,12 +311,14 @@ def back_substitute(values, order, column, label):
     exact). Subtracting and repeating terminates because of the support
     condition; a residual left at a key outside ``order`` means the input
     is not in the span. ``label(k)`` renders a key for error messages.
+    Values are polynomials or rationals, whatever ``divide_exact`` takes;
+    a zero value is falsy.
     """
     residual = dict(values)
     coeffs = {}
     for k in order:
         r = residual.get(k)
-        if r is None or r.is_zero():
+        if not r:
             continue
         diagonal, entries = column(k)
         try:
@@ -332,12 +334,12 @@ def back_substitute(values, order, column, label):
         for x, val in entries:
             cur = residual.get(x)
             new = (cur - d * val) if cur is not None else -(d * val)
-            if new.is_zero():
+            if not new:
                 residual.pop(x, None)
             else:
                 residual[x] = new
     for k, r in residual.items():
-        if not r.is_zero():
+        if r:
             raise NotInSpan(
                 f"nonzero residual survived at {label(k)}",
                 element=k,

@@ -10,9 +10,15 @@ each root replaced by its height. The sum is nonzero exactly when the
 support of v lies in J, and it runs over integers on the weak-order
 prefixes of v alone, so no Weyl group is enumerated and no polynomial
 restriction is formed. The basis class for K is the class of a Coxeter
-element for K; everything else (expansions, structure constants,
-pullbacks of general Schubert classes) is inclusion-triangular
-back-substitution over those fixed-point values.
+element for K.
+
+A class of degree d takes the value c t^d at every fixed point, so it
+is stored by the rationals c alone. Everything else (expansions,
+structure constants, pullbacks of general Schubert classes) is
+inclusion-triangular back-substitution over those rationals, and the
+grading fixes the power of t: the coefficient at K is c_K t^(d - |K|).
+That power is attached here, once per coefficient; no polynomial in t
+is divided.
 """
 
 from __future__ import annotations
@@ -61,10 +67,9 @@ def peterson_fixed_point(rs, members):
 class PetersonClass:
     """A class presented by its values at the Peterson fixed points.
 
-    ``values`` maps subsets of simple indices (frozensets) to univariate
-    polynomials in t; absent entries are zero. Values must be monomials
-    of the common degree, which is what restriction of homogeneous
-    classes produces here.
+    ``values`` maps subsets of simple indices (frozensets) to rationals:
+    c at J stands for the value c t^degree there, the one power of t a
+    homogeneous class takes. Absent entries are zero.
     """
 
     __slots__ = ("rs", "degree", "values")
@@ -72,24 +77,10 @@ class PetersonClass:
     def __init__(self, rs, values, degree):
         self.rs = rs
         self.degree = degree
-        clean = {}
-        for members, poly in values.items():
-            members = frozenset(members)
-            if poly.is_zero():
-                continue
-            if not poly.is_homogeneous(degree):
-                raise ValueError(
-                    f"value at {{{subset_text(members)}}} is not a "
-                    f"monomial of degree {degree}"
-                )
-            clean[members] = poly
-        self.values = clean
+        self.values = {frozenset(m): c for m, c in values.items() if c}
 
     def value(self, members):
-        poly = self.values.get(frozenset(members))
-        if poly is None:
-            return PolyT.zero()
-        return poly
+        return self.values.get(frozenset(members), 0)
 
     def is_zero(self):
         return not self.values
@@ -99,17 +90,17 @@ class PetersonClass:
             if self.rs.cartan != other.rs.cartan:
                 raise ValueError("classes live on different varieties")
             values = {}
-            for members, poly in self.values.items():
+            for members, c in self.values.items():
                 q = other.values.get(members)
                 if q is not None:
-                    values[members] = poly * q
+                    values[members] = c * q
             return PetersonClass(
                 self.rs, values, self.degree + other.degree
             )
         if isinstance(other, int):
             if other == 0:
                 return PetersonClass(self.rs, {}, self.degree)
-            values = {m: poly * other for m, poly in self.values.items()}
+            values = {m: c * other for m, c in self.values.items()}
             return PetersonClass(self.rs, values, self.degree)
         return NotImplemented
 
@@ -156,17 +147,16 @@ def _order_key(order):
 
 
 def _fixed_point_values(rs, v):
-    """The Schubert class of v at every Peterson fixed point, as
-    {J: N t^length(v)} over the subsets J containing the support of v
-    (elsewhere v is not below w_J and the value is zero).
+    """The Schubert class of v at every Peterson fixed point, as {J: N}
+    for the value N t^length(v), over the subsets J containing the
+    support of v (elsewhere v is not below w_J and the value is zero).
     """
     support = v.support()
     values = {}
     for subset in all_subsets(rs):
         if support <= subset:
             word = longest_element(rs, subset).word
-            count = _billey_dp(rs, word, Root.height, 1, keep=v)[v]
-            values[subset] = PolyT.monomial(count, v.length)
+            values[subset] = _billey_dp(rs, word, Root.height, 1, keep=v)[v]
     return values
 
 
@@ -177,8 +167,7 @@ def peterson_class(rs, members, order="increasing"):
     Coxeter element v_K restricted there: the height-weighted Billey sum
     along a reduced word of w_J, kept to the weak-order prefixes of v_K,
     times t^|K|. Values vanish unless K is contained in J (support
-    triangularity), and the value at K itself is a positive multiple of
-    t^|K|.
+    triangularity), and the value at K itself is positive.
     """
     members = frozenset(int(i) for i in members)
     memo = _memo.setdefault(rs, {})
@@ -199,21 +188,26 @@ def expand_in_peterson_basis(f, order="increasing"):
     """Coefficients d_K with f equal to the sum of d_K times the basis
     class for K.
 
-    Back-substitution over subsets by increasing size: basis classes
-    vanish outside the subsets containing their index, so
+    Back-substitution over the rationals, by increasing subset size:
+    basis classes vanish outside the subsets containing their index, so
     ``back_substitute`` applies with the diagonal value of each basis
-    class and its values. Not-in-span inputs raise NotInSpan.
+    class and its values. A coefficient c at K stands for c t^(d - |K|),
+    where d is the degree of f, so only subsets of size at most d can
+    carry one; a residual left at a larger subset raises NotInSpan.
     """
     rs = f.rs
+    subsets = [m for m in all_subsets(rs) if len(m) <= f.degree]
 
     def column(members):
         basis = peterson_class(rs, members, order)
         return basis.value(members), basis.values.items()
 
     coeffs = back_substitute(
-        f.values, all_subsets(rs), column, lambda m: f"{{{subset_text(m)}}}"
+        f.values, subsets, column, lambda m: f"{{{subset_text(m)}}}"
     )
-    return PetersonExpansion(coeffs)
+    return PetersonExpansion(
+        {m: PolyT.monomial(c, f.degree - len(m)) for m, c in coeffs.items()}
+    )
 
 
 def peterson_structure_constants(rs, members_i, members_j, order="increasing"):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 
 class DivisionByZero(ZeroDivisionError):
-    """Polynomial division by the zero polynomial."""
+    """Exact division by zero: the zero polynomial or the rational 0."""
 
 
 class NotDivisible(ArithmeticError):
@@ -445,40 +445,20 @@ def _divide_poly(num, den):
     return Polynomial(num.rank, quot)
 
 
-def _divide_polyt(num, den):
-    if den.is_zero():
-        raise DivisionByZero("division by the zero polynomial")
-    if num.is_zero():
-        return PolyT()
-    dn, dd = num.degree(), den.degree()
-    if dn < dd:
-        raise NotDivisible(num)
-    rem = list(num.coeffs)
-    lead = den.coeffs[-1]
-    quot = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = _norm(Fraction(rem[k + dd]) / Fraction(lead))
-        quot[k] = c
-        if c:
-            for j, b in enumerate(den.coeffs):
-                rem[k + j] -= c * b
-    if any(rem):
-        raise NotDivisible(PolyT(rem))
-    return PolyT(quot)
-
-
 def divide_exact(num, den):
     """Exact quotient with q * den == num, or raise NotDivisible.
 
-    Works for both Polynomial (leading-term reduction under graded-lex
-    order) and PolyT (long division); the two operands must be of the
-    same kind.
+    Works for Polynomial (leading-term reduction under graded-lex order)
+    and for rationals (int or Fraction, always exact unless den is 0);
+    the two operands must be of the same kind.
     """
-    if isinstance(num, PolyT) and isinstance(den, PolyT):
-        return _divide_polyt(num, den)
     if isinstance(num, Polynomial) and isinstance(den, Polynomial):
         return _divide_poly(num, den)
-    raise TypeError("operands must both be Polynomial or both be PolyT")
+    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+        if not den:
+            raise DivisionByZero("division by zero")
+        return _norm(Fraction(num, den))
+    raise TypeError("operands must both be Polynomial or both be rational")
 
 
 def specialize_to_t(poly):

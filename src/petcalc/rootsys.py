@@ -403,7 +403,7 @@ def weyl_enumerate(rs, max_size=None):
     (default 50,000, enough for A7). The full list is cached on the root
     system after the first successful call.
     """
-    cap = max_size or DEFAULT_MAX_WEYL
+    cap = DEFAULT_MAX_WEYL if max_size is None else max_size
     if rs._weyl_list is None:
         seen = {rs.identity()}
         level = [rs.identity()]

@@ -190,6 +190,52 @@ def test_peterson_mult_needs_no_weyl_group(runner, cap):
     assert result.stderr == ""
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_weyl_below_one_is_a_usage_error(runner, cap):
+    result = runner.invoke(
+        main, ["mult", "A2", "--u", "213", "--v", "213", "--max-weyl", cap]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert errors == ["Error: --max-weyl must be at least 1"]
+
+
+class _LoadReached(Exception):
+    pass
+
+
+def _refuse_load(self, rs):
+    raise _LoadReached
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["peterson-mult", "D4", "--I", "1", "--J", "2"],
+        ["pullback", "D4", "--w", "2 1 3 2 1 4 2 1"],
+        ["table", "A2", "--kind", "peterson"],
+    ],
+    ids=["peterson-mult", "pullback", "table-peterson"],
+)
+def test_peterson_jobs_do_not_load_the_cache(runner, tmp_path, monkeypatch,
+                                             args):
+    cache = tmp_path / "cache"
+    expected = invoke(runner, args).stdout
+    monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
+    result = invoke(runner, [*args, "--cache", str(cache)])
+    assert result.exit_code == 0
+    assert result.stdout == expected
+
+
+def test_schubert_jobs_still_load_the_cache(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
+    for args in (RESTRICT_231_AT_321, ["table", "A2", "--kind", "schubert"]):
+        result = runner.invoke(main, [*args, "--cache", str(tmp_path)])
+        assert isinstance(result.exception, _LoadReached)
+
+
 def test_table_deterministic_across_jobs(runner):
     outputs = [
         invoke(runner, ["table", "A2", "--out", "csv", "--jobs", str(jobs)]).output
@@ -215,9 +261,20 @@ def test_table_deterministic_across_jobs(runner):
          "eb1c621e1347da3661a0a5f98d1e46c382bc4efa8dbb9d8a9040b15ab7bc0648"),
         (["table", "A5", "--kind", "peterson", "--out", "csv"],
          "c32b53ad0ee43e2ea30616ca14b5deef48fcd7960b8117f115e631128fb66b3f"),
+        (["table", "B3", "--kind", "peterson", "--out", "csv"],
+         "7abd329a89d012e663cd1cd54fe75925628b9d09e291af2b28dc4c790c36a284"),
+        (["table", "C4", "--kind", "peterson", "--out", "csv"],
+         "84615649503306624e18325b197d39e0cb9e9262f71636360f5afb88937de6fa"),
+        (["table", "D5", "--kind", "peterson", "--out", "csv"],
+         "a5909be6b32ba22b7f4eda5678acf0fe3a4aac98bf8aae3f8a0599b832abdbf4"),
+        (["table", "G2", "--kind", "peterson", "--out", "json"],
+         "b1436a61d0e8c19885115497a68c4c3870d726ff9c5b5f597d21c5c92dc7c994"),
+        (["pullback", "E6", "--w", "1,3,4,2,5,4,6", "--out", "json"],
+         "3c976c50a16ef6fc68c11e50f4001cbc594b8c80a7761a4be557985d9201cff4"),
     ],
     ids=["schubert-json", "peterson-json", "peterson-text", "peterson-f4-csv",
-         "peterson-a5-csv"],
+         "peterson-a5-csv", "peterson-b3-csv", "peterson-c4-csv",
+         "peterson-d5-csv", "peterson-g2-json", "pullback-e6-json"],
 )
 def test_table_output_bytes_pinned(runner, args, digest):
     result = invoke(runner, args)

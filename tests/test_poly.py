@@ -66,10 +66,12 @@ def test_divide_exact_factor():
     assert divide_exact(num, a(1)) == a(1) + a(2)
 
 
-def test_divide_exact_polyt():
-    assert divide_exact(PolyT((0, 0, 2)), PolyT((0, 1))) == PolyT((0, 2))
-    with pytest.raises(NotDivisible):
-        divide_exact(PolyT((0, 1)), PolyT((0, 0, 2)))
+def test_divide_exact_rationals():
+    q = divide_exact(6, 3)
+    assert q == 2 and type(q) is int
+    assert divide_exact(2, 4) == Fraction(1, 2)
+    q = divide_exact(Fraction(3, 2), Fraction(3, 4))
+    assert q == 2 and type(q) is int
 
 
 def test_divide_not_divisible_carries_remainder():
@@ -82,7 +84,9 @@ def test_divide_by_zero():
     with pytest.raises(DivisionByZero):
         divide_exact(a(1), Polynomial.zero(2))
     with pytest.raises(DivisionByZero):
-        divide_exact(PolyT((1,)), PolyT())
+        divide_exact(1, 0)
+    with pytest.raises(DivisionByZero):
+        divide_exact(Fraction(1, 2), Fraction(0))
 
 
 def test_divide_produces_fractions():
@@ -94,6 +98,12 @@ def test_divide_produces_fractions():
 def test_mixed_kind_division_rejected():
     with pytest.raises(TypeError):
         divide_exact(a(1), PolyT((0, 1)))
+    with pytest.raises(TypeError):
+        divide_exact(a(1), 2)
+    with pytest.raises(TypeError):
+        divide_exact(2, a(1))
+    with pytest.raises(TypeError):
+        divide_exact(PolyT((0, 2)), PolyT((0, 1)))
 
 
 def test_text_rendering():

@@ -118,6 +118,16 @@ def test_weyl_cap(a3):
         weyl_enumerate(a3, max_size=5)
 
 
+def test_weyl_cap_of_zero_is_a_cap():
+    # 0 must not fall back to the default cap, enumerated or memoised
+    a2 = root_system_from_label("A2")
+    with pytest.raises(ResourceCapError):
+        weyl_enumerate(a2, 0)
+    assert len(weyl_enumerate(a2)) == 6
+    with pytest.raises(ResourceCapError):
+        weyl_enumerate(a2, 0)
+
+
 def test_simple_reflection_negates_own_root(a2):
     s1 = a2.simple_reflection(1)
     alpha1 = a2.simple_roots[0]
