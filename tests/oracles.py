@@ -7,7 +7,9 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused.
 """
 
+from functools import cache
 from itertools import combinations, permutations
+from operator import add
 
 from petcalc import Polynomial
 
@@ -108,31 +110,37 @@ def naive_bruhat_leq(u_line, w_line):
     return False
 
 
-def _x_linear_form(n_letters, i):
-    # x_i - x_{i+1} in the coordinate-variable model
-    coeffs = [0] * n_letters
-    coeffs[i - 1] = 1
-    coeffs[i] = -1
-    return Polynomial.linear_form(n_letters, coeffs)
+def divided_difference(poly, i):
+    """(P - s_i P) / (x_i - x_{i+1}), where x_j is variable j - 1.
 
-
-def _swap_variables(poly, i):
+    Computed monomial by monomial, with no polynomial division: with
+    a > b, x_i^a x_{i+1}^b goes to x_i^b x_{i+1}^b times the geometric
+    sum of x_i^(a-b-1-k) x_{i+1}^k over 0 <= k < a - b; with a < b the
+    roles swap and the sign flips, and with a == b the monomial is
+    symmetric and goes to zero.
+    """
     terms = {}
     for exps, c in poly.terms.items():
-        swapped = list(exps)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        terms[tuple(swapped)] = c
+        a, b = exps[i - 1], exps[i]
+        if a == b:
+            continue
+        low, gap = min(a, b), abs(a - b)
+        if a < b:
+            c = -c
+        head, tail = exps[: i - 1], exps[i + 1 :]
+        for k in range(gap):
+            image = head + (low + gap - 1 - k, low + k) + tail
+            terms[image] = terms.get(image, 0) + c
     return Polynomial(poly.rank, terms)
 
 
-def divided_difference(poly, i):
-    """(P - s_i P) / (x_i - x_{i+1}), exactly."""
-    from petcalc import divide_exact
-
-    numerator = poly - _swap_variables(poly, i)
-    if numerator.is_zero():
-        return Polynomial.zero(poly.rank)
-    return divide_exact(numerator, _x_linear_form(poly.rank, i))
+def _peel_longest(top, line):
+    """The polynomial of w from that of the longest element w0, by the
+    divided differences of a reduced word of w0 * w."""
+    w0 = tuple(range(len(line), 0, -1))
+    for i in reduced_word(compose(w0, line)):
+        top = divided_difference(top, i)
+    return top
 
 
 def schubert_polynomial(line):
@@ -140,12 +148,79 @@ def schubert_polynomial(line):
     monomial of the longest element by divided differences."""
     n_letters = len(line)
     staircase = tuple(n_letters - k - 1 for k in range(n_letters))
-    poly = Polynomial(n_letters, {staircase: 1})
-    w0 = tuple(range(n_letters, 0, -1))
-    peel = compose(w0, line)  # w0 * w; any reduced word of it works
-    for i in reduced_word(peel):
-        poly = divided_difference(poly, i)
-    return poly
+    return _peel_longest(Polynomial(n_letters, {staircase: 1}), line)
+
+
+@cache
+def double_schubert_polynomial(line):
+    """Double Schubert polynomial S_w(x; y) of a permutation, with x_i in
+    slot i - 1 and y_j in slot n + j - 1 for n letters.
+
+    Lascoux-Schuetzenberger: the longest element gets the product of
+    x_i - y_j over i + j <= n, and divided differences in x peel it
+    down exactly as for the single Schubert polynomial.
+    """
+    n_letters = len(line)
+    top = Polynomial.one(2 * n_letters)
+    for i in range(1, n_letters):
+        for j in range(1, n_letters + 1 - i):
+            coeffs = [0] * (2 * n_letters)
+            coeffs[i - 1], coeffs[n_letters + j - 1] = 1, -1
+            top = top * Polynomial.linear_form(2 * n_letters, coeffs)
+    return _peel_longest(top, line)
+
+
+def _at_x_equals_y(poly, n_letters):
+    terms = {}
+    for exps, c in poly.terms.items():
+        image = tuple(map(add, exps[:n_letters], exps[n_letters:]))
+        terms[image] = terms.get(image, 0) + c
+    return Polynomial(n_letters, terms)
+
+
+def double_structure_constants(u_line, v_line):
+    """Equivariant structure constants c_{uv}^w(y) for every permutation
+    w, as {w: polynomial in y_1..y_n}, zeros included.
+
+    S_u S_v is the sum of c_{uv}^w(y) S_w(x; y). The divided difference
+    along w sends S_x to S_{x w^-1} when lengths add and to 0 otherwise,
+    and S_x(y; y) vanishes unless x is the identity, so c_{uv}^w is
+    P_w = (divided difference along w)(S_u S_v) at x = y. P_w is
+    memoised by length through P_w = divided difference i of P_{s_i w},
+    for a left descent i of w.
+    """
+    n_letters = len(u_line)
+    derived = {
+        identity_perm(n_letters): double_schubert_polynomial(u_line)
+        * double_schubert_polynomial(v_line)
+    }
+    for w in sorted(permutations(range(1, n_letters + 1)), key=inversion_count):
+        if w in derived:
+            continue
+        # i is a left descent of w when i + 1 comes before i in one-line form
+        i = next(k for k in range(1, n_letters) if w.index(k + 1) < w.index(k))
+        shorter = compose(adjacent_transposition(n_letters, i), w)
+        derived[w] = divided_difference(derived[shorter], i)
+    return {w: _at_x_equals_y(p, n_letters) for w, p in derived.items()}
+
+
+def roots_in_y(poly, n_letters):
+    """A polynomial in the simple roots a_1..a_{n-1} of type A_{n-1},
+    rewritten in y_1..y_n by a_i = y_{i+1} - y_i. That is the value of
+    S_{s_i}(x; y) at the fixed point s_i, where x_k becomes y_{s_i(k)},
+    as the restriction of the class of s_i at s_i is a_i."""
+    forms = []
+    for i in range(1, n_letters):
+        coeffs = [0] * n_letters
+        coeffs[i - 1], coeffs[i] = -1, 1
+        forms.append(Polynomial.linear_form(n_letters, coeffs))
+    total = Polynomial.zero(n_letters)
+    for exps, c in poly.terms.items():
+        term = Polynomial.constant(n_letters, c)
+        for form, e in zip(forms, exps):
+            term = term * form**e
+        total = total + term
+    return total
 
 
 def ordinary_structure_constant(u_line, v_line, w_line):

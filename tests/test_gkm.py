@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -9,6 +11,7 @@ from petcalc import (
     PositivityViolation,
     billey_restriction,
     bruhat_leq,
+    build_root_system,
     element_from_one_line,
     element_from_word,
     expand_in_schubert_basis,
@@ -247,17 +250,84 @@ def test_structure_constants_degree_support_positivity(a2, a3, b2):
             assert is_graham_positive(poly)
 
 
-def test_structure_table_matches_per_pair(a2):
-    table = structure_table(a2)
-    for u in weyl_enumerate(a2):
-        for v in weyl_enumerate(a2):
-            coeffs = structure_constants(a2, u, v)
-            for w, poly in coeffs.items():
-                assert table.coefficient(u, v, w) == poly
-            nonzero = {
-                w for (uu, vv, w) in table.entries if (uu, vv) == (u, v)
-            }
-            assert nonzero == set(coeffs)
+# The per-pair localization solve stays as an oracle for the table:
+# reducible Cartan matrices included, as the table reads multiplicities
+# off restrictions rather than a symmetriser.
+_REDUCIBLE = {
+    "A1xA1": [[2, 0], [0, 2]],
+    "B2xA1": [[2, -1, 0], [-2, 2, 0], [0, 0, 2]],
+    "A1xG2": [[2, 0, 0], [0, 2, -1], [0, -3, 2]],
+}
+
+
+def _system(name):
+    if name in _REDUCIBLE:
+        return build_root_system(_REDUCIBLE[name])
+    return root_system_from_label(name)
+
+
+def _assert_pair_matches(table, rs, u, v):
+    coeffs = structure_constants(rs, u, v)
+    for w, poly in coeffs.items():
+        assert table.coefficient(u, v, w) == poly
+    nonzero = {w for (uu, vv, w) in table.entries if (uu, vv) == (u, v)}
+    assert nonzero == set(coeffs)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "B2", "G2", *_REDUCIBLE]
+)
+def test_structure_table_matches_per_pair(name):
+    rs = _system(name)
+    table = structure_table(rs)
+    for u in weyl_enumerate(rs):
+        for v in weyl_enumerate(rs):
+            _assert_pair_matches(table, rs, u, v)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3"])
+def test_structure_table_matches_per_pair_on_sampled_pairs(label):
+    rs = root_system_from_label(label)
+    table = structure_table(rs)
+    elements = weyl_enumerate(rs)
+    rng = random.Random(label)
+    for _ in range(40):
+        _assert_pair_matches(table, rs, rng.choice(elements),
+                             rng.choice(elements))
+
+
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_structure_table_matches_double_schubert_polynomials(label):
+    # independent of the localization code: coefficients of products of
+    # double Schubert polynomials, compared on every triple, zeros included
+    rs = root_system_from_label(label)
+    table = structure_table(rs)
+    elements = weyl_enumerate(rs)
+    n_letters = rs.rank + 1
+    for i, u in enumerate(elements):
+        for v in elements[i:]:
+            expected = oracles.double_structure_constants(
+                one_line(u), one_line(v)
+            )
+            for w in elements:
+                for a, b in ((u, v), (v, u)):
+                    got = table.coefficient(a, b, w)
+                    assert oracles.roots_in_y(got, n_letters) == expected[
+                        one_line(w)
+                    ]
+
+
+def test_structure_constants_match_double_schubert_polynomials_on_a4(a4):
+    elements = weyl_enumerate(a4)
+    rng = random.Random(4)
+    zero = Polynomial.zero(a4.rank)
+    for _ in range(20):
+        u, v = rng.choice(elements), rng.choice(elements)
+        coeffs = structure_constants(a4, u, v)
+        expected = oracles.double_structure_constants(one_line(u), one_line(v))
+        for w in elements:
+            got = oracles.roots_in_y(coeffs.get(w, zero), a4.rank + 1)
+            assert got == expected[one_line(w)]
 
 
 def test_structure_table_independent_of_memo_state(a3):
