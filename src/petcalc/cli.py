@@ -158,6 +158,7 @@ def _emit_json(payload):
 
 
 def _emit_rows(config, header, rows, json_payload):
+    # callers build json_payload only for --out json, None otherwise
     if config.out_format == "csv":
         _emit_csv(header, rows)
     elif config.out_format == "json":
@@ -303,7 +304,7 @@ def _cmd_restrict(config, rs):
                 "w": word_text(w),
                 "restriction": poly.to_json(),
                 "restriction_text": poly.text(),
-            },
+            } if config.out_format == "json" else None,
         )
     return 0
 
@@ -327,7 +328,7 @@ def _cmd_mult(config, rs):
         "u": word_text(u),
         "v": word_text(v),
         "coefficients": {word_text(w): coeffs[w].to_json() for w in ordered},
-    }
+    } if config.out_format == "json" else None
     _emit_rows(config, ["u", "v", "w", "coefficient"], rows, payload)
     return 0
 
@@ -358,7 +359,7 @@ def _cmd_expand(config, rs):
     rows = [[word_text(w), coeffs[w].text()] for w in ordered]
     payload = {
         "coefficients": {word_text(w): coeffs[w].to_json() for w in ordered}
-    }
+    } if config.out_format == "json" else None
     _emit_rows(config, ["w", "coefficient"], rows, payload)
     return 0
 
@@ -392,7 +393,7 @@ def _cmd_peterson_mult(config, rs):
             subset_text(k): expansion.coeff(k).to_json()
             for k in expansion.support()
         },
-    }
+    } if config.out_format == "json" else None
     _emit_rows(config, ["I", "J", "K", "coefficient"], rows, payload)
     return 0
 
@@ -418,7 +419,7 @@ def _cmd_pullback(config, rs):
             subset_text(k): expansion.coeff(k).to_json()
             for k in expansion.support()
         },
-    }
+    } if config.out_format == "json" else None
     _emit_rows(config, ["w", "K", "coefficient"], rows, payload)
     return 0
 
@@ -438,13 +439,16 @@ def _cmd_table(config, rs):
     else:
         columns, label = ("I", "J", "K"), subset_text
         table = peterson_table(rs, config.params["coxeter_order"])
+    as_json = config.out_format == "json"
     rows, entries = [], []
     for *keys, poly in table:
         labels = [label(key) for key in keys]
-        rows.append(labels + [poly.text()])
-        entries.append(
-            {**dict(zip(columns, labels)), "coefficient": poly.to_json()}
-        )
+        if as_json:
+            entries.append(
+                {**dict(zip(columns, labels)), "coefficient": poly.to_json()}
+            )
+        else:
+            rows.append(labels + [poly.text()])
     payload = {"kind": kind, "entries": entries}
     _emit_rows(config, [*columns, "coefficient"], rows, payload)
     return 0

@@ -4,8 +4,9 @@ A cohomology class is presented by its vector of restrictions at the
 torus fixed points, which are indexed by Weyl group elements. Schubert
 class restrictions come from Billey's subword formula; products are
 pointwise; expansion in the Schubert basis is Bruhat-triangular
-back-substitution; pushforward to a point is the fixed-point sum with
-inverse Euler classes.
+back-substitution; the full structure-constant table comes from the
+equivariant Chevalley recurrence instead; pushforward to a point is the
+fixed-point sum with inverse Euler classes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .poly import (
     divide_exact,
     is_graham_positive,
 )
-from .rootsys import element_from_word, weyl_enumerate, word_text
+from .rootsys import bruhat_leq, element_from_word, weyl_enumerate, word_text
 
 
 class NotInSpan(ArithmeticError):
@@ -348,19 +349,6 @@ def back_substitute(values, order, column, label):
     return coeffs
 
 
-def pair_table(keys, work):
-    """``work(a, b)`` for every ordered pair of keys, as a dict keyed by
-    (a, b). The product is commutative, so each unordered pair is
-    computed once, in a fixed order, and its result is shared with the
-    mirrored pair.
-    """
-    table = {}
-    for i, a in enumerate(keys):
-        for b in keys[i:]:
-            table[(a, b)] = table[(b, a)] = work(a, b)
-    return table
-
-
 def expand_in_schubert_basis(f, max_size=None):
     """Coefficients d_w with f equal to the sum of d_w times the Schubert
     class of w.
@@ -380,6 +368,18 @@ def expand_in_schubert_basis(f, max_size=None):
     )
 
 
+def _certify(u, v, w, c):
+    """Warn with a PositivityViolation if c fails the certificate."""
+    if not is_graham_positive(c):
+        warnings.warn(
+            PositivityViolation(
+                f"coefficient at {word_text(w)} for the product of "
+                f"{word_text(u)} and {word_text(v)} has a negative "
+                f"monomial: {c.text()}"
+            )
+        )
+
+
 def structure_constants(rs, u, v, max_size=None):
     """Expansion coefficients of the product of two Schubert classes.
 
@@ -390,14 +390,7 @@ def structure_constants(rs, u, v, max_size=None):
     product = schubert_class(rs, u, max_size) * schubert_class(rs, v, max_size)
     coeffs = expand_in_schubert_basis(product, max_size)
     for w, c in coeffs.items():
-        if not is_graham_positive(c):
-            warnings.warn(
-                PositivityViolation(
-                    f"coefficient at {word_text(w)} for the product of "
-                    f"{word_text(u)} and {word_text(v)} has a negative "
-                    f"monomial: {c.text()}"
-                )
-            )
+        _certify(u, v, w, c)
     return coeffs
 
 
@@ -430,17 +423,92 @@ class StructTable:
 def structure_table(rs, max_size=None):
     """The full structure-constant table, one entry per (u, v, w).
 
-    Each unordered pair is computed once and mirrored, in a fixed order,
-    so the output is deterministic.
+    Built by the equivariant Chevalley recurrence (Kostant-Kumar 1986;
+    Mihalcea 2007), with no class products and no triangular solve. Let
+    D be the sum of the Schubert classes of the simple reflections;
+    D|_x is a linear form, distinct at distinct fixed points. Comparing
+    the two ways of expanding D times the product of the classes of u
+    and v gives
+
+        (D|_w - D|_v) c(u,v,w) = sum over covers v' of v of m c(u,v',w)
+                               - sum over w' covered by w of m c(u,v,w'),
+
+    with c(u,v,v) the restriction of the class of u at v. The covers of
+    x are the x r_b one longer than x, and the Chevalley multiplicity m
+    of such a cover is <rho, b^vee>, the integer D|_(r_b) / b.
+
+    For each u in enumeration order, the v at or after u are taken in
+    decreasing length, and for each the w above v with u <= w by cover
+    distance 1..length(u) (a nonzero c(u,v,w) has length(w) at most
+    length(u) + length(v)). The v at or after u are closed upwards
+    under covers, so every value read is already known. Each entry is
+    one exact division by a linear form, and carries the same
+    positivity certificate as ``structure_constants``.
     """
-    pairs = pair_table(
-        weyl_enumerate(rs, max_size),
-        lambda u, v: structure_constants(rs, u, v, max_size),
-    )
+    order = weyl_enumerate(rs, max_size)
+    rank = rs.rank
+    zero = Polynomial.zero(rank)
+    rows = {x: _fill_billey_row(rs, x) for x in order}
+    simples = [rs.simple_reflection(i) for i in range(1, rank + 1)]
+    chevalley = {}  # x -> D|_x
+    for x, row in rows.items():
+        total = zero
+        for s in simples:
+            total = total + row.get(s, zero)
+        chevalley[x] = total
+
+    multiplicity = []  # positive root number k -> <rho, b_k^vee>
+    for k, root in enumerate(rs.positive_roots):
+        form = Polynomial.linear_form(rank, root.coeffs)
+        quotient = divide_exact(chevalley[rs.reflection(k)], form)
+        multiplicity.append(quotient.terms[(0,) * rank])
+
+    up = {x: [] for x in order}  # x -> [(cover, multiplicity)]
+    down = {x: [] for x in order}  # x -> [(covered, multiplicity)]
+    for x in order:
+        for k, m in enumerate(multiplicity):
+            y = x * rs.reflection(k)
+            if y.length == x.length + 1:
+                up[x].append((y, m))
+                down[y].append((x, m))
+
     entries = {}
-    for (u, v), coeffs in pairs.items():
-        for w, c in coeffs.items():
-            entries[(u, v, w)] = c
+    for index, u in enumerate(order):
+        for v in reversed(order[index:]):
+            base = rows[v].get(u)
+            if base is not None:
+                _certify(u, v, v, base)
+                entries[(u, v, v)] = entries[(v, u, v)] = base
+            at_v = chevalley[v]
+            level = [v]
+            for _ in range(u.length):
+                level = list(dict.fromkeys(y for x in level for y, _ in up[x]))
+                for w in level:
+                    if not bruhat_leq(u, w):
+                        continue
+                    rhs = zero
+                    for v2, m in up[v]:
+                        c = entries.get((u, v2, w))
+                        if c is not None:
+                            rhs = rhs + c * m
+                    for w2, m in down[w]:
+                        c = entries.get((u, v, w2))
+                        if c is not None:
+                            rhs = rhs - c * m
+                    if not rhs:
+                        continue
+                    try:
+                        c = divide_exact(rhs, chevalley[w] - at_v)
+                    except NotDivisible as exc:
+                        raise NotInSpan(
+                            f"Chevalley recurrence at {word_text(w)} for "
+                            f"{word_text(u)} and {word_text(v)} is not a "
+                            "multiple of D|_w - D|_v",
+                            element=w,
+                            remainder=exc.remainder,
+                        ) from exc
+                    _certify(u, v, w, c)
+                    entries[(u, v, w)] = entries[(v, u, w)] = c
     return StructTable(rs, entries)
 
 

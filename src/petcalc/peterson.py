@@ -33,7 +33,6 @@ from .gkm import (
     PositivityViolation,
     _billey_dp,
     back_substitute,
-    pair_table,
     structure_constants,
 )
 from .poly import PolyT, specialize_to_t
@@ -402,6 +401,19 @@ def cross_validate(rs, bound=4, order="increasing"):
                     )
                 )
     return CrossValidationReport(rs.rank, entries)
+
+
+def pair_table(keys, work):
+    """``work(a, b)`` for every ordered pair of keys, as a dict keyed by
+    (a, b). The product is commutative, so each unordered pair is
+    computed once, in a fixed order, and its result is shared with the
+    mirrored pair.
+    """
+    table = {}
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
+            table[(a, b)] = table[(b, a)] = work(a, b)
+    return table
 
 
 def peterson_table(rs, order="increasing"):

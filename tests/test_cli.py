@@ -253,6 +253,16 @@ def test_table_deterministic_across_jobs(runner):
     [
         (["table", "A2", "--out", "json"],
          "d9117abf4193ccaffd1249f2becb453eaadc0b13ff49ba86235d135e272e194b"),
+        (["table", "B3", "--out", "csv"],
+         "7e85acb639c250ad986562e6454669b13a3ba763ba8b5899ce5a95eff53372dc"),
+        (["table", "C3", "--out", "csv"],
+         "668af9ecd9242629d257f0dc53a2057e1389da789252f310d4bf1495f10813cd"),
+        (["table", "A3", "--out", "csv"],
+         "47000225a9c33153b1526366f316fe0121f2e11bb40ab5ae989ed43eb3adfa5e"),
+        (["table", "G2", "--out", "json"],
+         "1a728da6c4164239a2cc322d5e22f1c32774e9c8887acc9410fe5b4242be75aa"),
+        (["table", "B2"],
+         "2bbab12e2d5aadba5d3707f8223fc976b81fae232a14f2efb5b7662cda619f9f"),
         (["table", "A2", "--kind", "peterson", "--out", "json"],
          "34630c2472e4fd9ef96fa79210c1d5df3c1627ea61e95fa63c929683148b2d30"),
         (["table", "A3", "--kind", "peterson"],
@@ -272,7 +282,9 @@ def test_table_deterministic_across_jobs(runner):
         (["pullback", "E6", "--w", "1,3,4,2,5,4,6", "--out", "json"],
          "3c976c50a16ef6fc68c11e50f4001cbc594b8c80a7761a4be557985d9201cff4"),
     ],
-    ids=["schubert-json", "peterson-json", "peterson-text", "peterson-f4-csv",
+    ids=["schubert-json", "schubert-b3-csv", "schubert-c3-csv",
+         "schubert-a3-csv", "schubert-g2-json", "schubert-b2-text",
+         "peterson-json", "peterson-text", "peterson-f4-csv",
          "peterson-a5-csv", "peterson-b3-csv", "peterson-c4-csv",
          "peterson-d5-csv", "peterson-g2-json", "pullback-e6-json"],
 )
@@ -472,10 +484,12 @@ def _negated(expand):
     [
         (["mult", "A2", "--u", "213", "--v", "213"],
          gkm, "is_graham_positive", lambda expand: lambda p: False),
+        (["table", "A2"],
+         gkm, "is_graham_positive", lambda expand: lambda p: False),
         (["peterson-mult", "A2", "--I", "1", "--J", "2"],
          peterson, "expand_in_peterson_basis", _negated),
     ],
-    ids=["mult", "peterson-mult"],
+    ids=["mult", "table", "peterson-mult"],
 )
 def test_positivity_violation_exits_one(runner, monkeypatch, args, module,
                                         attr, fake):
