@@ -110,6 +110,22 @@ def naive_bruhat_leq(u_line, w_line):
     return False
 
 
+def _divided_difference_terms(terms, i):
+    # {exponents: coefficient} in, the same out, zeros dropped
+    out = {}
+    for exps, c in terms.items():
+        a, b = exps[i - 1], exps[i]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = exps[: i - 1], exps[i + 1 :]
+        for k in range(a - b):
+            image = head + (a - 1 - k, b + k) + tail
+            out[image] = out.get(image, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
 def divided_difference(poly, i):
     """(P - s_i P) / (x_i - x_{i+1}), where x_j is variable j - 1.
 
@@ -119,19 +135,7 @@ def divided_difference(poly, i):
     roles swap and the sign flips, and with a == b the monomial is
     symmetric and goes to zero.
     """
-    terms = {}
-    for exps, c in poly.terms.items():
-        a, b = exps[i - 1], exps[i]
-        if a == b:
-            continue
-        low, gap = min(a, b), abs(a - b)
-        if a < b:
-            c = -c
-        head, tail = exps[: i - 1], exps[i + 1 :]
-        for k in range(gap):
-            image = head + (low + gap - 1 - k, low + k) + tail
-            terms[image] = terms.get(image, 0) + c
-    return Polynomial(poly.rank, terms)
+    return Polynomial(poly.rank, _divided_difference_terms(poly.terms, i))
 
 
 def _peel_longest(top, line):
@@ -170,12 +174,12 @@ def double_schubert_polynomial(line):
     return _peel_longest(top, line)
 
 
-def _at_x_equals_y(poly, n_letters):
-    terms = {}
-    for exps, c in poly.terms.items():
+def _at_x_equals_y(terms, n_letters):
+    out = {}
+    for exps, c in terms.items():
         image = tuple(map(add, exps[:n_letters], exps[n_letters:]))
-        terms[image] = terms.get(image, 0) + c
-    return Polynomial(n_letters, terms)
+        out[image] = out.get(image, 0) + c
+    return Polynomial(n_letters, out)
 
 
 def double_structure_constants(u_line, v_line):
@@ -190,17 +194,17 @@ def double_structure_constants(u_line, v_line):
     for a left descent i of w.
     """
     n_letters = len(u_line)
-    derived = {
-        identity_perm(n_letters): double_schubert_polynomial(u_line)
-        * double_schubert_polynomial(v_line)
-    }
+    product = double_schubert_polynomial(u_line) * double_schubert_polynomial(
+        v_line
+    )
+    derived = {identity_perm(n_letters): product.terms}
     for w in sorted(permutations(range(1, n_letters + 1)), key=inversion_count):
         if w in derived:
             continue
         # i is a left descent of w when i + 1 comes before i in one-line form
         i = next(k for k in range(1, n_letters) if w.index(k + 1) < w.index(k))
         shorter = compose(adjacent_transposition(n_letters, i), w)
-        derived[w] = divided_difference(derived[shorter], i)
+        derived[w] = _divided_difference_terms(derived[shorter], i)
     return {w: _at_x_equals_y(p, n_letters) for w, p in derived.items()}
 
 
