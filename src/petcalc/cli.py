@@ -9,12 +9,12 @@ deterministic for a given job, independent of cache state.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import click
 
@@ -25,39 +25,30 @@ from .gkm import (
     PositivityViolation,
     billey_restriction,
     expand_in_schubert_basis,
-    forget_to_ordinary,
-    gkm_verify,
-    schubert_class,
     structure_constants,
     structure_table,
 )
 from .peterson import (
-    all_subsets,
-    cross_validate,
-    flag_consistency_report,
     peterson_structure_constants,
     peterson_table,
     pullback_expansion,
     subset_text,
 )
-from .poly import Polynomial, is_graham_positive
+from .poly import Polynomial
 from .rootsys import (
     DEFAULT_MAX_WEYL,
     CartanError,
     ResourceCapError,
-    bruhat_leq,
     build_root_system,
     element_from_one_line,
     element_from_word,
     is_type_a,
-    reduced_words,
     root_system_from_label,
-    weyl_enumerate,
     word_text,
 )
+from .verify import SUITES, Unsupported, run_suite
 
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
@@ -146,15 +137,17 @@ def parse_subset(rs, spec):
 
 
 def _emit_csv(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
 
 
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # the same bytes as json.dumps, without holding the whole text
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    for batch in iter(lambda: "".join(islice(chunks, 4096)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _emit_rows(config, header, rows, json_payload):
@@ -169,7 +162,7 @@ def _emit_rows(config, header, rows, json_payload):
 
 
 def localized_class_from_json(rs, payload):
-    if "values" not in payload or "degree" not in payload:
+    if not isinstance(payload, dict) or not {"values", "degree"} <= set(payload):
         raise click.UsageError(
             'class JSON needs "degree" and "values" fields'
         )
@@ -177,20 +170,20 @@ def localized_class_from_json(rs, payload):
         raise click.UsageError(
             f'class JSON is for {payload["type"]}, not {rs.type_label}'
         )
-    if "cartan" in payload:
-        declared = tuple(tuple(int(a) for a in row) for row in payload["cartan"])
-        if declared != rs.cartan:
-            raise click.UsageError(
-                "class JSON carries a different Cartan matrix"
-            )
-    values = {}
-    for word, data in payload["values"].items():
-        elt = parse_element(rs, word)
-        values[elt] = Polynomial.from_json(rs.rank, data)
     try:
+        if "cartan" in payload:
+            declared = tuple(tuple(int(a) for a in row) for row in payload["cartan"])
+            if declared != rs.cartan:
+                raise click.UsageError(
+                    "class JSON carries a different Cartan matrix"
+                )
+        values = {
+            parse_element(rs, word): Polynomial.from_json(rs.rank, data)
+            for word, data in payload["values"].items()
+        }
         return LocalizedClass(rs, values, int(payload["degree"]))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"malformed class JSON: {exc}") from exc
 
 
 # -- commands ------------------------------------------------------------
@@ -244,11 +237,6 @@ def _make_config(command, root_system, type_label, cartan_path, out_format,
     )
 
 
-def _finish(code):
-    if code:
-        sys.exit(code)
-
-
 _COMMANDS = {}
 
 
@@ -261,7 +249,7 @@ def _command(name, *options):
 
     def register(body):
         def callback(**params):
-            _finish(run(_make_config(name, **params)))
+            sys.exit(run(_make_config(name, **params)))
 
         callback.__doc__ = body.__doc__
         for option in reversed(options):
@@ -454,263 +442,43 @@ def _cmd_table(config, rs):
     return 0
 
 
-# -- verification sweeps -------------------------------------------------
-
-
-def _verify_restriction_positivity(rs, max_weyl):
-    order = weyl_enumerate(rs, max_weyl)
-    failures = []
-    checked = 0
-    for w in order:
-        for v in order:
-            poly = billey_restriction(rs, v, w)
-            checked += 1
-            if not is_graham_positive(poly):
-                failures.append(
-                    f"restriction of {word_text(v)} at {word_text(w)}"
-                )
-    return {
-        "name": "restriction-positivity",
-        "checked": checked,
-        "failures": failures,
-    }
-
-
-def _verify_gkm(rs, max_weyl):
-    order = weyl_enumerate(rs, max_weyl)
-    failures = []
-    for v in order:
-        if not gkm_verify(schubert_class(rs, v, max_weyl), max_weyl):
-            failures.append(f"class of {word_text(v)}")
-    return {"name": "gkm-divisibility", "checked": len(order), "failures": failures}
-
-
-def _verify_billey_words(rs, max_weyl):
-    order = weyl_enumerate(rs, max_weyl)
-    cap_words = None if len(order) <= 24 else 2
-    failures = []
-    checked = 0
-    for w in order:
-        words = reduced_words(w)
-        if cap_words:
-            words = words[:cap_words]
-        for v in order:
-            reference = billey_restriction(rs, v, w)
-            checked += 1
-            for word in words:
-                if billey_restriction(rs, v, w, word=word) != reference:
-                    failures.append(
-                        f"{word_text(v)} at {word_text(w)} via {word}"
-                    )
-    return {
-        "name": "billey-word-independence",
-        "checked": checked,
-        "failures": failures,
-    }
-
-
-def _verify_structure(rs, max_weyl):
-    table = structure_table(rs, max_weyl)
-    failures = []
-    checked = 0
-    for u, v, w, poly in table.rows():
-        checked += 1
-        label = f"({word_text(u)}, {word_text(v)}, {word_text(w)})"
-        if not is_graham_positive(poly):
-            failures.append(f"{label}: negative coefficient {poly.text()}")
-        if not poly.is_homogeneous(u.length + v.length - w.length):
-            failures.append(f"{label}: wrong degree {poly.text()}")
-        if not (bruhat_leq(u, w) and bruhat_leq(v, w)):
-            failures.append(f"{label}: support outside the Bruhat interval")
-    try:
-        ordinary = forget_to_ordinary(table)
-        if any(c < 0 for c in ordinary.values()):
-            failures.append("a degree-zero constant is negative")
-    except ValueError as exc:
-        failures.append(str(exc))
-    return {
-        "name": "structure-constant-positivity",
-        "checked": checked,
-        "failures": failures,
-    }
-
-
-def _verify_peterson(rs, max_weyl, order):
-    subsets = all_subsets(rs)
-    failures = []
-    checked = 0
-    expansions = {}
-    for members_i in subsets:
-        for members_j in subsets:
-            expansion = peterson_structure_constants(
-                rs, members_i, members_j, order
-            )
-            expansions[(members_i, members_j)] = expansion
-            union = members_i | members_j
-            label_ij = f"({{{subset_text(members_i)}}}, {{{subset_text(members_j)}}})"
-            for members_k in expansion.support():
-                poly = expansion.coeff(members_k)
-                checked += 1
-                label = f"{label_ij} -> {{{subset_text(members_k)}}}"
-                if any(c < 0 for c in poly.coeffs):
-                    failures.append(f"{label}: negative {poly.text()}")
-                expected = len(members_i) + len(members_j) - len(members_k)
-                if not poly.is_homogeneous(expected):
-                    failures.append(f"{label}: degree is not {expected}")
-                if not union <= members_k:
-                    failures.append(f"{label}: support misses the union")
-                if len(members_k) > len(members_i) + len(members_j):
-                    failures.append(f"{label}: index larger than the degrees allow")
-    for (members_i, members_j), expansion in expansions.items():
-        if expansion.coeffs != expansions[(members_j, members_i)].coeffs:
-            failures.append(
-                f"asymmetric constants for {{{subset_text(members_i)}}}, "
-                f"{{{subset_text(members_j)}}}"
-            )
-    for w in weyl_enumerate(rs, max_weyl):
-        expansion = pullback_expansion(rs, w, order)
-        for members_k in expansion.support():
-            poly = expansion.coeff(members_k)
-            checked += 1
-            if not poly.is_monomial() or any(c < 0 for c in poly.coeffs):
-                failures.append(
-                    f"pullback of {word_text(w)} at "
-                    f"{{{subset_text(members_k)}}}: {poly.text()}"
-                )
-    return {
-        "name": "peterson-positivity",
-        "checked": checked,
-        "failures": failures,
-    }
-
-
-def _verify_closed_form(rs):
-    report = cross_validate(rs, bound=rs.rank)
-    failures = [
-        f"I={{{subset_text(e.members_i)}}} J={{{subset_text(e.members_j)}}} "
-        f"K={{{subset_text(e.members_k)}}}: computed {e.computed.text()}, "
-        f"formula {e.formula.text()}"
-        for e in report.failures
-    ]
-    return {
-        "name": "closed-form-cross-validation",
-        "checked": len(report.entries),
-        "failures": failures,
-    }
-
-
-def _verify_consistency(rs, max_weyl, order):
-    report = flag_consistency_report(rs, order, max_weyl)
-    return {
-        "name": "flag-variety-consistency",
-        "checked": report.checked,
-        "failures": list(report.failures),
-    }
-
-
-_HEAVY_SWEEP_LIMIT = 48  # Weyl group size above which 'all' skips the full table
-_CONSISTENCY_LIMIT = 130  # covers A4; the sweep squares the subset lattice
-
-
 @_command(
     "verify",
-    click.option("--suite", required=True,
-                 type=click.Choice(["positivity", "gkm", "billey",
-                                    "closed-form", "consistency", "all"]),
+    click.option("--suite", required=True, type=click.Choice(list(SUITES)),
                  help="Which verification sweep to run."),
     _COXETER_ORDER,
 )
 def _cmd_verify(config, rs):
     """Run a verification sweep; exits 1 if any check fails."""
     suite = config.params["suite"]
-    order = config.params.get("coxeter_order", "increasing")
-    checks = []
-    group_size = len(weyl_enumerate(rs, config.max_weyl))
-
-    def skipped(name, reason):
-        return {"name": name, "checked": 0, "failures": [], "skipped": reason}
-
-    if suite in ("positivity", "all"):
-        checks.append(_verify_restriction_positivity(rs, config.max_weyl))
-        if group_size <= _HEAVY_SWEEP_LIMIT:
-            checks.append(_verify_structure(rs, config.max_weyl))
-        else:
-            checks.append(
-                skipped(
-                    "structure-constant-positivity",
-                    f"Weyl group has {group_size} elements; run 'table' "
-                    "directly for the full sweep",
-                )
-            )
-        checks.append(_verify_peterson(rs, config.max_weyl, order))
-    if suite in ("gkm", "all"):
-        checks.append(_verify_gkm(rs, config.max_weyl))
-    if suite in ("billey", "all"):
-        checks.append(_verify_billey_words(rs, config.max_weyl))
-    if suite == "closed-form" and not is_type_a(rs):
-        raise click.UsageError("the closed-form suite needs a type A system")
-    if suite in ("closed-form", "all"):
-        if is_type_a(rs):
-            checks.append(_verify_closed_form(rs))
-        else:
-            checks.append(
-                skipped(
-                    "closed-form-cross-validation",
-                    "the closed form applies to type A only",
-                )
-            )
-    if suite in ("consistency", "all"):
-        if group_size <= _CONSISTENCY_LIMIT:
-            checks.append(_verify_consistency(rs, config.max_weyl, order))
-        elif suite == "consistency":
-            raise click.UsageError(
-                f"the consistency sweep multiplies Schubert classes over all "
-                f"of W; {group_size} elements is beyond the supported size"
-            )
-        else:
-            checks.append(
-                skipped(
-                    "flag-variety-consistency",
-                    f"Weyl group has {group_size} elements",
-                )
-            )
-
-    ok = all(not check["failures"] for check in checks)
+    try:
+        checks = run_suite(rs, suite, config.params["coxeter_order"],
+                           config.max_weyl)
+    except Unsupported as exc:
+        raise click.UsageError(str(exc)) from exc
+    ok = all(not check.failures for check in checks)
     label = rs.type_label or "custom"
-    payload = {"root_system": label, "suite": suite, "ok": ok, "checks": checks}
     if config.out_format == "json":
-        _emit_json(payload)
+        _emit_json({"root_system": label, "suite": suite, "ok": ok,
+                    "checks": [check.to_json() for check in checks]})
     elif config.out_format == "csv":
-        rows = [
-            [
-                check["name"],
-                check["checked"],
-                len(check["failures"]),
-                "skipped" if check.get("skipped") else
-                ("pass" if not check["failures"] else "fail"),
-            ]
-            for check in checks
-        ]
-        _emit_csv(["check", "checked", "failures", "status"], rows)
+        _emit_csv(["check", "checked", "failures", "status"],
+                  [[check.name, check.checked, len(check.failures),
+                    check.status] for check in checks])
     else:
         for check in checks:
-            if check.get("skipped"):
-                sys.stdout.write(
-                    f"skip {check['name']}: {check['skipped']}\n"
-                )
-            elif check["failures"]:
-                sys.stdout.write(
-                    f"FAIL {check['name']}: {len(check['failures'])} of "
-                    f"{check['checked']} checks failed\n"
-                )
+            if check.skipped:
+                line = f"skip {check.name}: {check.skipped}"
+            elif check.failures:
+                line = (f"FAIL {check.name}: {len(check.failures)} of "
+                        f"{check.checked} checks failed")
             else:
-                sys.stdout.write(
-                    f"ok   {check['name']}: {check['checked']} checks\n"
-                )
+                line = f"ok   {check.name}: {check.checked} checks"
+            sys.stdout.write(line + "\n")
         sys.stdout.write(f"{'ok' if ok else 'FAIL'} {label} suite={suite}\n")
     for check in checks:
-        for failure in check["failures"]:
-            click.echo(f"{check['name']}: {failure}", err=True)
+        for failure in check.failures:
+            click.echo(f"{check.name}: {failure}", err=True)
     return 0 if ok else EXIT_VERIFY_FAILED
 
 

@@ -206,11 +206,8 @@ def _root_form(rank):
 
 
 def _fill_billey_row(rs, w):
-    """The restriction of every Schubert class at w, as {v: restriction}.
-
-    Rows are computed whole and memoised on ``rs._billey``, so a row in
-    the memo is complete: a class absent from it restricts to zero at w.
-    """
+    """``billey_row(rs, w)``, computed whole and memoised on ``rs._billey``
+    (so a row in the memo is complete)."""
     row = rs._billey.get(w)
     if row is None:
         states = _billey_dp(
@@ -233,25 +230,31 @@ def adopt_billey_row(rs, w, row):
     rs._billey.setdefault(w, row)
 
 
-def billey_restriction(rs, v, w, word=None):
-    """Restriction of the Schubert class of v at the fixed point w.
+def billey_row(rs, w, word=None):
+    """The restriction of every Schubert class at w, as {v: restriction};
+    a class absent from the row restricts to zero at w.
 
-    Billey's formula: fix a reduced word for w; sum, over subsequences
-    that form a reduced word of v, the product of the roots obtained by
-    applying the preceding partial product to each chosen letter. The
-    result does not depend on the chosen word; passing ``word`` runs the
-    sum along that word (bypassing the memo) so independence is testable.
+    Billey's formula: fix a reduced word for w; the restriction of the
+    class of v sums, over subsequences that form a reduced word of v, the
+    product of the roots obtained by applying the preceding partial
+    product to each chosen letter. The result does not depend on the
+    chosen word; passing ``word`` runs the sum along that word (bypassing
+    the memo) so independence is testable.
     """
-    if word is not None:
-        word = tuple(int(i) for i in word)
-        if len(word) != w.length or element_from_word(rs, word) != w:
-            raise ValueError(f"{word} is not a reduced word for {w!r}")
-        states = _billey_dp(
-            rs, word, _root_form(rs.rank), Polynomial.one(rs.rank), keep=v
-        )
-        return states.get(v, Polynomial.zero(rs.rank))
-    # a memo hit skips the call: this lookup is hot in the Schubert solve
-    poly = (rs._billey.get(w) or _fill_billey_row(rs, w)).get(v)
+    if word is None:
+        # a memo hit skips the call: this lookup is hot in the Schubert solve
+        return rs._billey.get(w) or _fill_billey_row(rs, w)
+    word = tuple(int(i) for i in word)
+    if len(word) != w.length or element_from_word(rs, word) != w:
+        raise ValueError(f"{word} is not a reduced word for {w!r}")
+    states = _billey_dp(rs, word, _root_form(rs.rank), Polynomial.one(rs.rank))
+    return {u: poly for u, poly in states.items() if poly}
+
+
+def billey_restriction(rs, v, w, word=None):
+    """Restriction of the Schubert class of v at the fixed point w: the
+    entry of ``billey_row(rs, w, word)`` at v."""
+    poly = billey_row(rs, w, word).get(v)
     return Polynomial.zero(rs.rank) if poly is None else poly
 
 

@@ -36,7 +36,7 @@ from .gkm import (
     structure_constants,
 )
 from .poly import PolyT, specialize_to_t
-from .rootsys import Root, coxeter_element, longest_element
+from .rootsys import Root, coxeter_element, is_type_a, longest_element
 
 # root system -> {key: basis class or pullback expansion}; an entry lives
 # as long as its root system
@@ -367,8 +367,6 @@ def cross_validate(rs, bound=4, order="increasing"):
     Type A only; the rank must not exceed ``bound``. Mismatches become
     report entries rather than exceptions.
     """
-    from .rootsys import is_type_a
-
     if not is_type_a(rs):
         raise ValueError("the closed form applies to type A root systems")
     if rs.rank > bound:
@@ -462,23 +460,18 @@ def flag_consistency_report(rs, order="increasing", max_size=None):
     checked = 0
     failures = []
     subsets = all_subsets(rs)
+    coxeter = {
+        members: coxeter_element(rs, members, order) if members else rs.identity()
+        for members in subsets
+    }
     for members_i in subsets:
-        v_i = (
-            coxeter_element(rs, members_i, order)
-            if members_i
-            else rs.identity()
-        )
         for members_j in subsets:
-            v_j = (
-                coxeter_element(rs, members_j, order)
-                if members_j
-                else rs.identity()
-            )
             direct = peterson_structure_constants(
                 rs, members_i, members_j, order
             )
             via = {}
-            for w, c in structure_constants(rs, v_i, v_j, max_size).items():
+            pair = coxeter[members_i], coxeter[members_j]
+            for w, c in structure_constants(rs, *pair, max_size).items():
                 ct = specialize_to_t(c)
                 for members_k, b in pullback_expansion(rs, w, order).coeffs.items():
                     cur = via.get(members_k)

@@ -102,10 +102,6 @@ class WeylElt:
                 inv[-v - 1] = -(k + 1)
         return self.rs.element(tuple(inv))
 
-    def act_index(self, k):
-        """Signed image of positive root number k."""
-        return self.perm[k]
-
     def is_identity(self):
         # no inversions forces the identity in a finite Weyl group
         return self.length == 0
@@ -156,14 +152,20 @@ def word_text(w):
 
 
 def _validate_cartan(cartan):
-    n = len(cartan)
+    """The matrix as a tuple of integer rows, or CartanError."""
+    try:
+        rows = [tuple(row) for row in cartan]
+    except TypeError:
+        raise CartanError("Cartan matrix must be a list of rows") from None
+    n = len(rows)
     if n == 0:
         raise CartanError("empty Cartan matrix")
-    for i, row in enumerate(cartan):
+    for i, row in enumerate(rows):
         if len(row) != n:
             raise CartanError("Cartan matrix must be square")
         for j, a in enumerate(row):
-            if not isinstance(a, int):
+            # a float must be whole: 2.0 is accepted, -1.5 is not
+            if isinstance(a, bool) or not isinstance(a, (int, float)) or a % 1:
                 raise CartanError("Cartan entries must be integers")
             if i == j and a != 2:
                 raise CartanError("Cartan diagonal entries must equal 2")
@@ -171,8 +173,9 @@ def _validate_cartan(cartan):
                 raise CartanError("off-diagonal Cartan entries must be <= 0")
     for i in range(n):
         for j in range(n):
-            if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+            if (rows[i][j] == 0) != (rows[j][i] == 0):
                 raise CartanError("Cartan zero pattern must be symmetric")
+    return tuple(tuple(int(a) for a in row) for row in rows)
 
 
 class RootSystem:
@@ -186,8 +189,7 @@ class RootSystem:
     """
 
     def __init__(self, cartan, type_label=None, max_positive_roots=None):
-        cartan = tuple(tuple(int(a) for a in row) for row in cartan)
-        _validate_cartan(cartan)
+        cartan = _validate_cartan(cartan)
         self.cartan = cartan
         self.rank = len(cartan)
         self.type_label = type_label

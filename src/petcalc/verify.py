@@ -1,0 +1,232 @@
+"""Verification sweeps over the positivity claims and their certificates.
+
+Each sweep checks one family of certificates over a whole root system
+and returns one ``Check``. ``SUITES`` names the sweeps each suite runs,
+in order; ``run_suite`` runs one suite.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass, field
+
+from .gkm import (
+    billey_row,
+    forget_to_ordinary,
+    gkm_verify,
+    schubert_class,
+    structure_table,
+)
+from .peterson import (
+    all_subsets,
+    cross_validate,
+    flag_consistency_report,
+    peterson_structure_constants,
+    pullback_expansion,
+    subset_text,
+)
+from .poly import Polynomial, is_graham_positive
+from .rootsys import bruhat_leq, is_type_a, reduced_words, weyl_enumerate, word_text
+
+_HEAVY_SWEEP_LIMIT = 48  # Weyl group size above which the full table is skipped
+_CONSISTENCY_LIMIT = 130  # covers A4; the sweep squares the subset lattice
+
+
+@dataclass
+class Check:
+    """Outcome of one sweep: how many certificates it checked, a line per
+    failure, and the reason it did not run (None if it ran)."""
+
+    name: str
+    checked: int = 0
+    failures: list = field(default_factory=list)
+    skipped: str | None = None
+
+    @property
+    def status(self):
+        if self.skipped:
+            return "skipped"
+        return "fail" if self.failures else "pass"
+
+    def to_json(self):
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+class Unsupported(Exception):
+    """Sweep ``name`` cannot run on this root system. Within a suite of
+    several sweeps it is skipped with ``reason``; as the whole suite it
+    is an error whose message is ``alone`` (default ``reason``)."""
+
+    def __init__(self, name, reason, alone=None):
+        super().__init__(alone or reason)
+        self.name, self.reason = name, reason
+
+
+def _restriction_positivity(rs, elements, coxeter_order, max_weyl):
+    zero = Polynomial.zero(rs.rank)
+    check = Check("restriction-positivity")
+    for w in elements:
+        row = billey_row(rs, w)
+        for v in elements:
+            check.checked += 1
+            if not is_graham_positive(row.get(v, zero)):
+                check.failures.append(
+                    f"restriction of {word_text(v)} at {word_text(w)}"
+                )
+    return check
+
+
+def _structure(rs, elements, coxeter_order, max_weyl):
+    if len(elements) > _HEAVY_SWEEP_LIMIT:
+        raise Unsupported(
+            "structure-constant-positivity",
+            f"Weyl group has {len(elements)} elements; run 'table' "
+            "directly for the full sweep",
+        )
+    table = structure_table(rs, max_weyl)
+    check = Check("structure-constant-positivity")
+    failures = check.failures
+    for u, v, w, poly in table.rows():
+        check.checked += 1
+        label = f"({word_text(u)}, {word_text(v)}, {word_text(w)})"
+        if not is_graham_positive(poly):
+            failures.append(f"{label}: negative coefficient {poly.text()}")
+        if not poly.is_homogeneous(u.length + v.length - w.length):
+            failures.append(f"{label}: wrong degree {poly.text()}")
+        if not (bruhat_leq(u, w) and bruhat_leq(v, w)):
+            failures.append(f"{label}: support outside the Bruhat interval")
+    try:
+        if any(c < 0 for c in forget_to_ordinary(table).values()):
+            failures.append("a degree-zero constant is negative")
+    except ValueError as exc:
+        failures.append(str(exc))
+    return check
+
+
+def _peterson(rs, elements, coxeter_order, max_weyl):
+    subsets = all_subsets(rs)
+    check = Check("peterson-positivity")
+    failures = check.failures
+    expansions = {}
+    for members_i in subsets:
+        for members_j in subsets:
+            expansion = peterson_structure_constants(
+                rs, members_i, members_j, coxeter_order
+            )
+            expansions[(members_i, members_j)] = expansion
+            label_ij = f"({{{subset_text(members_i)}}}, {{{subset_text(members_j)}}})"
+            for members_k in expansion.support():
+                poly = expansion.coeff(members_k)
+                check.checked += 1
+                label = f"{label_ij} -> {{{subset_text(members_k)}}}"
+                if any(c < 0 for c in poly.coeffs):
+                    failures.append(f"{label}: negative {poly.text()}")
+                expected = len(members_i) + len(members_j) - len(members_k)
+                if not poly.is_homogeneous(expected):
+                    failures.append(f"{label}: degree is not {expected}")
+                if not members_i | members_j <= members_k:
+                    failures.append(f"{label}: support misses the union")
+                if len(members_k) > len(members_i) + len(members_j):
+                    failures.append(f"{label}: index larger than the degrees allow")
+    for (members_i, members_j), expansion in expansions.items():
+        if expansion.coeffs != expansions[(members_j, members_i)].coeffs:
+            failures.append(
+                f"asymmetric constants for {{{subset_text(members_i)}}}, "
+                f"{{{subset_text(members_j)}}}"
+            )
+    for w in elements:
+        expansion = pullback_expansion(rs, w, coxeter_order)
+        for members_k in expansion.support():
+            poly = expansion.coeff(members_k)
+            check.checked += 1
+            if not poly.is_monomial() or any(c < 0 for c in poly.coeffs):
+                failures.append(
+                    f"pullback of {word_text(w)} at "
+                    f"{{{subset_text(members_k)}}}: {poly.text()}"
+                )
+    return check
+
+
+def _gkm(rs, elements, coxeter_order, max_weyl):
+    failures = [
+        f"class of {word_text(v)}"
+        for v in elements
+        if not gkm_verify(schubert_class(rs, v, max_weyl), max_weyl)
+    ]
+    return Check("gkm-divisibility", len(elements), failures)
+
+
+def _billey_words(rs, elements, coxeter_order, max_weyl):
+    """Billey's sum along each reduced word of w (the first two only once
+    W has more than 24 elements) agrees with the memoised row at w."""
+    check = Check("billey-word-independence")
+    for w in elements:
+        words = reduced_words(w)[: None if len(elements) <= 24 else 2]
+        reference = billey_row(rs, w)
+        rows = [(word, billey_row(rs, w, word)) for word in words]
+        for v in elements:
+            check.checked += 1
+            check.failures.extend(
+                f"{word_text(v)} at {word_text(w)} via {word}"
+                for word, row in rows
+                if row.get(v) != reference.get(v)
+            )
+    return check
+
+
+def _closed_form(rs, elements, coxeter_order, max_weyl):
+    if not is_type_a(rs):
+        raise Unsupported("closed-form-cross-validation",
+                          "the closed form applies to type A only",
+                          "the closed-form suite needs a type A system")
+    report = cross_validate(rs, bound=rs.rank)
+    failures = [
+        f"I={{{subset_text(e.members_i)}}} J={{{subset_text(e.members_j)}}} "
+        f"K={{{subset_text(e.members_k)}}}: computed {e.computed.text()}, "
+        f"formula {e.formula.text()}"
+        for e in report.failures
+    ]
+    return Check("closed-form-cross-validation", len(report.entries), failures)
+
+
+def _consistency(rs, elements, coxeter_order, max_weyl):
+    if len(elements) > _CONSISTENCY_LIMIT:
+        raise Unsupported(
+            "flag-variety-consistency",
+            f"Weyl group has {len(elements)} elements",
+            f"the consistency sweep multiplies Schubert classes over all "
+            f"of W; {len(elements)} elements is beyond the supported size",
+        )
+    report = flag_consistency_report(rs, coxeter_order, max_weyl)
+    return Check("flag-variety-consistency", report.checked,
+                 list(report.failures))
+
+
+SUITES = {
+    "positivity": (_restriction_positivity, _structure, _peterson),
+    "gkm": (_gkm,),
+    "billey": (_billey_words,),
+    "closed-form": (_closed_form,),
+    "consistency": (_consistency,),
+}
+SUITES["all"] = sum(SUITES.values(), ())
+
+
+def run_suite(rs, suite, coxeter_order="increasing", max_weyl=None):
+    """Run the sweeps of ``suite`` in order and return their ``Check``s.
+
+    W is enumerated first, so a Weyl group over ``max_weyl`` raises
+    ResourceCapError before any sweep runs. A sweep that cannot run on rs
+    is a skipped check within a suite of several sweeps; when it is the
+    whole suite, its ``Unsupported`` propagates.
+    """
+    elements = weyl_enumerate(rs, max_weyl)
+    sweeps = SUITES[suite]
+    checks = []
+    for sweep in sweeps:
+        try:
+            checks.append(sweep(rs, elements, coxeter_order, max_weyl))
+        except Unsupported as exc:
+            if len(sweeps) == 1:
+                raise
+            checks.append(Check(exc.name, skipped=exc.reason))
+    return checks

@@ -119,6 +119,52 @@ def test_expand_rejects_non_gkm_with_exit_one(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "values degree",
+        {"type": "A2", "degree": 1, "values": []},
+        {"type": "A2", "degree": 1, "values": {"s1": [[[1, 0], 1]]}},
+        {"type": "A2", "degree": 1, "values": {"s1": [[[1, 0], 1, 0]]}},
+        {"type": "A2", "degree": 1, "values": {"s1": 5}},
+        {"degree": 1, "values": {"s1": [[[1, 0], 1, 1]]}, "cartan": 3},
+    ],
+    ids=["top-level-string", "values-list", "short-term", "zero-denominator",
+         "value-not-a-list", "cartan-not-a-matrix"],
+)
+def test_expand_rejects_malformed_class_json(runner, tmp_path, payload):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["expand", "A2", "--values", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        ("x", "Cartan entries must be integers"),
+        (5, "Cartan matrix must be a list of rows"),
+        ([[2, "a"], [-1, 2]], "Cartan entries must be integers"),
+        ([[2, -1.5], [-1, 2]], "Cartan entries must be integers"),
+    ],
+    ids=["string", "number", "string-entry", "fractional-entry"],
+)
+def test_malformed_cartan_file_is_a_usage_error(runner, tmp_path, cartan,
+                                                message):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"cartan": cartan}))
+    result = runner.invoke(
+        main, ["verify", "--cartan", str(path), "--suite", "positivity"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"Error: {message}"
+
+
 def test_verify_suites_pass(runner):
     for suite in ("positivity", "gkm", "billey", "closed-form", "consistency"):
         result = invoke(runner, ["verify", "A2", "--suite", suite])
@@ -143,6 +189,30 @@ def test_verify_closed_form_requires_type_a(runner, tmp_path):
         main, ["verify", "--cartan", str(path), "--suite", "closed-form"]
     )
     assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        "Error: the closed-form suite needs a type A system"
+    )
+
+
+def test_consistency_suite_beyond_its_size_is_a_usage_error(runner):
+    result = runner.invoke(main, ["verify", "A5", "--suite", "consistency"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        "Error: the consistency sweep multiplies Schubert classes over all "
+        "of W; 720 elements is beyond the supported size"
+    )
+
+
+@pytest.mark.parametrize(
+    "args", [["A8"], ["A4", "--max-weyl", "100"]], ids=["A8", "A4-cap-100"]
+)
+def test_verify_cap_comes_before_any_sweep(runner, args):
+    # the closed form itself never enumerates W
+    result = runner.invoke(main, ["verify", *args, "--suite", "closed-form"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("resource cap: ")
 
 
 def test_cartan_file_input(runner, tmp_path):
@@ -281,12 +351,26 @@ def test_table_deterministic_across_jobs(runner):
          "b1436a61d0e8c19885115497a68c4c3870d726ff9c5b5f597d21c5c92dc7c994"),
         (["pullback", "E6", "--w", "1,3,4,2,5,4,6", "--out", "json"],
          "3c976c50a16ef6fc68c11e50f4001cbc594b8c80a7761a4be557985d9201cff4"),
+        (["table", "B3", "--out", "json"],
+         "d664fcd30dc9d361e4bf267483b4349c56d2e99c2cff4a36c3cb0c14f3111a0f"),
+        (["verify", "A3", "--suite", "all"],
+         "d2cc0b8cbad21e60151dad97202e586dfc32a1bc6d03d7fa1f8fcf23511b369c"),
+        (["verify", "A3", "--suite", "all", "--out", "csv"],
+         "949ed6e4aaed58f9e282abb16e05d93ae8e266dcf1c62e0bcda5b65aaa053ae5"),
+        (["verify", "A3", "--suite", "all", "--out", "json"],
+         "d135089d9c3b27e31b64d5960d7fb6ac5ebd163ed7abb54100bfbde4966de475"),
+        (["verify", "G2", "--suite", "all", "--out", "json"],
+         "39f284172ee9d2547a8c260a822255e1feb2a68bcd4b1d9fd5966fb6b06956a1"),
+        (["verify", "B3", "--suite", "billey", "--out", "json"],
+         "47cf0d3f3df43e39a0a05c68911f6b8dfb655a77e05fb85e647cd649a9255a9c"),
     ],
     ids=["schubert-json", "schubert-b3-csv", "schubert-c3-csv",
          "schubert-a3-csv", "schubert-g2-json", "schubert-b2-text",
          "peterson-json", "peterson-text", "peterson-f4-csv",
          "peterson-a5-csv", "peterson-b3-csv", "peterson-c4-csv",
-         "peterson-d5-csv", "peterson-g2-json", "pullback-e6-json"],
+         "peterson-d5-csv", "peterson-g2-json", "pullback-e6-json",
+         "schubert-b3-json", "verify-a3-text", "verify-a3-csv",
+         "verify-a3-json", "verify-g2-json", "verify-b3-billey-json"],
 )
 def test_table_output_bytes_pinned(runner, args, digest):
     result = invoke(runner, args)
@@ -461,9 +545,9 @@ def test_cache_row_with_a_non_reduced_word_is_rejected(runner, tmp_path):
 
 
 def test_verify_reports_failures_loudly(runner, monkeypatch):
-    from petcalc import cli as cli_module
+    from petcalc import verify
 
-    monkeypatch.setattr(cli_module, "is_graham_positive", lambda p: False)
+    monkeypatch.setattr(verify, "is_graham_positive", lambda p: False)
     result = runner.invoke(
         main, ["verify", "A1", "--suite", "positivity"], catch_exceptions=False
     )

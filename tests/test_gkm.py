@@ -82,6 +82,20 @@ def test_restriction_rejects_non_reduced_word(a2):
     w = a2.simple_reflection(1)
     with pytest.raises(ValueError):
         billey_restriction(a2, w, w, word=(1, 1, 1))
+    with pytest.raises(ValueError):
+        gkm.billey_row(a2, w, (1, 1, 1))
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
+def test_billey_row_holds_every_restriction_along_every_word(label):
+    rs = root_system_from_label(label)
+    elements = weyl_enumerate(rs)
+    for w in elements:
+        row = gkm.billey_row(rs, w)
+        restrictions = {v: billey_restriction(rs, v, w) for v in elements}
+        assert row == {v: p for v, p in restrictions.items() if p}
+        for word in reduced_words(w):
+            assert gkm.billey_row(rs, w, word) == row
 
 
 def test_support_iff_bruhat(a2, a3):

@@ -80,6 +80,16 @@ def test_bad_cartan_rejected():
         root_system_from_label("Z9")
     with pytest.raises(CartanError):
         root_system_from_label("E9")
+    for bad in ("x", 5, [5], [[2, "a"], [-1, 2]], [[2, -1.5], [-1, 2]],
+                [[2, True], [-1, 2]]):
+        with pytest.raises(CartanError):
+            build_root_system(bad)  # not a matrix of integers
+
+
+def test_whole_float_cartan_entries_accepted():
+    rs = build_root_system([[2.0, -1], [-1.0, 2]])
+    assert rs.cartan == ((2, -1), (-1, 2))
+    assert all(isinstance(a, int) for row in rs.cartan for a in row)
 
 
 def test_affine_cartan_rejected():
