@@ -34,11 +34,12 @@ from .peterson import (
     pullback_expansion,
     subset_text,
 )
-from .poly import Polynomial
+from .poly import Polynomial, whole_number
 from .rootsys import (
     DEFAULT_MAX_WEYL,
     CartanError,
     ResourceCapError,
+    _validate_cartan,
     build_root_system,
     element_from_one_line,
     element_from_word,
@@ -75,9 +76,11 @@ def _resolve_root_system(config):
                     f'{config.cartan_path} must be JSON of the form '
                     '{"cartan": [[2,-1],[-1,2]]}'
                 )
-            return build_root_system(payload["cartan"])
+            return build_root_system(payload["cartan"],
+                                     max_weyl=config.max_weyl)
         if config.root_label:
-            return root_system_from_label(config.root_label)
+            return root_system_from_label(config.root_label,
+                                          max_weyl=config.max_weyl)
     except CartanError as exc:
         raise click.UsageError(str(exc)) from exc
     except (OSError, json.JSONDecodeError) as exc:
@@ -161,6 +164,20 @@ def _emit_rows(config, header, rows, json_payload):
             sys.stdout.write(" ".join(str(cell) for cell in row) + "\n")
 
 
+def _emit_expansion(config, fixed_labels, key_column, label, ordered_pairs):
+    """Emit coefficients (key, poly) in order: a row per pair led by the
+    ``fixed_labels`` values, or for JSON those labels plus a
+    ``"coefficients"`` object keyed by ``label(key)``."""
+    fixed = list(fixed_labels.values())
+    rows = [[*fixed, label(k), poly.text()] for k, poly in ordered_pairs]
+    payload = {
+        **fixed_labels,
+        "coefficients": {label(k): poly.to_json() for k, poly in ordered_pairs},
+    } if config.out_format == "json" else None
+    _emit_rows(config, [*fixed_labels, key_column, "coefficient"], rows,
+               payload)
+
+
 def localized_class_from_json(rs, payload):
     if not isinstance(payload, dict) or not {"values", "degree"} <= set(payload):
         raise click.UsageError(
@@ -172,8 +189,7 @@ def localized_class_from_json(rs, payload):
         )
     try:
         if "cartan" in payload:
-            declared = tuple(tuple(int(a) for a in row) for row in payload["cartan"])
-            if declared != rs.cartan:
+            if _validate_cartan(payload["cartan"]) != rs.cartan:
                 raise click.UsageError(
                     "class JSON carries a different Cartan matrix"
                 )
@@ -181,7 +197,7 @@ def localized_class_from_json(rs, payload):
             parse_element(rs, word): Polynomial.from_json(rs.rank, data)
             for word, data in payload["values"].items()
         }
-        return LocalizedClass(rs, values, int(payload["degree"]))
+        return LocalizedClass(rs, values, whole_number(payload["degree"]))
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"malformed class JSON: {exc}") from exc
 
@@ -306,18 +322,10 @@ def _cmd_mult(config, rs):
     """Structure constants of a product of two Schubert classes."""
     u = parse_element(rs, config.params["u_spec"])
     v = parse_element(rs, config.params["v_spec"])
-    coeffs = structure_constants(rs, u, v, config.max_weyl)
-    ordered = sorted(coeffs, key=lambda w: w.sort_key())
-    rows = [
-        [word_text(u), word_text(v), word_text(w), coeffs[w].text()]
-        for w in ordered
-    ]
-    payload = {
-        "u": word_text(u),
-        "v": word_text(v),
-        "coefficients": {word_text(w): coeffs[w].to_json() for w in ordered},
-    } if config.out_format == "json" else None
-    _emit_rows(config, ["u", "v", "w", "coefficient"], rows, payload)
+    coeffs = structure_constants(rs, u, v)
+    ordered = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
+    _emit_expansion(config, {"u": word_text(u), "v": word_text(v)}, "w",
+                    word_text, ordered)
     return 0
 
 
@@ -339,16 +347,12 @@ def _cmd_expand(config, rs):
         raise click.UsageError(f"cannot read class JSON: {exc}") from exc
     cls = localized_class_from_json(rs, payload)
     try:
-        coeffs = expand_in_schubert_basis(cls, config.max_weyl)
+        coeffs = expand_in_schubert_basis(cls)
     except NotInSpan as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_VERIFY_FAILED
-    ordered = sorted(coeffs, key=lambda w: w.sort_key())
-    rows = [[word_text(w), coeffs[w].text()] for w in ordered]
-    payload = {
-        "coefficients": {word_text(w): coeffs[w].to_json() for w in ordered}
-    } if config.out_format == "json" else None
-    _emit_rows(config, ["w", "coefficient"], rows, payload)
+    _emit_expansion(config, {}, "w", word_text,
+                    sorted(coeffs.items(), key=lambda kv: kv[0].sort_key()))
     return 0
 
 
@@ -365,24 +369,11 @@ def _cmd_peterson_mult(config, rs):
     members_j = parse_subset(rs, config.params["j_spec"])
     order = config.params.get("coxeter_order", "increasing")
     expansion = peterson_structure_constants(rs, members_i, members_j, order)
-    rows = [
-        [
-            subset_text(members_i),
-            subset_text(members_j),
-            subset_text(members_k),
-            expansion.coeff(members_k).text(),
-        ]
-        for members_k in expansion.support()
-    ]
-    payload = {
-        "I": subset_text(members_i),
-        "J": subset_text(members_j),
-        "coefficients": {
-            subset_text(k): expansion.coeff(k).to_json()
-            for k in expansion.support()
-        },
-    } if config.out_format == "json" else None
-    _emit_rows(config, ["I", "J", "K", "coefficient"], rows, payload)
+    _emit_expansion(
+        config, {"I": subset_text(members_i), "J": subset_text(members_j)},
+        "K", subset_text,
+        [(k, expansion.coeff(k)) for k in expansion.support()],
+    )
     return 0
 
 
@@ -397,18 +388,8 @@ def _cmd_pullback(config, rs):
     w = parse_element(rs, config.params["w_spec"])
     order = config.params.get("coxeter_order", "increasing")
     expansion = pullback_expansion(rs, w, order)
-    rows = [
-        [word_text(w), subset_text(members_k), expansion.coeff(members_k).text()]
-        for members_k in expansion.support()
-    ]
-    payload = {
-        "w": word_text(w),
-        "coefficients": {
-            subset_text(k): expansion.coeff(k).to_json()
-            for k in expansion.support()
-        },
-    } if config.out_format == "json" else None
-    _emit_rows(config, ["w", "K", "coefficient"], rows, payload)
+    _emit_expansion(config, {"w": word_text(w)}, "K", subset_text,
+                    [(k, expansion.coeff(k)) for k in expansion.support()])
     return 0
 
 
@@ -423,7 +404,7 @@ def _cmd_table(config, rs):
     kind = config.params["kind"]
     if kind == "schubert":
         columns, label = ("u", "v", "w"), word_text
-        table = structure_table(rs, config.max_weyl).rows()
+        table = structure_table(rs).rows()
     else:
         columns, label = ("I", "J", "K"), subset_text
         table = peterson_table(rs, config.params["coxeter_order"])
@@ -452,8 +433,7 @@ def _cmd_verify(config, rs):
     """Run a verification sweep; exits 1 if any check fails."""
     suite = config.params["suite"]
     try:
-        checks = run_suite(rs, suite, config.params["coxeter_order"],
-                           config.max_weyl)
+        checks = run_suite(rs, suite, config.params["coxeter_order"])
     except Unsupported as exc:
         raise click.UsageError(str(exc)) from exc
     ok = all(not check.failures for check in checks)

@@ -258,43 +258,42 @@ def billey_restriction(rs, v, w, word=None):
     return Polynomial.zero(rs.rank) if poly is None else poly
 
 
-def _billey_column(rs, w, max_size=None):
+def _billey_column(rs, w):
     # all fixed points where the Schubert class of w restricts nonzero
-    col = rs._billey_cols.get(w)
-    if col is None:
-        col = []
-        for x in weyl_enumerate(rs, max_size):
-            poly = _fill_billey_row(rs, x).get(w)
-            if poly is not None:
-                col.append((x, poly))
-        rs._billey_cols[w] = col
+    col = []
+    for x in weyl_enumerate(rs):
+        poly = _fill_billey_row(rs, x).get(w)
+        if poly is not None:
+            col.append((x, poly))
     return col
 
 
-def schubert_class(rs, v, max_size=None):
+def schubert_class(rs, v):
     """The equivariant Schubert class of v as a localized class."""
-    values = dict(_billey_column(rs, v, max_size))
+    values = dict(_billey_column(rs, v))
     return LocalizedClass(rs, values, v.length)
 
 
-def gkm_verify(f, max_size=None):
+def gkm_verify(f):
     """Check the divisibility conditions cutting out the image of
     localization: for every fixed point w and positive root b, the
     difference of values at w and at w*r_b must be divisible by the
-    linear form w(b).
+    linear form w(b). As (w r_b)(b) = -w(b), both ends of an edge state
+    the same condition, so it is checked once, where w(b) is positive.
     """
     rs = f.rs
-    order = weyl_enumerate(rs, max_size)
+    order = weyl_enumerate(rs)
     n = rs.num_positive_roots()
     for w in order:
         fw = f.value(w)
         for k in range(n):
-            x = w * rs.reflection(k)
-            diff = fw - f.value(x)
+            signed = w.perm[k]
+            if signed < 0:
+                continue
+            diff = fw - f.value(w * rs.reflection(k))
             if diff.is_zero():
                 continue
-            signed = w.perm[k]
-            root = rs.positive_roots[abs(signed) - 1]
+            root = rs.positive_roots[signed - 1]
             form = Polynomial.linear_form(rs.rank, root.coeffs)
             try:
                 divide_exact(diff, form)
@@ -352,7 +351,7 @@ def back_substitute(values, order, column, label):
     return coeffs
 
 
-def expand_in_schubert_basis(f, max_size=None):
+def expand_in_schubert_basis(f):
     """Coefficients d_w with f equal to the sum of d_w times the Schubert
     class of w.
 
@@ -364,11 +363,9 @@ def expand_in_schubert_basis(f, max_size=None):
     rs = f.rs
 
     def column(w):
-        return billey_restriction(rs, w, w), _billey_column(rs, w, max_size)
+        return billey_restriction(rs, w, w), _billey_column(rs, w)
 
-    return back_substitute(
-        f.values, weyl_enumerate(rs, max_size), column, word_text
-    )
+    return back_substitute(f.values, weyl_enumerate(rs), column, word_text)
 
 
 def _certify(u, v, w, c):
@@ -383,15 +380,15 @@ def _certify(u, v, w, c):
         )
 
 
-def structure_constants(rs, u, v, max_size=None):
+def structure_constants(rs, u, v):
     """Expansion coefficients of the product of two Schubert classes.
 
     Each coefficient is checked against the simple-root positivity
     certificate; a failure raises a PositivityViolation warning rather
     than an exception, since the honest value is still returned.
     """
-    product = schubert_class(rs, u, max_size) * schubert_class(rs, v, max_size)
-    coeffs = expand_in_schubert_basis(product, max_size)
+    product = schubert_class(rs, u) * schubert_class(rs, v)
+    coeffs = expand_in_schubert_basis(product)
     for w, c in coeffs.items():
         _certify(u, v, w, c)
     return coeffs
@@ -423,7 +420,7 @@ class StructTable:
         return [(u, v, w, self.entries[(u, v, w)]) for u, v, w in keys]
 
 
-def structure_table(rs, max_size=None):
+def structure_table(rs):
     """The full structure-constant table, one entry per (u, v, w).
 
     Built by the equivariant Chevalley recurrence (Kostant-Kumar 1986;
@@ -448,7 +445,7 @@ def structure_table(rs, max_size=None):
     one exact division by a linear form, and carries the same
     positivity certificate as ``structure_constants``.
     """
-    order = weyl_enumerate(rs, max_size)
+    order = weyl_enumerate(rs)
     rank = rs.rank
     zero = Polynomial.zero(rank)
     rows = {x: _fill_billey_row(rs, x) for x in order}
@@ -515,7 +512,7 @@ def structure_table(rs, max_size=None):
     return StructTable(rs, entries)
 
 
-def integrate(f, max_size=None):
+def integrate(f):
     """Pushforward to a point by the fixed-point localization formula.
 
     The Euler class at w is the product of -w(b) over positive roots b,
@@ -526,7 +523,7 @@ def integrate(f, max_size=None):
     all positive roots; failure of that division signals non-GKM input.
     """
     rs = f.rs
-    order = weyl_enumerate(rs, max_size)
+    order = weyl_enumerate(rs)
     total = Polynomial.zero(rs.rank)
     for w in order:
         poly = f.values.get(w)

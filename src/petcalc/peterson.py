@@ -452,7 +452,7 @@ class ConsistencyReport:
         return not self.failures
 
 
-def flag_consistency_report(rs, order="increasing", max_size=None):
+def flag_consistency_report(rs, order="increasing"):
     """Check that Peterson structure constants agree with the route
     through the ambient flag variety: multiply the two Schubert classes
     there, expand, pull every term back, and collect coefficients.
@@ -471,7 +471,7 @@ def flag_consistency_report(rs, order="increasing", max_size=None):
             )
             via = {}
             pair = coxeter[members_i], coxeter[members_j]
-            for w, c in structure_constants(rs, *pair, max_size).items():
+            for w, c in structure_constants(rs, *pair).items():
                 ct = specialize_to_t(c)
                 for members_k, b in pullback_expansion(rs, w, order).coeffs.items():
                     cur = via.get(members_k)

@@ -37,7 +37,17 @@ def _num_den(c):
     return c, 1
 
 
+def whole_number(a):
+    """``a`` (an int or a whole float such as 2.0) as an int, or ValueError."""
+    if type(a) is int:  # the common case, checked first: caches load many
+        return a
+    if not isinstance(a, float) or a % 1:
+        raise ValueError(f"{a!r} is not an integer")
+    return int(a)
+
+
 def _coeff_from_pair(num, den):
+    num, den = whole_number(num), whole_number(den)
     if den == 1:
         return num
     return Fraction(num, den)
@@ -256,10 +266,10 @@ class Polynomial:
         terms = {}
         for entry in data:
             exps, num, den = entry
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(whole_number(e) for e in exps)
             if len(exps) != rank or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for rank {rank}")
-            terms[exps] = _coeff_from_pair(int(num), int(den))
+            terms[exps] = _coeff_from_pair(num, den)
         return cls(rank, terms)
 
 
@@ -404,7 +414,7 @@ class PolyT:
         coeffs = {}
         for entry in data:
             k, num, den = entry
-            coeffs[int(k)] = _coeff_from_pair(int(num), int(den))
+            coeffs[whole_number(k)] = _coeff_from_pair(num, den)
         if not coeffs:
             return cls()
         top = max(coeffs)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .poly import whole_number
+
 DEFAULT_MAX_WEYL = 50_000  # covers A7
 DEFAULT_MAX_ROOTS = 2_000
 
@@ -163,10 +165,11 @@ def _validate_cartan(cartan):
     for i, row in enumerate(rows):
         if len(row) != n:
             raise CartanError("Cartan matrix must be square")
+        try:
+            row = rows[i] = tuple(whole_number(a) for a in row)
+        except ValueError:
+            raise CartanError("Cartan entries must be integers") from None
         for j, a in enumerate(row):
-            # a float must be whole: 2.0 is accepted, -1.5 is not
-            if isinstance(a, bool) or not isinstance(a, (int, float)) or a % 1:
-                raise CartanError("Cartan entries must be integers")
             if i == j and a != 2:
                 raise CartanError("Cartan diagonal entries must equal 2")
             if i != j and a > 0:
@@ -175,7 +178,7 @@ def _validate_cartan(cartan):
         for j in range(n):
             if (rows[i][j] == 0) != (rows[j][i] == 0):
                 raise CartanError("Cartan zero pattern must be symmetric")
-    return tuple(tuple(int(a) for a in row) for row in rows)
+    return tuple(rows)
 
 
 class RootSystem:
@@ -185,14 +188,17 @@ class RootSystem:
     the simple reflections and stored in a fixed order graded by height,
     then lexicographic on coordinates, so all derived enumerations are
     reproducible byte for byte. The object is immutable apart from
-    internal memo tables.
+    internal memo tables. ``max_weyl`` caps the Weyl group for
+    ``weyl_enumerate`` (None means ``DEFAULT_MAX_WEYL``; 0 is a cap).
     """
 
-    def __init__(self, cartan, type_label=None, max_positive_roots=None):
+    def __init__(self, cartan, type_label=None, max_positive_roots=None,
+                 max_weyl=None):
         cartan = _validate_cartan(cartan)
         self.cartan = cartan
         self.rank = len(cartan)
         self.type_label = type_label
+        self.max_weyl = DEFAULT_MAX_WEYL if max_weyl is None else max_weyl
         cap = max_positive_roots or DEFAULT_MAX_ROOTS
 
         vectors, provenance = self._generate_positive_roots(cap)
@@ -229,7 +235,6 @@ class RootSystem:
         self._weyl_list = None
         self._bruhat = {}
         self._billey = {}  # w -> complete row {v: restriction}, owned by gkm
-        self._billey_cols = {}
         self._parabolic_longest = {}
 
     # -- construction helpers -------------------------------------------
@@ -324,15 +329,18 @@ class RootSystem:
         return f"RootSystem({label})"
 
 
-def build_root_system(cartan, type_label=None, max_positive_roots=None):
+def build_root_system(cartan, type_label=None, max_positive_roots=None,
+                      max_weyl=None):
     """Construct a finite root system from a Cartan matrix.
 
     Raises CartanError for a bad sign/diagonal pattern and
     NotFiniteTypeError when the reflection orbit of the simple roots
-    fails to close within ``max_positive_roots``.
+    fails to close within ``max_positive_roots``. ``max_weyl`` is the
+    system's Weyl group cap.
     """
     return RootSystem(
-        cartan, type_label=type_label, max_positive_roots=max_positive_roots
+        cartan, type_label=type_label, max_positive_roots=max_positive_roots,
+        max_weyl=max_weyl,
     )
 
 
@@ -382,11 +390,12 @@ def cartan_matrix_for_label(label):
     return matrix
 
 
-def root_system_from_label(label, max_positive_roots=None):
+def root_system_from_label(label, max_positive_roots=None, max_weyl=None):
     return build_root_system(
         cartan_matrix_for_label(label),
         type_label=label.strip().upper(),
         max_positive_roots=max_positive_roots,
+        max_weyl=max_weyl,
     )
 
 
@@ -398,18 +407,18 @@ def is_type_a(rs):
     )
 
 
-def weyl_enumerate(rs, max_size=None):
+def weyl_enumerate(rs):
     """All Weyl group elements, graded by length then canonical word.
 
-    Raises ResourceCapError when the group is larger than ``max_size``
-    (default 50,000, enough for A7). The full list is cached on the root
-    system after the first successful call.
+    Raises ResourceCapError when the group is larger than ``rs.max_weyl``
+    (default 50,000, enough for A7), on every call. The full list is
+    cached on the root system after the first successful call.
     """
-    cap = DEFAULT_MAX_WEYL if max_size is None else max_size
+    cap = rs.max_weyl
     if rs._weyl_list is None:
         seen = {rs.identity()}
         level = [rs.identity()]
-        while level:
+        while level and len(seen) <= cap:
             nxt = set()
             for w in level:
                 for i in range(1, rs.rank + 1):
@@ -418,13 +427,10 @@ def weyl_enumerate(rs, max_size=None):
                         if ws not in seen:
                             nxt.add(ws)
             seen.update(nxt)
-            if len(seen) > cap:
-                raise ResourceCapError(
-                    f"Weyl group larger than the cap of {cap} elements"
-                )
             level = list(nxt)
-        rs._weyl_list = sorted(seen, key=WeylElt.sort_key)
-    if len(rs._weyl_list) > cap:
+        if len(seen) <= cap:
+            rs._weyl_list = sorted(seen, key=WeylElt.sort_key)
+    if rs._weyl_list is None or len(rs._weyl_list) > cap:
         raise ResourceCapError(
             f"Weyl group larger than the cap of {cap} elements"
         )

@@ -61,7 +61,7 @@ class Unsupported(Exception):
         self.name, self.reason = name, reason
 
 
-def _restriction_positivity(rs, elements, coxeter_order, max_weyl):
+def _restriction_positivity(rs, elements, coxeter_order):
     zero = Polynomial.zero(rs.rank)
     check = Check("restriction-positivity")
     for w in elements:
@@ -75,14 +75,14 @@ def _restriction_positivity(rs, elements, coxeter_order, max_weyl):
     return check
 
 
-def _structure(rs, elements, coxeter_order, max_weyl):
+def _structure(rs, elements, coxeter_order):
     if len(elements) > _HEAVY_SWEEP_LIMIT:
         raise Unsupported(
             "structure-constant-positivity",
             f"Weyl group has {len(elements)} elements; run 'table' "
             "directly for the full sweep",
         )
-    table = structure_table(rs, max_weyl)
+    table = structure_table(rs)
     check = Check("structure-constant-positivity")
     failures = check.failures
     for u, v, w, poly in table.rows():
@@ -102,7 +102,7 @@ def _structure(rs, elements, coxeter_order, max_weyl):
     return check
 
 
-def _peterson(rs, elements, coxeter_order, max_weyl):
+def _peterson(rs, elements, coxeter_order):
     subsets = all_subsets(rs)
     check = Check("peterson-positivity")
     failures = check.failures
@@ -146,16 +146,16 @@ def _peterson(rs, elements, coxeter_order, max_weyl):
     return check
 
 
-def _gkm(rs, elements, coxeter_order, max_weyl):
+def _gkm(rs, elements, coxeter_order):
     failures = [
         f"class of {word_text(v)}"
         for v in elements
-        if not gkm_verify(schubert_class(rs, v, max_weyl), max_weyl)
+        if not gkm_verify(schubert_class(rs, v))
     ]
     return Check("gkm-divisibility", len(elements), failures)
 
 
-def _billey_words(rs, elements, coxeter_order, max_weyl):
+def _billey_words(rs, elements, coxeter_order):
     """Billey's sum along each reduced word of w (the first two only once
     W has more than 24 elements) agrees with the memoised row at w."""
     check = Check("billey-word-independence")
@@ -173,7 +173,7 @@ def _billey_words(rs, elements, coxeter_order, max_weyl):
     return check
 
 
-def _closed_form(rs, elements, coxeter_order, max_weyl):
+def _closed_form(rs, elements, coxeter_order):
     if not is_type_a(rs):
         raise Unsupported("closed-form-cross-validation",
                           "the closed form applies to type A only",
@@ -188,7 +188,7 @@ def _closed_form(rs, elements, coxeter_order, max_weyl):
     return Check("closed-form-cross-validation", len(report.entries), failures)
 
 
-def _consistency(rs, elements, coxeter_order, max_weyl):
+def _consistency(rs, elements, coxeter_order):
     if len(elements) > _CONSISTENCY_LIMIT:
         raise Unsupported(
             "flag-variety-consistency",
@@ -196,7 +196,7 @@ def _consistency(rs, elements, coxeter_order, max_weyl):
             f"the consistency sweep multiplies Schubert classes over all "
             f"of W; {len(elements)} elements is beyond the supported size",
         )
-    report = flag_consistency_report(rs, coxeter_order, max_weyl)
+    report = flag_consistency_report(rs, coxeter_order)
     return Check("flag-variety-consistency", report.checked,
                  list(report.failures))
 
@@ -211,20 +211,20 @@ SUITES = {
 SUITES["all"] = sum(SUITES.values(), ())
 
 
-def run_suite(rs, suite, coxeter_order="increasing", max_weyl=None):
+def run_suite(rs, suite, coxeter_order="increasing"):
     """Run the sweeps of ``suite`` in order and return their ``Check``s.
 
-    W is enumerated first, so a Weyl group over ``max_weyl`` raises
-    ResourceCapError before any sweep runs. A sweep that cannot run on rs
-    is a skipped check within a suite of several sweeps; when it is the
-    whole suite, its ``Unsupported`` propagates.
+    W is enumerated first, so a Weyl group over the root system's cap
+    raises ResourceCapError before any sweep runs. A sweep that cannot
+    run on rs is a skipped check within a suite of several sweeps; when
+    it is the whole suite, its ``Unsupported`` propagates.
     """
-    elements = weyl_enumerate(rs, max_weyl)
+    elements = weyl_enumerate(rs)
     sweeps = SUITES[suite]
     checks = []
     for sweep in sweeps:
         try:
-            checks.append(sweep(rs, elements, coxeter_order, max_weyl))
+            checks.append(sweep(rs, elements, coxeter_order))
         except Unsupported as exc:
             if len(sweeps) == 1:
                 raise

@@ -143,6 +143,39 @@ def test_expand_rejects_malformed_class_json(runner, tmp_path, payload):
     assert len(errors) == 1
 
 
+_A2_CLASS_OF_S1 = {
+    "s1": [[[1, 0], 1, 1]],
+    "s1 s2": [[[1, 0], 1, 1]],
+    "s2 s1": [[[0, 1], 1, 1], [[1, 0], 1, 1]],
+    "s1 s2 s1": [[[0, 1], 1, 1], [[1, 0], 1, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"type": "A2", "degree": 1, "values": {
+            w: [[exps, num * 1.5, den] for exps, num, den in terms]
+            for w, terms in _A2_CLASS_OF_S1.items()}},
+        {"degree": 1, "values": _A2_CLASS_OF_S1,
+         "cartan": [[2, -1.5], [-1, 2]]},
+        {"type": "A2", "degree": 1.5, "values": _A2_CLASS_OF_S1},
+    ],
+    ids=["fractional-coefficients", "fractional-cartan", "fractional-degree"],
+)
+def test_expand_rejects_fractional_numbers(runner, tmp_path, payload):
+    # int() would truncate 1.5 to 1 and expand these as the class of s1
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["expand", "A2", "--values", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: malformed class JSON: ")
+
+
 @pytest.mark.parametrize(
     "cartan, message",
     [

@@ -9,6 +9,7 @@ from petcalc import (
     NotInSpan,
     Polynomial,
     PositivityViolation,
+    ResourceCapError,
     billey_restriction,
     bruhat_leq,
     build_root_system,
@@ -29,6 +30,7 @@ from petcalc import (
     weyl_enumerate,
 )
 from petcalc import gkm
+from petcalc.verify import run_suite
 
 
 def alpha(rs, i):
@@ -153,6 +155,43 @@ def test_gkm_verify_constant_class(a2):
         a2, {w: Polynomial.constant(2, 5) for w in weyl_enumerate(a2)}, 0
     )
     assert gkm_verify(constant)
+
+
+def test_gkm_verify_rejects_a_class_perturbed_at_any_fixed_point(a3):
+    # each edge is checked from one end only; a bump at any single point
+    # must still be caught, whether its edges reach it from above or below
+    v = element_from_word(a3, [2, 1])
+    f = schubert_class(a3, v)
+    bump = alpha(a3, 1) ** v.length
+    for w in weyl_enumerate(a3):
+        values = dict(f.values)
+        values[w] = f.value(w) + bump
+        assert not gkm_verify(LocalizedClass(a3, values, f.degree))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, s, f: weyl_enumerate(rs),
+        lambda rs, s, f: schubert_class(rs, s),
+        lambda rs, s, f: structure_constants(rs, s, s),
+        lambda rs, s, f: expand_in_schubert_basis(f),
+        lambda rs, s, f: structure_table(rs),
+        lambda rs, s, f: gkm_verify(f),
+        lambda rs, s, f: integrate(f),
+        lambda rs, s, f: run_suite(rs, "gkm"),
+    ],
+    ids=["weyl_enumerate", "schubert_class", "structure_constants",
+         "expand_in_schubert_basis", "structure_table", "gkm_verify",
+         "integrate", "run_suite"],
+)
+def test_weyl_cap_on_the_root_system_holds_on_every_call(call):
+    rs = root_system_from_label("A3", max_weyl=5)
+    s1 = rs.simple_reflection(1)
+    f = LocalizedClass(rs, {rs.identity(): Polynomial.one(3)}, 0)
+    for _ in range(2):
+        with pytest.raises(ResourceCapError):
+            call(rs, s1, f)
 
 
 def test_gkm_verify_rejects_indicator(a1):

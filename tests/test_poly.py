@@ -127,6 +127,22 @@ def test_json_round_trip():
     assert PolyT.from_json(q.to_json()) == q
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [[[1, 0], 1.5, 1], [[1, 0], 1, 0.5], [[1.5, 0], 1, 1], [[1, 0], True, 1],
+     [[1, 0], "1", 1], [["1", 0], 1, 1]],
+    ids=["fractional-numerator", "fractional-denominator",
+         "fractional-exponent", "bool", "string", "string-exponent"],
+)
+def test_from_json_rejects_non_integers(entry):
+    with pytest.raises(ValueError):
+        Polynomial.from_json(2, [entry])
+
+
+def test_from_json_accepts_whole_floats():
+    assert Polynomial.from_json(2, [[[1.0, 0], 4.0, 2.0]]) == a(1) * 2
+
+
 def test_polyt_trim_and_degree():
     assert PolyT((1, 0, 0)).coeffs == (1,)
     assert PolyT().degree() == -1

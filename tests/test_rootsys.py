@@ -123,19 +123,18 @@ def test_enumeration_graded_and_stable(a3):
     assert weyl_enumerate(a3) == elements
 
 
-def test_weyl_cap(a3):
+def test_weyl_cap():
+    a3 = root_system_from_label("A3", max_weyl=5)
     with pytest.raises(ResourceCapError):
-        weyl_enumerate(a3, max_size=5)
+        weyl_enumerate(a3)
 
 
 def test_weyl_cap_of_zero_is_a_cap():
-    # 0 must not fall back to the default cap, enumerated or memoised
-    a2 = root_system_from_label("A2")
-    with pytest.raises(ResourceCapError):
-        weyl_enumerate(a2, 0)
-    assert len(weyl_enumerate(a2)) == 6
-    with pytest.raises(ResourceCapError):
-        weyl_enumerate(a2, 0)
+    # 0 must not fall back to the default cap, on any call
+    a2 = build_root_system([[2, -1], [-1, 2]], max_weyl=0)
+    for _ in range(2):
+        with pytest.raises(ResourceCapError):
+            weyl_enumerate(a2)
 
 
 def test_simple_reflection_negates_own_root(a2):
