@@ -13,8 +13,10 @@ line and its row is recomputed, so a corrupt line costs time but never
 reads as a zero. Files of any other format are ignored and replaced by
 the next save that writes. A save whose memo holds only rows that
 ``load`` adopted leaves the file untouched; any other save keeps the
-lines of other root systems and rewrites the file atomically, each
-through a temp file of its own.
+row lines of other root systems and rewrites the file atomically, each
+through a temp file of its own. Both read the root system of a line
+from its ``{"rs":<key>,`` prefix, so neither parses the rows of other
+systems.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .rootsys import element_from_word
 FORMAT_VERSION = 3
 _FILENAME = "billey-cache.jsonl"
 _DIGEST_KEY = ',"digest":"'
+_ROW_START = '{"rs":'
 
 
 def root_system_key(rs):
@@ -61,6 +64,11 @@ def _signed_line(payload):
     return f'{text[:-1]}{_DIGEST_KEY}{_digest(text)}"}}'
 
 
+def _row_prefix(key):
+    """The text every row line of the root system ``key`` starts with."""
+    return f"{_ROW_START}{json.dumps(key)},"
+
+
 def _check_digest(line):
     head, key, tail = line.rpartition(_DIGEST_KEY)
     if not key or tail != _digest(head + "}") + '"}':
@@ -86,11 +94,15 @@ class BilleyDiskCache:
     def load(self, rs):
         """Adopt every valid row for this root system into its memo.
 
+        Lines of other root systems are skipped by their prefix, unparsed.
         Returns the number of restriction entries adopted.
         """
         key = root_system_key(rs)
+        prefix = _row_prefix(key)
         adopted = 0
         for line in self._lines():
+            if not line.startswith(prefix):
+                continue
             try:
                 entry = json.loads(line)
                 if entry.get("rs") != key:
@@ -120,12 +132,11 @@ class BilleyDiskCache:
         if all((key, w) in self._adopted for w, _ in rows):
             return
         out = [json.dumps({"format": FORMAT_VERSION})]
-        for line in self._lines():
-            try:
-                if json.loads(line).get("rs") != key:
-                    out.append(line)
-            except (ValueError, AttributeError):
-                continue
+        own = _row_prefix(key)
+        out.extend(
+            line for line in self._lines()
+            if line.startswith(_ROW_START) and not line.startswith(own)
+        )
         for w, row in sorted(rows, key=lambda item: item[0].sort_key()):
             entries = sorted(row.items(), key=lambda item: item[0].sort_key())
             out.append(

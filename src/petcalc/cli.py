@@ -193,10 +193,15 @@ def localized_class_from_json(rs, payload):
                 raise click.UsageError(
                     "class JSON carries a different Cartan matrix"
                 )
-        values = {
-            parse_element(rs, word): Polynomial.from_json(rs.rank, data)
-            for word, data in payload["values"].items()
-        }
+        values = {}
+        for word, data in payload["values"].items():
+            w = parse_element(rs, word)
+            if w in values:
+                raise ValueError(
+                    f"{word!r} names the fixed point {word_text(w)} "
+                    "a second time"
+                )
+            values[w] = Polynomial.from_json(rs.rank, data)
         return LocalizedClass(rs, values, whole_number(payload["degree"]))
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"malformed class JSON: {exc}") from exc
@@ -221,11 +226,15 @@ def _common_options(fn):
                      type=click.Choice(["text", "csv", "json"]),
                      default="text", help="Output format."),
         click.option("--cache", "cache_dir", default=None,
-                     help="Directory for the restriction disk cache."),
+                     help="Directory for the restriction disk cache "
+                          "(no effect on mult, peterson-mult, pullback and "
+                          "table --kind peterson)."),
         click.option("--jobs", type=int, default=1,
                      help="Accepted for compatibility; has no effect."),
         click.option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
-                     help="Abort if the Weyl group is larger than this."),
+                     help="Abort if a command walks more Weyl group "
+                          "elements than this (mult walks only those of "
+                          "length at most l(u)+l(v))."),
     ]
     for decorator in reversed(decorators):
         fn = decorator(fn)
@@ -462,12 +471,13 @@ def _cmd_verify(config, rs):
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
-def _reads_billey_rows(config):
-    """False for the Peterson jobs, which read no Billey row: loading the
-    disk cache for them is wasted work."""
+def _uses_disk_cache(config):
+    """False for the Peterson jobs, which read no Billey row, and for
+    ``mult``, whose rows on the short fixed points cost less to compute
+    than to load: the disk cache would be wasted work for them."""
     if config.command == "table":
         return config.params["kind"] == "schubert"
-    return config.command not in ("peterson-mult", "pullback")
+    return config.command not in ("mult", "peterson-mult", "pullback")
 
 
 def run(config):
@@ -475,8 +485,9 @@ def run(config):
     dispatch, and map resource exhaustion to exit code 3 and positivity
     violations (reported after the output) to exit code 1."""
     rs = _resolve_root_system(config)
-    cache = BilleyDiskCache(config.cache_dir) if config.cache_dir else None
-    if cache and _reads_billey_rows(config):
+    cache = None
+    if config.cache_dir and _uses_disk_cache(config):
+        cache = BilleyDiskCache(config.cache_dir)
         cache.load(rs)
     try:
         with warnings.catch_warnings(record=True) as caught:

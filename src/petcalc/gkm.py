@@ -258,10 +258,11 @@ def billey_restriction(rs, v, w, word=None):
     return Polynomial.zero(rs.rank) if poly is None else poly
 
 
-def _billey_column(rs, w):
-    # all fixed points where the Schubert class of w restricts nonzero
+def _billey_column(rs, w, fixed_points=None):
+    # the fixed points (all of W by default) where the Schubert class of
+    # w restricts nonzero
     col = []
-    for x in weyl_enumerate(rs):
+    for x in weyl_enumerate(rs) if fixed_points is None else fixed_points:
         poly = _fill_billey_row(rs, x).get(w)
         if poly is not None:
             col.append((x, poly))
@@ -351,21 +352,28 @@ def back_substitute(values, order, column, label):
     return coeffs
 
 
-def expand_in_schubert_basis(f):
+def expand_in_schubert_basis(f, fixed_points=None):
     """Coefficients d_w with f equal to the sum of d_w times the Schubert
     class of w.
 
     Works up the Bruhat order: Schubert classes are supported above
-    their index, so ``back_substitute`` applies with the Weyl group in
+    their index, so ``back_substitute`` applies with the fixed points in
     length order, the diagonal restriction of each class and its Billey
-    column.
+    column. ``fixed_points`` is the list to solve over, all of W by
+    default. A Bruhat lower set in ``weyl_enumerate`` order, such as
+    ``weyl_enumerate(rs, L)``, gives exactly the coefficients d_w of the
+    full solve for every w in it, since the system is triangular; a
+    value of f outside the list is left over as a residual, and raises
+    NotInSpan like any other.
     """
     rs = f.rs
+    if fixed_points is None:
+        fixed_points = weyl_enumerate(rs)
 
     def column(w):
-        return billey_restriction(rs, w, w), _billey_column(rs, w)
+        return billey_restriction(rs, w, w), _billey_column(rs, w, fixed_points)
 
-    return back_substitute(f.values, weyl_enumerate(rs), column, word_text)
+    return back_substitute(f.values, fixed_points, column, word_text)
 
 
 def _certify(u, v, w, c):
@@ -383,12 +391,23 @@ def _certify(u, v, w, c):
 def structure_constants(rs, u, v):
     """Expansion coefficients of the product of two Schubert classes.
 
+    Only the fixed points of length at most L = length(u) + length(v)
+    are used: a nonzero coefficient at w has length(w) <= L, and the
+    class of w vanishes at x unless w <= x, so those points form a closed
+    lower block of the triangular system and solving there gives the
+    coefficients of the full solve. The ``rs.max_weyl`` cap bounds that
+    block, not W.
+
     Each coefficient is checked against the simple-root positivity
     certificate; a failure raises a PositivityViolation warning rather
     than an exception, since the honest value is still returned.
     """
-    product = schubert_class(rs, u) * schubert_class(rs, v)
-    coeffs = expand_in_schubert_basis(product)
+    block = weyl_enumerate(rs, u.length + v.length)
+    xi_u, xi_v = (
+        LocalizedClass(rs, dict(_billey_column(rs, x, block)), x.length)
+        for x in (u, v)
+    )
+    coeffs = expand_in_schubert_basis(xi_u * xi_v, block)
     for w, c in coeffs.items():
         _certify(u, v, w, c)
     return coeffs

@@ -407,18 +407,25 @@ def is_type_a(rs):
     )
 
 
-def weyl_enumerate(rs):
-    """All Weyl group elements, graded by length then canonical word.
+def weyl_enumerate(rs, max_length=None):
+    """The Weyl group elements of length at most ``max_length`` (all of
+    W when None), graded by length then canonical word.
 
-    Raises ResourceCapError when the group is larger than ``rs.max_weyl``
-    (default 50,000, enough for A7), on every call. The full list is
-    cached on the root system after the first successful call.
+    A breadth-first walk by length that stops after level
+    ``max_length``. These elements form a Bruhat lower set. Raises
+    ResourceCapError when more than ``rs.max_weyl`` elements (default
+    50,000, enough for A7) are walked, on every call. Only the full list
+    is cached on the root system, after the first walk that reaches the
+    longest element; a bounded call reads its prefix.
     """
     cap = rs.max_weyl
-    if rs._weyl_list is None:
+    elements = rs._weyl_list
+    if elements is None:
         seen = {rs.identity()}
         level = [rs.identity()]
-        while level and len(seen) <= cap:
+        depth = 0
+        while level and len(seen) <= cap and (max_length is None
+                                              or depth < max_length):
             nxt = set()
             for w in level:
                 for i in range(1, rs.rank + 1):
@@ -428,13 +435,19 @@ def weyl_enumerate(rs):
                             nxt.add(ws)
             seen.update(nxt)
             level = list(nxt)
+            depth += 1
         if len(seen) <= cap:
-            rs._weyl_list = sorted(seen, key=WeylElt.sort_key)
-    if rs._weyl_list is None or len(rs._weyl_list) > cap:
+            elements = sorted(seen, key=WeylElt.sort_key)
+            if not level:
+                rs._weyl_list = elements
+    elif max_length is not None:
+        elements = [w for w in elements if w.length <= max_length]
+    if elements is None or len(elements) > cap:
+        scope = "" if max_length is None else f" up to length {max_length}"
         raise ResourceCapError(
-            f"Weyl group larger than the cap of {cap} elements"
+            f"Weyl group{scope} larger than the cap of {cap} elements"
         )
-    return rs._weyl_list
+    return elements
 
 
 def act_on_root(w, root):

@@ -6,7 +6,16 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from petcalc import gkm, peterson, root_system_from_label
+import oracles
+from petcalc import (
+    Polynomial,
+    element_from_word,
+    gkm,
+    one_line,
+    peterson,
+    root_system_from_label,
+)
+from petcalc import cache as cache_module
 from petcalc.cache import BilleyDiskCache, _signed_line
 from petcalc.cli import main
 from petcalc.peterson import PetersonExpansion
@@ -176,6 +185,24 @@ def test_expand_rejects_fractional_numbers(runner, tmp_path, payload):
     assert errors[0].startswith("Error: malformed class JSON: ")
 
 
+def test_expand_rejects_a_fixed_point_named_twice(runner, tmp_path):
+    # s1 s2 s1 and s2 s1 s2 are one element of A2: a wrong value under the
+    # first name must not be overwritten by the right one under the second
+    values = {w: terms for w, terms in _A2_CLASS_OF_S1.items()
+              if w != "s1 s2 s1"}
+    values["s1 s2 s1"] = [[[0, 1], 5, 1], [[1, 0], 5, 1]]
+    values["s2 s1 s2"] = _A2_CLASS_OF_S1["s1 s2 s1"]
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"type": "A2", "degree": 1, "values": values}))
+    result = runner.invoke(main, ["expand", "A2", "--values", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: malformed class JSON: ")
+
+
 @pytest.mark.parametrize(
     "cartan, message",
     [
@@ -293,6 +320,48 @@ def test_peterson_mult_needs_no_weyl_group(runner, cap):
     assert result.stderr == ""
 
 
+MULT_123_321 = ["--u", "1 2 3", "--v", "3 2 1"]
+
+
+def test_mult_cap_counts_the_fixed_points_it_walks(runner):
+    # l(u) + l(v) = 6, and A5 has 259 elements of length at most 6
+    args = ["mult", "A5", *MULT_123_321, "--out", "json", "--max-weyl"]
+    capped = runner.invoke(main, [*args, "258"])
+    assert capped.exit_code == 3
+    assert capped.stdout == ""
+    assert len(capped.stderr.splitlines()) == 1
+    assert capped.stderr.startswith("resource cap: ")
+    result = invoke(runner, [*args, "259"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "8a0b1f3a23877760055e93e02c13db338585eba973830c87e7fb00e7d9e27e69"
+    )
+    a5 = root_system_from_label("A5")
+    got = {
+        one_line(element_from_word(a5, [int(s[1:]) for s in label.split()])):
+        oracles.roots_in_y(Polynomial.from_json(a5.rank, data), 6)
+        for label, data in json.loads(result.stdout)["coefficients"].items()
+    }
+    u, v = (one_line(element_from_word(a5, word))
+            for word in ((1, 2, 3), (3, 2, 1)))
+    zero = Polynomial.zero(6)
+    for w, expected in oracles.double_structure_constants(u, v).items():
+        assert got.get(w, zero) == expected
+
+
+def test_mult_walks_only_short_elements_of_e6_and_e7(runner):
+    # |W(E6)| = 51,840 is above the default cap; E6 sits in E7 as a
+    # parabolic subsystem with the same numbering, so the products agree
+    outputs = []
+    for label in ("E6", "E7"):
+        result = invoke(runner, ["mult", label, *MULT_123_321])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] != ""
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_max_weyl_below_one_is_a_usage_error(runner, cap):
     result = runner.invoke(
@@ -313,23 +382,32 @@ def _refuse_load(self, rs):
     raise _LoadReached
 
 
+def _refuse_save(self, rs):
+    raise AssertionError("the cache was saved")
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ["peterson-mult", "D4", "--I", "1", "--J", "2"],
         ["pullback", "D4", "--w", "2 1 3 2 1 4 2 1"],
         ["table", "A2", "--kind", "peterson"],
+        ["mult", "D4", "--u", "1 2 4", "--v", "3 4"],
     ],
-    ids=["peterson-mult", "pullback", "table-peterson"],
+    ids=["peterson-mult", "pullback", "table-peterson", "mult"],
 )
 def test_peterson_jobs_do_not_load_the_cache(runner, tmp_path, monkeypatch,
                                              args):
+    # mult reads Billey rows, but only on the short fixed points: cheaper
+    # to compute than to load from a cache of whole-W rows
     cache = tmp_path / "cache"
     expected = invoke(runner, args).stdout
     monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
+    monkeypatch.setattr(BilleyDiskCache, "save", _refuse_save)
     result = invoke(runner, [*args, "--cache", str(cache)])
     assert result.exit_code == 0
     assert result.stdout == expected
+    assert not cache.exists()
 
 
 def test_schubert_jobs_still_load_the_cache(runner, tmp_path, monkeypatch):
@@ -535,6 +613,33 @@ def test_clean_cache_is_not_rewritten(runner, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (
         before.st_ino, before.st_mtime_ns
     )
+
+
+def test_cache_parses_only_the_rows_of_its_root_system(runner, tmp_path,
+                                                      monkeypatch):
+    cache = tmp_path / "cache"
+    args = ["--cache", str(cache)]
+    invoke(runner, ["restrict", "B3", "--class", "e", "--at", "e", *args])
+    invoke(runner, [*RESTRICT_231_AT_321, *args])
+    lines = (cache / "billey-cache.jsonl").read_text().splitlines()
+    own = [line for line in lines if line.startswith('{"rs":"A2",')]
+    assert own and len(own) < len(lines) - 1
+    parsed = []
+    loads = cache_module.json.loads
+    monkeypatch.setattr(cache_module.json, "loads",
+                        lambda text: parsed.append(text) or loads(text))
+    rs = root_system_from_label("A2")
+    store = BilleyDiskCache(cache)
+    assert store.load(rs) > 0
+    assert parsed == [lines[0], *own]
+    gkm.billey_restriction(rs, rs.identity(), rs.simple_reflection(1))
+    parsed.clear()
+    store.save(rs)  # a new row, so the file is rewritten
+    assert parsed == [lines[0]]
+    kept = (cache / "billey-cache.jsonl").read_text().splitlines()
+    assert [line for line in kept if line.startswith('{"rs":"B3",')] == [
+        line for line in lines if line.startswith('{"rs":"B3",')
+    ]
 
 
 def _cached_row_lines(cache):

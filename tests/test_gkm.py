@@ -349,6 +349,33 @@ def test_structure_table_matches_per_pair_on_sampled_pairs(label):
                              rng.choice(elements))
 
 
+def _assert_block_solve_matches_full_solve(rs, u, v):
+    # structure_constants solves on the fixed points of length at most
+    # l(u) + l(v); the full solve runs over all of W
+    full = expand_in_schubert_basis(schubert_class(rs, u) * schubert_class(rs, v))
+    assert structure_constants(rs, u, v) == full
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "B2", "G2", *_REDUCIBLE]
+)
+def test_block_solve_matches_full_solve(name):
+    rs = _system(name)
+    for u in weyl_enumerate(rs):
+        for v in weyl_enumerate(rs):
+            _assert_block_solve_matches_full_solve(rs, u, v)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "D4"])
+def test_block_solve_matches_full_solve_on_sampled_pairs(label):
+    rs = root_system_from_label(label)
+    elements = weyl_enumerate(rs)
+    rng = random.Random(label)
+    for _ in range(40):
+        _assert_block_solve_matches_full_solve(rs, rng.choice(elements),
+                                               rng.choice(elements))
+
+
 @pytest.mark.parametrize("label", ["A2", "A3"])
 def test_structure_table_matches_double_schubert_polynomials(label):
     # independent of the localization code: coefficients of products of

@@ -137,6 +137,30 @@ def test_weyl_cap_of_zero_is_a_cap():
             weyl_enumerate(a2)
 
 
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_bounded_enumeration_is_a_prefix_of_the_full_list(label):
+    rs = root_system_from_label(label)
+    walked = [weyl_enumerate(rs, n) for n in range(12)]  # walks, then memo
+    elements = weyl_enumerate(rs)
+    for n, bounded in enumerate(walked):
+        prefix = [w for w in elements if w.length <= n]
+        assert bounded == prefix == weyl_enumerate(rs, n)
+
+
+def test_weyl_cap_counts_the_elements_walked():
+    # A5 has 720 elements, 259 of them of length at most 6
+    for cap, raises in ((258, True), (259, False)):
+        a5 = root_system_from_label("A5", max_weyl=cap)
+        for _ in range(2):
+            if raises:
+                with pytest.raises(ResourceCapError, match="up to length 6"):
+                    weyl_enumerate(a5, 6)
+            else:
+                assert len(weyl_enumerate(a5, 6)) == 259
+        with pytest.raises(ResourceCapError):
+            weyl_enumerate(a5)
+
+
 def test_simple_reflection_negates_own_root(a2):
     s1 = a2.simple_reflection(1)
     alpha1 = a2.simple_roots[0]
