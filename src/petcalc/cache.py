@@ -14,9 +14,9 @@ reads as a zero. Files of any other format are ignored and replaced by
 the next save that writes. A save whose memo holds only rows that
 ``load`` adopted leaves the file untouched; any other save keeps the
 row lines of other root systems and rewrites the file atomically, each
-through a temp file of its own. Both read the root system of a line
-from its ``{"rs":<key>,`` prefix, so neither parses the rows of other
-systems.
+through a temp file of its own. Both read the file a line at a time,
+and the root system of a line from its ``{"rs":<key>,`` prefix, so
+neither holds the file whole nor parses the rows of other systems.
 """
 
 from __future__ import annotations
@@ -82,14 +82,15 @@ class BilleyDiskCache:
         self._adopted = set()  # (root system key, w) of every loaded row
 
     def _lines(self):
-        """The lines after the header of a current-format file, else []."""
+        """The lines after the header of a current-format file, one at a
+        time without their newline; none for a missing or other file."""
         try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-            if lines and json.loads(lines[0]).get("format") == FORMAT_VERSION:
-                return lines[1:]
+            with self.path.open(encoding="utf-8") as handle:
+                lines = (line.rstrip("\n") for line in handle)
+                if json.loads(next(lines, "")).get("format") == FORMAT_VERSION:
+                    yield from lines
         except (OSError, ValueError, AttributeError):
-            pass
-        return []
+            return
 
     def load(self, rs):
         """Adopt every valid row for this root system into its memo.
@@ -131,24 +132,7 @@ class BilleyDiskCache:
         rows = billey_rows(rs)
         if all((key, w) in self._adopted for w, _ in rows):
             return
-        out = [json.dumps({"format": FORMAT_VERSION})]
         own = _row_prefix(key)
-        out.extend(
-            line for line in self._lines()
-            if line.startswith(_ROW_START) and not line.startswith(own)
-        )
-        for w, row in sorted(rows, key=lambda item: item[0].sort_key()):
-            entries = sorted(row.items(), key=lambda item: item[0].sort_key())
-            out.append(
-                _signed_line(
-                    {
-                        "rs": key,
-                        "w": list(w.word),
-                        "row": [[list(v.word), poly.to_json()]
-                                for v, poly in entries],
-                    }
-                )
-            )
         self.directory.mkdir(parents=True, exist_ok=True)
         # a temp file of its own, so concurrent writers cannot clobber it
         fd, tmp = tempfile.mkstemp(
@@ -156,7 +140,19 @@ class BilleyDiskCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(out) + "\n")
+                handle.write(json.dumps({"format": FORMAT_VERSION}) + "\n")
+                for line in self._lines():
+                    if line.startswith(_ROW_START) and not line.startswith(own):
+                        handle.write(line + "\n")
+                for w, row in sorted(rows, key=lambda item: item[0].sort_key()):
+                    entries = sorted(row.items(),
+                                     key=lambda item: item[0].sort_key())
+                    handle.write(_signed_line({
+                        "rs": key,
+                        "w": list(w.word),
+                        "row": [[list(v.word), poly.to_json()]
+                                for v, poly in entries],
+                    }) + "\n")
             os.replace(tmp, self.path)
         except BaseException:
             with contextlib.suppress(OSError):

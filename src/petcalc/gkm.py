@@ -21,7 +21,13 @@ from .poly import (
     divide_exact,
     is_graham_positive,
 )
-from .rootsys import bruhat_leq, element_from_word, weyl_enumerate, word_text
+from .rootsys import (
+    ResourceCapError,
+    bruhat_leq,
+    element_from_word,
+    weyl_enumerate,
+    word_text,
+)
 
 
 class NotInSpan(ArithmeticError):
@@ -158,8 +164,46 @@ class LocalizedClass:
         return payload
 
 
+def _billey_step(rs, states, prefix, letter, weight, targets=None,
+                 max_length=None):
+    """One letter of the subword sum: the sums along a word of ``prefix``
+    extended by ``letter``, as a new map sharing the unchanged values.
+
+    The chosen letter weighs ``weight(prefix(alpha_letter))``. ``targets``
+    keeps only weak-order prefixes of one element (see ``_billey_dp``),
+    and ``max_length`` drops every u longer than it. Raises
+    ResourceCapError when the map outgrows ``rs.max_weyl``.
+    """
+    index = rs.simple_index(letter)
+    s = rs.simple_reflection(letter)
+    wt = weight(rs.positive_roots[prefix.perm[index] - 1])
+    if max_length is None:
+        out = dict(states)
+    else:
+        out = {u: acc for u, acc in states.items() if u.length <= max_length}
+    for u, acc in states.items():
+        # u s is longer than u iff u sends the simple root positive; that
+        # image is the one root (u s)^-1 sends negative and u^-1 does not
+        image = u.perm[index]
+        if image < 0 or (targets is not None and image not in targets):
+            continue
+        if max_length is not None and u.length >= max_length:
+            continue
+        u2 = u * s
+        add = acc * wt
+        cur = out.get(u2)
+        out[u2] = add if cur is None else cur + add
+    if len(out) > rs.max_weyl:
+        raise ResourceCapError(
+            f"Billey sum at an element of length {prefix.length + 1} holds "
+            f"more than the cap of {rs.max_weyl} Weyl group elements"
+        )
+    return out
+
+
 def _billey_dp(rs, word, weight, unit, keep=None):
-    """Run the subword sum along a reduced word.
+    """Run the subword sum along a reduced word, one ``_billey_step`` a
+    letter.
 
     Returns the map u -> sum over subsequences of the word that multiply
     to u (necessarily reduced) of the product of the weights of the
@@ -170,33 +214,16 @@ def _billey_dp(rs, word, weight, unit, keep=None):
     height. ``keep`` restricts the state space to weak-order prefixes of
     one target element.
     """
-    weights = []
-    prefix = rs.identity()
-    for letter in word:
-        signed = prefix.perm[rs.simple_index(letter)]
-        weights.append(weight(rs.positive_roots[signed - 1]))
-        prefix = prefix * rs.simple_reflection(letter)
+    targets = None
     if keep is not None:
         # u is a prefix of keep iff every positive root that u^-1 sends
         # negative is one that keep^-1 sends negative
         targets = {k + 1 for k, v in enumerate(keep.inverse().perm) if v < 0}
-
     states = {rs.identity(): unit}
-    for letter, wt in zip(word, weights):
-        index = rs.simple_index(letter)
-        s = rs.simple_reflection(letter)
-        additions = []
-        for u, acc in states.items():
-            # u s is longer than u iff u sends the simple root positive;
-            # that image is the one root (u s)^-1 sends negative and u^-1
-            # does not
-            image = u.perm[index]
-            if image < 0 or (keep is not None and image not in targets):
-                continue
-            additions.append((u * s, acc * wt))
-        for u2, add in additions:
-            cur = states.get(u2)
-            states[u2] = add if cur is None else cur + add
+    prefix = rs.identity()
+    for letter in word:
+        states = _billey_step(rs, states, prefix, letter, weight, targets)
+        prefix = prefix * rs.simple_reflection(letter)
     return states
 
 
@@ -205,15 +232,35 @@ def _root_form(rank):
     return lambda root: Polynomial.linear_form(rank, root.coeffs)
 
 
+def _parent(w):
+    """(w s, s) for the last letter s of the canonical word of w; the
+    canonical word of w s is that word without its last letter, since a
+    prefix of a lexicographically smallest reduced word is one too."""
+    letter = w.word[-1]
+    return w * w.rs.simple_reflection(letter), letter
+
+
 def _fill_billey_row(rs, w):
     """``billey_row(rs, w)``, computed whole and memoised on ``rs._billey``
-    (so a row in the memo is complete)."""
+    (so a row in the memo is complete).
+
+    When the memo holds the row of the parent w s (s the last letter of
+    ``w.word``) the row is one ``_billey_step`` from it, sharing its
+    restrictions; otherwise it is the subword sum along the whole word.
+    Filling rows in ``weyl_enumerate`` order therefore costs one step a
+    fixed point. Restrictions are sums of products of positive roots, so
+    none is zero and the row needs no pruning.
+    """
     row = rs._billey.get(w)
     if row is None:
-        states = _billey_dp(
-            rs, w.word, _root_form(rs.rank), Polynomial.one(rs.rank)
-        )
-        row = rs._billey[w] = {u: poly for u, poly in states.items() if poly}
+        form = _root_form(rs.rank)
+        parent, letter = _parent(w) if w.length else (None, None)
+        prev = rs._billey.get(parent)
+        if prev is not None:
+            row = _billey_step(rs, prev, parent, letter, form)
+        else:
+            row = _billey_dp(rs, w.word, form, Polynomial.one(rs.rank))
+        rs._billey[w] = row
     return row
 
 
@@ -247,8 +294,7 @@ def billey_row(rs, w, word=None):
     word = tuple(int(i) for i in word)
     if len(word) != w.length or element_from_word(rs, word) != w:
         raise ValueError(f"{word} is not a reduced word for {w!r}")
-    states = _billey_dp(rs, word, _root_form(rs.rank), Polynomial.one(rs.rank))
-    return {u: poly for u, poly in states.items() if poly}
+    return _billey_dp(rs, word, _root_form(rs.rank), Polynomial.one(rs.rank))
 
 
 def billey_restriction(rs, v, w, word=None):
@@ -365,13 +411,48 @@ def expand_in_schubert_basis(f, fixed_points=None):
     full solve for every w in it, since the system is triangular; a
     value of f outside the list is left over as a residual, and raises
     NotInSpan like any other.
+
+    A coefficient d_w has degree ``f.degree`` - length(w), so only the
+    classes of length at most the degree d can carry one, and the
+    columns are read from rows cut to those classes. The row at x comes
+    whole from the memo when the memo has it or length(x) <= d; otherwise
+    it is one cut ``_billey_step`` from the row of its parent, and stays
+    out of the memo. The residual is still checked at every fixed point:
+    a residual at w longer than d fails the division by the diagonal
+    restriction ``billey_restriction(rs, w, w)``, whose degree is larger.
     """
     rs = f.rs
     if fixed_points is None:
         fixed_points = weyl_enumerate(rs)
+    degree = f.degree
+    form = _root_form(rs.rank)
+    cut = {}  # x -> row at x cut to classes of length at most degree
+    columns = None  # v -> [(x, restriction of the class of v at x)]
+
+    def row(x):
+        whole = rs._billey.get(x)
+        if whole is not None or x.length <= degree:
+            return whole or _fill_billey_row(rs, x)
+        got = cut.get(x)
+        if got is None:
+            parent, letter = _parent(x)
+            got = cut[x] = _billey_step(
+                rs, row(parent), parent, letter, form, max_length=degree
+            )
+        return got
 
     def column(w):
-        return billey_restriction(rs, w, w), _billey_column(rs, w, fixed_points)
+        nonlocal columns
+        diagonal = billey_restriction(rs, w, w)
+        if w.length > degree:
+            return diagonal, ()  # of larger degree than the residual
+        if columns is None:
+            columns = {}
+            for x in fixed_points:
+                for v, poly in row(x).items():
+                    if v.length <= degree:
+                        columns.setdefault(v, []).append((x, poly))
+        return diagonal, columns.get(w, ())
 
     return back_substitute(f.values, fixed_points, column, word_text)
 

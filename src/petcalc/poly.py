@@ -10,6 +10,7 @@ exact; no floating point enters anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -185,7 +186,7 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 cur = terms.get(exps)
                 if cur is None:
                     terms[exps] = c1 * c2

@@ -189,7 +189,8 @@ class RootSystem:
     then lexicographic on coordinates, so all derived enumerations are
     reproducible byte for byte. The object is immutable apart from
     internal memo tables. ``max_weyl`` caps the Weyl group for
-    ``weyl_enumerate`` (None means ``DEFAULT_MAX_WEYL``; 0 is a cap).
+    ``weyl_enumerate`` and the states of every Billey subword sum (None
+    means ``DEFAULT_MAX_WEYL``; 0 is a cap).
     """
 
     def __init__(self, cartan, type_label=None, max_positive_roots=None,

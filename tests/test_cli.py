@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from petcalc import (
     one_line,
     peterson,
     root_system_from_label,
+    weyl_enumerate,
 )
 from petcalc import cache as cache_module
 from petcalc.cache import BilleyDiskCache, _signed_line
@@ -374,6 +376,30 @@ def test_max_weyl_below_one_is_a_usage_error(runner, cap):
     assert errors == ["Error: --max-weyl must be at least 1"]
 
 
+def _b3_longest_word():
+    b3 = root_system_from_label("B3")
+    return " ".join(str(i) for i in weyl_enumerate(b3)[-1].word)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["pullback", "B3", "--w"], ["restrict", "B3", "--class", "e", "--at"]],
+    ids=["pullback", "restrict"],
+)
+def test_billey_sum_counts_its_states_against_the_cap(runner, args):
+    # both walk every element below w_0, and B3 has 48 of them
+    args = [*args, _b3_longest_word(), "--max-weyl"]
+    for cap in ("10", "47"):
+        capped = runner.invoke(main, [*args, cap])
+        assert capped.exit_code == 3
+        assert capped.stdout == ""
+        assert len(capped.stderr.splitlines()) == 1
+        assert capped.stderr.startswith("resource cap: Billey sum at ")
+    result = invoke(runner, [*args, "48"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+
+
 class _LoadReached(Exception):
     pass
 
@@ -640,6 +666,32 @@ def test_cache_parses_only_the_rows_of_its_root_system(runner, tmp_path,
     assert [line for line in kept if line.startswith('{"rs":"B3",')] == [
         line for line in lines if line.startswith('{"rs":"B3",')
     ]
+
+
+def test_cache_streams_the_lines_of_other_root_systems(tmp_path):
+    # 2.4 MB of D4 lines: skipped by load and copied by save a line at a
+    # time, never held whole
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    other = '{"rs":"D4","w":[%d],"row":"' + "x" * 1000 + '"}\n'
+    with open(cache / "billey-cache.jsonl", "w", encoding="utf-8") as handle:
+        handle.write('{"format": 3}\n')
+        for k in range(2400):
+            handle.write(other % k)
+    rs = root_system_from_label("A2")
+    store = BilleyDiskCache(cache)
+    gkm.billey_restriction(rs, rs.identity(), rs.simple_reflection(1))
+    tracemalloc.start()
+    try:
+        assert store.load(rs) == 0
+        store.save(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    lines = (cache / "billey-cache.jsonl").read_text().splitlines()
+    assert lines[1:2401] == [(other % k).rstrip() for k in range(2400)]
+    assert [line[:19] for line in lines[2401:]] == ['{"rs":"A2","w":[1],']
 
 
 def _cached_row_lines(cache):

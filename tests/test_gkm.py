@@ -499,3 +499,104 @@ def test_localized_class_json_round_trip(a2):
     assert payload["type"] == "A2"
     rebuilt = localized_class_from_json(a2, payload)
     assert rebuilt == cls
+
+
+def _other_word(w):
+    # a reduced word of w other than its canonical one, where there is one
+    return reduced_words(w)[-1]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A1xG2"])
+def test_stepped_and_cut_rows_match_billey_row(name):
+    rs = _system(name)
+    elements = weyl_enumerate(rs)
+    form = gkm._root_form(rs.rank)
+    expected = {w: gkm.billey_row(rs, w, _other_word(w)) for w in elements}
+    assert not rs._billey
+    for w in elements:  # in order, so every row but e is one step
+        assert gkm._fill_billey_row(rs, w) == expected[w]
+    for cut in range(elements[-1].length + 1):
+        rows = {rs.identity(): {rs.identity(): Polynomial.one(rs.rank)}}
+        for w in elements[1:]:
+            parent, letter = gkm._parent(w)
+            want = {v: p for v, p in expected[w].items() if v.length <= cut}
+            rows[w] = gkm._billey_step(rs, rows[parent], parent, letter, form,
+                                       max_length=cut)
+            assert rows[w] == want
+            # a cut step from the whole parent row gives the same cut row
+            assert gkm._billey_step(rs, rs._billey[parent], parent, letter,
+                                    form, max_length=cut) == want
+
+
+def _on_fresh_system(f):
+    # the same class on a copy of its root system with an empty memo
+    rs = build_root_system(f.rs.cartan, type_label=f.rs.type_label)
+    return LocalizedClass(
+        rs, {rs.element(w.perm): p for w, p in f.values.items()}, f.degree
+    )
+
+
+def _by_perm(coeffs):
+    return {w.perm: c for w, c in coeffs.items()}
+
+
+@pytest.mark.parametrize("name,u,v", [
+    ("B3", (1, 2, 3), (2, 3)),
+    ("B3", (3, 2), (3, 2, 1)),
+    ("G2", (2, 1), (1, 2, 1)),
+    ("A1xG2", (1, 2), (3, 2)),
+    ("A3", (2,), (1, 3, 2)),
+])
+def test_expand_is_the_same_on_a_cold_and_a_warm_memo(name, u, v):
+    warm = _system(name)
+    u, v = (element_from_word(warm, word) for word in (u, v))
+    product = schubert_class(warm, u) * schubert_class(warm, v)
+    assert len(warm._billey) == len(weyl_enumerate(warm))
+    cold = _on_fresh_system(product)
+    got = _by_perm(expand_in_schubert_basis(cold))
+    assert got == _by_perm(expand_in_schubert_basis(product))
+    assert got == _by_perm(structure_constants(warm, u, v))
+    # cut rows stay out of the memo
+    assert cold.rs._billey
+    assert all(x.length <= product.degree for x in cold.rs._billey)
+
+
+def _perturbed(rs, u, x):
+    # the class of u plus a1^length(u) at the fixed point x
+    f = schubert_class(rs, u)
+    bump = Polynomial.variable(rs.rank, 1) ** u.length
+    values = dict(f.values)
+    values[x] = f.value(x) + bump
+    return LocalizedClass(rs, values, f.degree), bump
+
+
+@pytest.mark.parametrize("name", ["B3", "A1xG2"])
+def test_non_gkm_residual_above_the_degree_still_raises(name):
+    # a residual at x longer than the degree fails its division by the
+    # diagonal restriction at x, on a cold memo as on a warm one
+    rs = _system(name)
+    elements = weyl_enumerate(rs)
+    u = elements[3]
+    for x in (elements[-1], next(y for y in elements if y.length > u.length)):
+        f, bump = _perturbed(rs, u, x)
+        for g in (f, _on_fresh_system(f)):
+            with pytest.raises(NotInSpan) as caught:
+                expand_in_schubert_basis(g)
+            assert str(caught.value) == (
+                f"residual at {gkm.word_text(x)} is not a multiple of the "
+                "diagonal restriction; the input is not in the span"
+            )
+            assert caught.value.element.perm == x.perm
+            assert caught.value.remainder == bump
+
+
+def test_non_gkm_residual_outside_the_fixed_points_survives(a3):
+    elements = weyl_enumerate(a3)
+    u = elements[2]
+    x = elements[-1]
+    f, bump = _perturbed(a3, u, x)
+    g = _on_fresh_system(f)
+    with pytest.raises(NotInSpan, match="nonzero residual survived") as caught:
+        expand_in_schubert_basis(g, weyl_enumerate(g.rs, x.length - 1))
+    assert caught.value.element.perm == x.perm
+    assert caught.value.remainder == f.value(x)
