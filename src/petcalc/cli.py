@@ -8,15 +8,14 @@ deterministic for a given job, independent of cache state.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
 from itertools import islice
-
-import click
 
 from .cache import BilleyDiskCache
 from .gkm import (
@@ -50,29 +49,44 @@ from .rootsys import (
 from .verify import SUITES, Unsupported, run_suite
 
 EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
+class UsageError(Exception):
+    """A bad command line or input file: exit 2 under a usage banner."""
+
+
 class JobConfig:
-    command: str
-    root_label: str | None = None
-    cartan_path: str | None = None
-    out_format: str = "text"
-    cache_dir: str | None = None
-    max_weyl: int = DEFAULT_MAX_WEYL
-    params: dict = field(default_factory=dict)
+    """One parsed command line: the command, its root system, its output
+    format and cache, and the command's own options in ``params``."""
+
+    def __init__(self, command, root_system, type_label, cartan_path,
+                 out_format, cache_dir, jobs, max_weyl, **params):
+        if root_system and type_label and root_system != type_label:
+            raise UsageError("positional root system and --type disagree")
+        if jobs < 1:
+            raise UsageError("--jobs must be at least 1")
+        if max_weyl < 1:
+            raise UsageError("--max-weyl must be at least 1")
+        self.command = command
+        self.root_label = root_system or type_label
+        self.cartan_path = cartan_path
+        self.out_format = out_format
+        self.cache_dir = cache_dir
+        self.max_weyl = max_weyl
+        self.params = params
 
 
 def _resolve_root_system(config):
     if config.root_label and config.cartan_path:
-        raise click.UsageError("give either a type label or --cartan, not both")
+        raise UsageError("give either a type label or --cartan, not both")
     try:
         if config.cartan_path:
             with open(config.cartan_path, encoding="utf-8") as handle:
                 payload = json.load(handle)
             if not isinstance(payload, dict) or "cartan" not in payload:
-                raise click.UsageError(
+                raise UsageError(
                     f'{config.cartan_path} must be JSON of the form '
                     '{"cartan": [[2,-1],[-1,2]]}'
                 )
@@ -82,10 +96,10 @@ def _resolve_root_system(config):
             return root_system_from_label(config.root_label,
                                           max_weyl=config.max_weyl)
     except CartanError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read Cartan file: {exc}") from exc
-    raise click.UsageError("specify a root system (label, --type or --cartan)")
+        raise UsageError(f"cannot read Cartan file: {exc}") from exc
+    raise UsageError("specify a root system (label, --type or --cartan)")
 
 
 def parse_element(rs, spec):
@@ -102,8 +116,8 @@ def parse_element(rs, spec):
             try:
                 return element_from_one_line(rs, [int(ch) for ch in token])
             except ValueError as exc:
-                raise click.UsageError(str(exc)) from exc
-        raise click.UsageError(
+                raise UsageError(str(exc)) from exc
+        raise UsageError(
             f"cannot parse element {spec!r}: use one-line notation with "
             f"{rs.rank + 1} digits (type A) or a word like 's1 s2 s1'"
         )
@@ -115,10 +129,10 @@ def _word_element(rs, tokens):
     for token in tokens:
         token = token.lower().lstrip("s")
         if not token.isdigit():
-            raise click.UsageError(f"bad word letter {token!r}")
+            raise UsageError(f"bad word letter {token!r}")
         letters.append(int(token))
     if any(not 1 <= i <= rs.rank for i in letters):
-        raise click.UsageError(
+        raise UsageError(
             f"word letters must lie in 1..{rs.rank}"
         )
     return element_from_word(rs, letters)
@@ -131,9 +145,9 @@ def parse_subset(rs, spec):
     try:
         members = frozenset(int(tok) for tok in spec.split(",") if tok.strip())
     except ValueError as exc:
-        raise click.UsageError(f"bad subset {spec!r}: {exc}") from exc
+        raise UsageError(f"bad subset {spec!r}: {exc}") from exc
     if not members <= frozenset(range(1, rs.rank + 1)):
-        raise click.UsageError(
+        raise UsageError(
             f"subset {spec!r} is not within 1..{rs.rank}"
         )
     return members
@@ -180,17 +194,17 @@ def _emit_expansion(config, fixed_labels, key_column, label, ordered_pairs):
 
 def localized_class_from_json(rs, payload):
     if not isinstance(payload, dict) or not {"values", "degree"} <= set(payload):
-        raise click.UsageError(
+        raise UsageError(
             'class JSON needs "degree" and "values" fields'
         )
     if payload.get("type") and rs.type_label and payload["type"] != rs.type_label:
-        raise click.UsageError(
+        raise UsageError(
             f'class JSON is for {payload["type"]}, not {rs.type_label}'
         )
     try:
         if "cartan" in payload:
             if _validate_cartan(payload["cartan"]) != rs.cartan:
-                raise click.UsageError(
+                raise UsageError(
                     "class JSON carries a different Cartan matrix"
                 )
         values = {}
@@ -204,62 +218,35 @@ def localized_class_from_json(rs, payload):
             values[w] = Polynomial.from_json(rs.rank, data)
         return LocalizedClass(rs, values, whole_number(payload["degree"]))
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"malformed class JSON: {exc}") from exc
+        raise UsageError(f"malformed class JSON: {exc}") from exc
 
 
 # -- commands ------------------------------------------------------------
 
 
-@click.group()
-def main():
-    """Exact equivariant Schubert and Peterson Schubert calculus."""
+def _option(*flags, **settings):
+    """One option: the arguments of an ``add_argument`` call."""
+    return flags, settings
 
 
-def _common_options(fn):
-    decorators = [
-        click.argument("root_system", required=False),
-        click.option("--type", "type_label", default=None,
-                     help="Root system label such as A3 or B2."),
-        click.option("--cartan", "cartan_path", default=None,
-                     help='JSON file {"cartan": [[...]]} with a Cartan matrix.'),
-        click.option("--out", "out_format",
-                     type=click.Choice(["text", "csv", "json"]),
-                     default="text", help="Output format."),
-        click.option("--cache", "cache_dir", default=None,
-                     help="Directory for the restriction disk cache "
-                          "(no effect on mult, peterson-mult, pullback and "
-                          "table --kind peterson)."),
-        click.option("--jobs", type=int, default=1,
-                     help="Accepted for compatibility; has no effect."),
-        click.option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
-                     help="Abort if a command walks more Weyl group "
-                          "elements than this (mult walks only those of "
-                          "length at most l(u)+l(v))."),
-    ]
-    for decorator in reversed(decorators):
-        fn = decorator(fn)
-    return fn
-
-
-def _make_config(command, root_system, type_label, cartan_path, out_format,
-                 cache_dir, jobs, max_weyl, **params):
-    if root_system and type_label and root_system != type_label:
-        raise click.UsageError(
-            "positional root system and --type disagree"
-        )
-    if jobs < 1:
-        raise click.UsageError("--jobs must be at least 1")
-    if max_weyl < 1:
-        raise click.UsageError("--max-weyl must be at least 1")
-    return JobConfig(
-        command=command,
-        root_label=root_system or type_label,
-        cartan_path=cartan_path,
-        out_format=out_format,
-        cache_dir=cache_dir,
-        max_weyl=max_weyl,
-        params=params,
-    )
+_COMMON_OPTIONS = (
+    _option("root_system", nargs="?", metavar="ROOT_SYSTEM",
+            help="Root system label such as A3 or B2."),
+    _option("--type", dest="type_label",
+            help="Root system label such as A3 or B2."),
+    _option("--cartan", dest="cartan_path",
+            help='JSON file {"cartan": [[...]]} with a Cartan matrix.'),
+    _option("--out", dest="out_format", choices=("text", "csv", "json"),
+            default="text", help="Output format."),
+    _option("--cache", dest="cache_dir",
+            help="Directory for the restriction disk cache (no effect on "
+                 "mult, peterson-mult, pullback and table --kind peterson)."),
+    _option("--jobs", type=int, default=1,
+            help="Accepted for compatibility; has no effect."),
+    _option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
+            help="Abort if a command walks more Weyl group elements than "
+                 "this (mult walks only those of length at most l(u)+l(v))."),
+)
 
 
 _COMMANDS = {}
@@ -269,36 +256,30 @@ def _command(name, *options):
     """Register ``body(config, rs)`` as the command ``name``.
 
     The command takes the common options followed by ``options``, and
-    its help is the body's docstring.
+    its help is the body's docstring. This table both builds the parser
+    and dispatches the parsed job.
     """
 
     def register(body):
-        def callback(**params):
-            sys.exit(run(_make_config(name, **params)))
-
-        callback.__doc__ = body.__doc__
-        for option in reversed(options):
-            callback = option(callback)
-        main.command(name)(_common_options(callback))
-        _COMMANDS[name] = body
+        _COMMANDS[name] = body, _COMMON_OPTIONS + options
         return body
 
     return register
 
 
-_COXETER_ORDER = click.option(
+_COXETER_ORDER = _option(
     "--coxeter-order", default="increasing",
-    type=click.Choice(["increasing", "decreasing"]),
+    choices=("increasing", "decreasing"),
     help="Order in which Coxeter elements multiply their letters.",
 )
 
 
 @_command(
     "restrict",
-    click.option("--class", "class_spec", required=True,
-                 help="Schubert class index (one-line such as 231, or a word)."),
-    click.option("--at", "at_spec", required=True,
-                 help="Fixed point at which to restrict."),
+    _option("--class", dest="class_spec", required=True,
+            help="Schubert class index (one-line such as 231, or a word)."),
+    _option("--at", dest="at_spec", required=True,
+            help="Fixed point at which to restrict."),
 )
 def _cmd_restrict(config, rs):
     """Restriction of a Schubert class at a fixed point."""
@@ -324,8 +305,8 @@ def _cmd_restrict(config, rs):
 
 @_command(
     "mult",
-    click.option("--u", "u_spec", required=True, help="First Schubert class."),
-    click.option("--v", "v_spec", required=True, help="Second Schubert class."),
+    _option("--u", dest="u_spec", required=True, help="First Schubert class."),
+    _option("--v", dest="v_spec", required=True, help="Second Schubert class."),
 )
 def _cmd_mult(config, rs):
     """Structure constants of a product of two Schubert classes."""
@@ -340,8 +321,8 @@ def _cmd_mult(config, rs):
 
 @_command(
     "expand",
-    click.option("--values", "class_file", required=True,
-                 help="JSON file with the class (or - for stdin)."),
+    _option("--values", dest="class_file", required=True,
+            help="JSON file with the class (or - for stdin)."),
 )
 def _cmd_expand(config, rs):
     """Expand a localized class in the Schubert basis."""
@@ -353,12 +334,12 @@ def _cmd_expand(config, rs):
             with open(source, encoding="utf-8") as handle:
                 payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read class JSON: {exc}") from exc
+        raise UsageError(f"cannot read class JSON: {exc}") from exc
     cls = localized_class_from_json(rs, payload)
     try:
         coeffs = expand_in_schubert_basis(cls)
     except NotInSpan as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     _emit_expansion(config, {}, "w", word_text,
                     sorted(coeffs.items(), key=lambda kv: kv[0].sort_key()))
@@ -367,9 +348,9 @@ def _cmd_expand(config, rs):
 
 @_command(
     "peterson-mult",
-    click.option("--I", "i_spec", required=True,
-                 help='First subset of simple roots, e.g. "1,2" ("" for empty).'),
-    click.option("--J", "j_spec", required=True, help="Second subset."),
+    _option("--I", dest="i_spec", required=True,
+            help='First subset of simple roots, e.g. "1,2" ("" for empty).'),
+    _option("--J", dest="j_spec", required=True, help="Second subset."),
     _COXETER_ORDER,
 )
 def _cmd_peterson_mult(config, rs):
@@ -388,8 +369,8 @@ def _cmd_peterson_mult(config, rs):
 
 @_command(
     "pullback",
-    click.option("--w", "w_spec", required=True,
-                 help="Schubert class to pull back."),
+    _option("--w", dest="w_spec", required=True,
+            help="Schubert class to pull back."),
     _COXETER_ORDER,
 )
 def _cmd_pullback(config, rs):
@@ -404,8 +385,8 @@ def _cmd_pullback(config, rs):
 
 @_command(
     "table",
-    click.option("--kind", type=click.Choice(["schubert", "peterson"]),
-                 default="schubert", help="Which structure-constant table."),
+    _option("--kind", choices=("schubert", "peterson"),
+            default="schubert", help="Which structure-constant table."),
     _COXETER_ORDER,
 )
 def _cmd_table(config, rs):
@@ -434,8 +415,8 @@ def _cmd_table(config, rs):
 
 @_command(
     "verify",
-    click.option("--suite", required=True, type=click.Choice(list(SUITES)),
-                 help="Which verification sweep to run."),
+    _option("--suite", required=True, choices=tuple(SUITES),
+            help="Which verification sweep to run."),
     _COXETER_ORDER,
 )
 def _cmd_verify(config, rs):
@@ -444,7 +425,7 @@ def _cmd_verify(config, rs):
     try:
         checks = run_suite(rs, suite, config.params["coxeter_order"])
     except Unsupported as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     ok = all(not check.failures for check in checks)
     label = rs.type_label or "custom"
     if config.out_format == "json":
@@ -467,7 +448,7 @@ def _cmd_verify(config, rs):
         sys.stdout.write(f"{'ok' if ok else 'FAIL'} {label} suite={suite}\n")
     for check in checks:
         for failure in check.failures:
-            click.echo(f"{check.name}: {failure}", err=True)
+            print(f"{check.name}: {failure}", file=sys.stderr)
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
@@ -484,28 +465,100 @@ def run(config):
     """Execute a job: resolve the root system, warm and persist the cache,
     dispatch, and map resource exhaustion to exit code 3 and positivity
     violations (reported after the output) to exit code 1."""
-    rs = _resolve_root_system(config)
-    cache = None
-    if config.cache_dir and _uses_disk_cache(config):
-        cache = BilleyDiskCache(config.cache_dir)
-        cache.load(rs)
     try:
+        rs = _resolve_root_system(config)
+        cache = None
+        if config.cache_dir and _uses_disk_cache(config):
+            cache = BilleyDiskCache(config.cache_dir)
+            cache.load(rs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PositivityViolation)
-            code = _COMMANDS[config.command](config, rs)
+            code = _COMMANDS[config.command][0](config, rs)
     except ResourceCapError as exc:
-        click.echo(f"resource cap: {exc}", err=True)
+        print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     if cache:
         cache.save(rs)
     for warning in caught:
         if issubclass(warning.category, PositivityViolation):
-            click.echo(f"positivity violation: {warning.message}", err=True)
+            print(f"positivity violation: {warning.message}",
+                  file=sys.stderr)
             code = code or EXIT_VERIFY_FAILED
         else:
             warnings.showwarning(warning.message, warning.category,
                                  warning.filename, warning.lineno)
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors print a usage line, a pointer to
+    ``--help`` and one ``Error:`` line on stderr, and exit 2."""
+
+    def error(self, message):
+        usage = self.usage % {"prog": self.prog}
+        self.exit(EXIT_USAGE, f"Usage: {usage}\nTry '{self.prog} --help' "
+                              f"for help.\n\nError: {message}\n")
+
+
+def _group_parser(prog):
+    """The parser of ``petcalc --help``: it lists the commands."""
+    parser = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                     description=main.__doc__.split("\n")[0],
+                     allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (body, _) in _COMMANDS.items():
+        commands.add_parser(name, help=body.__doc__.split("\n")[0])
+    return parser
+
+
+def _command_parser(prog, name):
+    """The parser of one command's arguments, from its registry entry."""
+    body, options = _COMMANDS[name]
+    parser = _Parser(prog=f"{prog} {name}",
+                     usage="%(prog)s [OPTIONS] [ROOT_SYSTEM]",
+                     description=body.__doc__, allow_abbrev=False)
+    for flags, settings in options:
+        parser.add_argument(*flags, **settings)
+    return parser
+
+
+def _program_name():
+    """``python -m petcalc.cli`` when run that way, else the script name."""
+    spec = getattr(sys.modules["__main__"], "__spec__", None)
+    return f"python -m {spec.name}" if spec else os.path.basename(sys.argv[0])
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Exact equivariant Schubert and Peterson Schubert calculus.
+
+    Parses ``args`` (default ``sys.argv[1:]``), runs the job and exits
+    with its code; a usage error exits 2. Only the named command's
+    parser is built. ``main.main`` is this same function: the entry that
+    click's ``CliRunner`` and in-process drivers call, with click's
+    keywords (``standalone_mode`` is accepted, and true is the only
+    behaviour).
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or _program_name()
+    if not args or args[0] not in _COMMANDS:
+        group = _group_parser(prog)
+        group.parse_args(args)  # prints the help, or fails on the command
+        group.error("the command must come first")
+    parser = _command_parser(prog, args[0])
+    try:
+        code = run(JobConfig(args[0], **vars(parser.parse_args(args[1:]))))
+    except UsageError as exc:
+        parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader left (``| head``): send the unflushed rest of stdout
+        # nowhere, so that the exit flush fails no second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+main.main = main
+main.name = "petcalc"
 
 
 if __name__ == "__main__":

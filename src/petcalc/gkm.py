@@ -12,7 +12,6 @@ fixed-point sum with inverse Euler classes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import (
@@ -494,7 +493,6 @@ def structure_constants(rs, u, v):
     return coeffs
 
 
-@dataclass
 class StructTable:
     """Structure constants for all pairs of Schubert classes.
 
@@ -502,8 +500,9 @@ class StructTable:
     absent triples are zero.
     """
 
-    rs: object
-    entries: dict = field(default_factory=dict)
+    def __init__(self, rs, entries):
+        self.rs = rs
+        self.entries = entries
 
     def coefficient(self, u, v, w):
         poly = self.entries.get((u, v, w))

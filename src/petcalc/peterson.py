@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
@@ -120,11 +119,11 @@ class PetersonClass:
         )
 
 
-@dataclass
 class PetersonExpansion:
     """Coefficients of an expansion in the Peterson basis."""
 
-    coeffs: dict
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
     def coeff(self, members):
         poly = self.coeffs.get(frozenset(members))
@@ -314,13 +313,15 @@ def _consecutive_intervals(rank):
     ]
 
 
-@dataclass
 class CrossValidationEntry:
-    members_i: frozenset
-    members_j: frozenset
-    members_k: frozenset
-    computed: PolyT
-    formula: PolyT
+    """One triple (I, J, K): the computed constant and the closed form."""
+
+    def __init__(self, members_i, members_j, members_k, computed, formula):
+        self.members_i = members_i
+        self.members_j = members_j
+        self.members_k = members_k
+        self.computed = computed
+        self.formula = formula
 
     @property
     def matches(self):
@@ -337,10 +338,13 @@ class CrossValidationEntry:
         }
 
 
-@dataclass
 class CrossValidationReport:
-    rank: int
-    entries: list
+    """The closed-form check of every consecutive-interval triple of one
+    rank; ``failures`` are the entries that do not match."""
+
+    def __init__(self, rank, entries):
+        self.rank = rank
+        self.entries = entries
 
     @property
     def failures(self):
@@ -440,12 +444,12 @@ def peterson_table(rs, order="increasing"):
     return rows
 
 
-@dataclass
 class ConsistencyReport:
     """Result of replaying Peterson products through the flag variety."""
 
-    checked: int
-    failures: list
+    def __init__(self, checked, failures):
+        self.checked = checked
+        self.failures = failures
 
     @property
     def ok(self):

@@ -9,8 +9,6 @@ equality, hashing and length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import whole_number
 
 DEFAULT_MAX_WEYL = 50_000  # covers A7
@@ -29,11 +27,28 @@ class ResourceCapError(RuntimeError):
     """An enumeration exceeded its configured size cap."""
 
 
-@dataclass(frozen=True)
 class Root:
-    """A root written in simple-root coordinates."""
+    """A root written in simple-root coordinates: immutable, and equal and
+    hashed by its coordinates."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Root is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Root is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     def is_positive(self):
         return any(self.coeffs) and all(c >= 0 for c in self.coeffs)
@@ -274,21 +289,17 @@ class RootSystem:
         return list(provenance), provenance
 
     def _build_reflections(self, order, provenance):
-        reflections = []
-        for vec in order:
-            chain = []
-            cur = vec
-            while provenance[cur] is not None:
-                i, parent = provenance[cur]
-                chain.append(i)
-                cur = parent
-            # cur is now a simple root: vec = s_{chain[0]}...s_{chain[-1]}(cur)
-            j = cur.index(1) + 1
-            u = self._identity
-            for i in chain:
-                u = u * self._simples[i]
-            reflections.append(u * self._simples[j] * u.inverse())
-        return tuple(reflections)
+        # the reflection over s_i(beta) is s_i t_beta s_i; provenance lists
+        # every root after the root it was reflected from
+        reflection = {}
+        for vec, source in provenance.items():
+            if source is None:
+                reflection[vec] = self._simples[vec.index(1) + 1]
+            else:
+                i, parent = source
+                s = self._simples[i]
+                reflection[vec] = s * reflection[parent] * s
+        return tuple(reflection[vec] for vec in order)
 
     # -- element access --------------------------------------------------
 
@@ -392,12 +403,25 @@ def cartan_matrix_for_label(label):
 
 
 def root_system_from_label(label, max_positive_roots=None, max_weyl=None):
-    return build_root_system(
-        cartan_matrix_for_label(label),
-        type_label=label.strip().upper(),
-        max_positive_roots=max_positive_roots,
-        max_weyl=max_weyl,
-    )
+    """The root system of a type label such as "A3" or "E6".
+
+    A label names a finite type, so more than ``max_positive_roots``
+    positive roots (default ``DEFAULT_MAX_ROOTS``) raises
+    ResourceCapError rather than NotFiniteTypeError.
+    """
+    type_label = label.strip().upper()
+    try:
+        return build_root_system(
+            cartan_matrix_for_label(label),
+            type_label=type_label,
+            max_positive_roots=max_positive_roots,
+            max_weyl=max_weyl,
+        )
+    except NotFiniteTypeError:
+        cap = max_positive_roots or DEFAULT_MAX_ROOTS
+        raise ResourceCapError(
+            f"{type_label} has more than {cap} positive roots"
+        ) from None
 
 
 def is_type_a(rs):

@@ -7,8 +7,6 @@ in order; ``run_suite`` runs one suite.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 from .gkm import (
     billey_row,
     forget_to_ordinary,
@@ -31,15 +29,15 @@ _HEAVY_SWEEP_LIMIT = 48  # Weyl group size above which the full table is skipped
 _CONSISTENCY_LIMIT = 130  # covers A4; the sweep squares the subset lattice
 
 
-@dataclass
 class Check:
     """Outcome of one sweep: how many certificates it checked, a line per
     failure, and the reason it did not run (None if it ran)."""
 
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    skipped: str | None = None
+    def __init__(self, name, checked=0, failures=None, skipped=None):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.skipped = skipped
 
     @property
     def status(self):
@@ -48,7 +46,11 @@ class Check:
         return "fail" if self.failures else "pass"
 
     def to_json(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        payload = {"name": self.name, "checked": self.checked,
+                   "failures": list(self.failures)}
+        if self.skipped is not None:
+            payload["skipped"] = self.skipped
+        return payload
 
 
 class Unsupported(Exception):
