@@ -28,6 +28,7 @@ from .gkm import (
     structure_table,
 )
 from .peterson import (
+    all_subsets,
     peterson_structure_constants,
     peterson_table,
     pullback_expansion,
@@ -396,7 +397,8 @@ def _cmd_table(config, rs):
         columns, label = ("u", "v", "w"), word_text
         table = structure_table(rs).rows()
     else:
-        columns, label = ("I", "J", "K"), subset_text
+        columns = ("I", "J", "K")
+        label = {m: subset_text(m) for m in all_subsets(rs)}.__getitem__
         table = peterson_table(rs, config.params["coxeter_order"])
     as_json = config.out_format == "json"
     rows, entries = [], []

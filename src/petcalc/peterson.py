@@ -62,6 +62,19 @@ def peterson_fixed_point(rs, members):
     return longest_element(rs, members)
 
 
+def _product(values_i, values_j):
+    """Values of a product of two classes: pointwise, on the fixed points
+    where both are nonzero."""
+    if len(values_j) < len(values_i):
+        values_i, values_j = values_j, values_i
+    out = {}
+    for members, c in values_i.items():
+        q = values_j.get(members)
+        if q is not None:
+            out[members] = c * q
+    return out
+
+
 class PetersonClass:
     """A class presented by its values at the Peterson fixed points.
 
@@ -87,13 +100,9 @@ class PetersonClass:
         if isinstance(other, PetersonClass):
             if self.rs.cartan != other.rs.cartan:
                 raise ValueError("classes live on different varieties")
-            values = {}
-            for members, c in self.values.items():
-                q = other.values.get(members)
-                if q is not None:
-                    values[members] = c * q
             return PetersonClass(
-                self.rs, values, self.degree + other.degree
+                self.rs, _product(self.values, other.values),
+                self.degree + other.degree,
             )
         if isinstance(other, int):
             if other == 0:
@@ -182,6 +191,21 @@ def peterson_class(rs, members, order="increasing"):
     return result
 
 
+def _label(members):
+    return f"{{{subset_text(members)}}}"
+
+
+def _basis_column(rs, order):
+    """``back_substitute``'s column of the basis: the diagonal value of
+    the class for K and its values, the class built on first use."""
+
+    def column(members):
+        values = peterson_class(rs, members, order).values
+        return values[members], values.items()
+
+    return column
+
+
 def expand_in_peterson_basis(f, order="increasing"):
     """Coefficients d_K with f equal to the sum of d_K times the basis
     class for K.
@@ -195,17 +219,40 @@ def expand_in_peterson_basis(f, order="increasing"):
     """
     rs = f.rs
     subsets = [m for m in all_subsets(rs) if len(m) <= f.degree]
-
-    def column(members):
-        basis = peterson_class(rs, members, order)
-        return basis.value(members), basis.values.items()
-
     coeffs = back_substitute(
-        f.values, subsets, column, lambda m: f"{{{subset_text(m)}}}"
+        f.values, subsets, _basis_column(rs, order), _label
     )
     return PetersonExpansion(
         {m: PolyT.monomial(c, f.degree - len(m)) for m, c in coeffs.items()}
     )
+
+
+def _pair_constants(members_i, members_j, values_i, values_j, subsets,
+                    column):
+    """The structure constants of the basis classes for I and J, given by
+    their values, as {K: coefficient} in the order of ``subsets``.
+
+    The product is formed on the common fixed points and solved by
+    ``back_substitute`` over ``subsets``, the subsets of size at most
+    d = |I| + |J| in subset order, with ``column`` the basis column. The
+    rational c at K becomes the monomial c t^(d - |K|). A negative
+    coefficient is diagnosed with a PositivityViolation warning (it
+    would falsify the implementation).
+    """
+    product = _product(values_i, values_j)
+    degree = len(members_i) + len(members_j)
+    coeffs = {}
+    for members, c in back_substitute(product, subsets, column, _label).items():
+        poly = coeffs[members] = PolyT.monomial(c, degree - len(members))
+        if c < 0:
+            warnings.warn(
+                PositivityViolation(
+                    f"coefficient at {_label(members)} for "
+                    f"{_label(members_i)} * {_label(members_j)} "
+                    f"is negative: {poly.text()}"
+                )
+            )
+    return coeffs
 
 
 def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
@@ -214,20 +261,21 @@ def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
     Each coefficient should be a nonnegative monomial in t, homogeneous
     of degree |I| + |J| - |K|; a negative coefficient is diagnosed with a
     PositivityViolation warning (it would falsify the implementation).
+    Only the basis classes the solve reads are built.
     """
-    p_i = peterson_class(rs, members_i, order)
-    p_j = peterson_class(rs, members_j, order)
-    expansion = expand_in_peterson_basis(p_i * p_j, order)
-    for members, poly in expansion.coeffs.items():
-        if any(c < 0 for c in poly.coeffs):
-            warnings.warn(
-                PositivityViolation(
-                    f"coefficient at {{{subset_text(members)}}} for "
-                    f"{{{subset_text(members_i)}}} * "
-                    f"{{{subset_text(members_j)}}} is negative: {poly.text()}"
-                )
-            )
-    return expansion
+    members_i = frozenset(int(i) for i in members_i)
+    members_j = frozenset(int(i) for i in members_j)
+    degree = len(members_i) + len(members_j)
+    return PetersonExpansion(
+        _pair_constants(
+            members_i,
+            members_j,
+            peterson_class(rs, members_i, order).values,
+            peterson_class(rs, members_j, order).values,
+            [m for m in all_subsets(rs) if len(m) <= degree],
+            _basis_column(rs, order),
+        )
+    )
 
 
 def pullback_expansion(rs, w, order="increasing"):
@@ -405,42 +453,38 @@ def cross_validate(rs, bound=4, order="increasing"):
     return CrossValidationReport(rs.rank, entries)
 
 
-def pair_table(keys, work):
-    """``work(a, b)`` for every ordered pair of keys, as a dict keyed by
-    (a, b). The product is commutative, so each unordered pair is
-    computed once, in a fixed order, and its result is shared with the
-    mirrored pair.
-    """
-    table = {}
-    for i, a in enumerate(keys):
-        for b in keys[i:]:
-            table[(a, b)] = table[(b, a)] = work(a, b)
-    return table
-
-
 def peterson_table(rs, order="increasing"):
-    """Structure constants for every pair of subsets, as sorted rows
-    (I, J, K, coefficient).
+    """Structure constants for every pair of subsets, as rows
+    (I, J, K, coefficient) in subset order.
 
-    Each unordered pair is computed once and mirrored, so the rows are
-    deterministic.
+    The basis is built once: the values of every class give both the
+    products and the columns of the solve. Each unordered pair is solved
+    once, over the subsets of size at most |I| + |J|, and its
+    coefficients are shared with the mirrored pair. The solve reports K
+    in subset order, so the rows come out sorted.
     """
-    pairs = pair_table(
-        all_subsets(rs),
-        lambda mi, mj: peterson_structure_constants(rs, mi, mj, order),
-    )
-    rows = [
-        (mi, mj, members_k, expansion.coeff(members_k))
-        for (mi, mj), expansion in pairs.items()
-        for members_k in expansion.support()
-    ]
-    rows.sort(
-        key=lambda r: (
-            (len(r[0]), sorted(r[0])),
-            (len(r[1]), sorted(r[1])),
-            (len(r[2]), sorted(r[2])),
-        )
-    )
+    subsets = all_subsets(rs)
+    classes = [peterson_class(rs, m, order).values for m in subsets]
+    columns = {m: (values[m], values.items())
+               for m, values in zip(subsets, classes)}
+    solve_over = [[m for m in subsets if len(m) <= d]
+                  for d in range(2 * rs.rank + 1)]
+    mirrored = {}
+    rows = []
+    for a, members_i in enumerate(subsets):
+        for b, members_j in enumerate(subsets):
+            if b < a:
+                coeffs = mirrored.pop((b, a))
+            else:
+                coeffs = _pair_constants(
+                    members_i, members_j, classes[a], classes[b],
+                    solve_over[len(members_i) + len(members_j)],
+                    columns.__getitem__,
+                )
+                if b > a:
+                    mirrored[(a, b)] = coeffs
+            for members_k, poly in coeffs.items():
+                rows.append((members_i, members_j, members_k, poly))
     return rows
 
 

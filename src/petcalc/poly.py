@@ -299,7 +299,10 @@ class PolyT:
 
     @classmethod
     def monomial(cls, c, power):
-        return cls((0,) * power + (c,))
+        poly = cls.__new__(cls)
+        c = _norm(c)
+        poly.coeffs = (0,) * power + (c,) if c else ()
+        return poly
 
     def is_zero(self):
         return not self.coeffs
@@ -468,6 +471,8 @@ def divide_exact(num, den):
     if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
         if not den:
             raise DivisionByZero("division by zero")
+        if type(num) is int and type(den) is int and not num % den:
+            return num // den
         return _norm(Fraction(num, den))
     raise TypeError("operands must both be Polynomial or both be rational")
 

@@ -9,6 +9,8 @@ equality, hashing and length.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .poly import whole_number
 
 DEFAULT_MAX_WEYL = 50_000  # covers A7
@@ -20,7 +22,7 @@ class CartanError(ValueError):
 
 
 class NotFiniteTypeError(CartanError):
-    """Root orbit closure exceeded its bound; the type is not finite."""
+    """The Cartan matrix is not of finite type."""
 
 
 class ResourceCapError(RuntimeError):
@@ -196,6 +198,51 @@ def _validate_cartan(cartan):
     return tuple(rows)
 
 
+def _is_finite_type(cartan):
+    """True when a generalised Cartan matrix is of finite type.
+
+    A matrix is of finite type exactly when it is symmetrisable, with
+    d_i a_ij = d_j a_ji for positive d, and diag(d) times it is positive
+    definite. The d are fixed component by component of the Dynkin
+    diagram and scaled to integers; Sylvester's criterion then asks for
+    positive leading principal minors, which fraction-free (Bareiss)
+    elimination yields as its pivots. Exact integers throughout, and no
+    root is enumerated.
+    """
+    n = len(cartan)
+    num, den = [0] * n, [0] * n  # d_i = num[i] / den[i]
+    for start in range(n):
+        if num[start]:
+            continue
+        num[start] = den[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i == j or not cartan[i][j]:
+                    continue
+                # d_j = d_i a_ij / a_ji, both entries negative
+                p, q = -num[i] * cartan[i][j], -den[i] * cartan[j][i]
+                if not num[j]:
+                    num[j], den[j] = p, q
+                    stack.append(j)
+                elif num[j] * q != p * den[j]:
+                    return False  # not symmetrisable
+    scale = lcm(*den)
+    m = [[num[i] * scale // den[i] * a for a in row]
+         for i, row in enumerate(cartan)]
+    previous = 1
+    for k in range(n):
+        minor = m[k][k]  # the leading principal minor of order k + 1
+        if minor <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (minor * m[i][j] - m[i][k] * m[k][j]) // previous
+        previous = minor
+    return True
+
+
 class RootSystem:
     """A finite root system with its Weyl group machinery.
 
@@ -216,6 +263,12 @@ class RootSystem:
         self.type_label = type_label
         self.max_weyl = DEFAULT_MAX_WEYL if max_weyl is None else max_weyl
         cap = max_positive_roots or DEFAULT_MAX_ROOTS
+        if not _is_finite_type(cartan):
+            # an infinite type has infinitely many positive roots
+            raise NotFiniteTypeError(
+                f"more than {cap} positive roots; "
+                "the Cartan matrix is not of finite type"
+            )
 
         vectors, provenance = self._generate_positive_roots(cap)
         order = sorted(vectors, key=lambda v: (sum(v), v))
@@ -281,9 +334,9 @@ class RootSystem:
                         provenance[img] = (i, vec)
                         new.append(img)
             if len(provenance) > cap:
-                raise NotFiniteTypeError(
-                    f"more than {cap} positive roots; "
-                    "the Cartan matrix is not of finite type"
+                raise ResourceCapError(
+                    f"{self.type_label or 'the root system'} has more "
+                    f"than {cap} positive roots"
                 )
             frontier = new
         return list(provenance), provenance
@@ -345,10 +398,11 @@ def build_root_system(cartan, type_label=None, max_positive_roots=None,
                       max_weyl=None):
     """Construct a finite root system from a Cartan matrix.
 
-    Raises CartanError for a bad sign/diagonal pattern and
-    NotFiniteTypeError when the reflection orbit of the simple roots
-    fails to close within ``max_positive_roots``. ``max_weyl`` is the
-    system's Weyl group cap.
+    Raises CartanError for a bad sign/diagonal pattern,
+    NotFiniteTypeError when the matrix is not of finite type, and
+    ResourceCapError for a finite type with more than
+    ``max_positive_roots`` positive roots (default ``DEFAULT_MAX_ROOTS``).
+    ``max_weyl`` is the system's Weyl group cap.
     """
     return RootSystem(
         cartan, type_label=type_label, max_positive_roots=max_positive_roots,
@@ -403,25 +457,14 @@ def cartan_matrix_for_label(label):
 
 
 def root_system_from_label(label, max_positive_roots=None, max_weyl=None):
-    """The root system of a type label such as "A3" or "E6".
-
-    A label names a finite type, so more than ``max_positive_roots``
-    positive roots (default ``DEFAULT_MAX_ROOTS``) raises
-    ResourceCapError rather than NotFiniteTypeError.
-    """
-    type_label = label.strip().upper()
-    try:
-        return build_root_system(
-            cartan_matrix_for_label(label),
-            type_label=type_label,
-            max_positive_roots=max_positive_roots,
-            max_weyl=max_weyl,
-        )
-    except NotFiniteTypeError:
-        cap = max_positive_roots or DEFAULT_MAX_ROOTS
-        raise ResourceCapError(
-            f"{type_label} has more than {cap} positive roots"
-        ) from None
+    """The root system of a type label such as "A3" or "E6"; the caps are
+    those of ``build_root_system``."""
+    return build_root_system(
+        cartan_matrix_for_label(label),
+        type_label=label.strip().upper(),
+        max_positive_roots=max_positive_roots,
+        max_weyl=max_weyl,
+    )
 
 
 def is_type_a(rs):

@@ -20,7 +20,6 @@ from petcalc import (
 from petcalc import cache as cache_module
 from petcalc.cache import BilleyDiskCache, _signed_line
 from petcalc.cli import main
-from petcalc.peterson import PetersonExpansion
 
 
 @pytest.fixture
@@ -275,6 +274,46 @@ def test_verify_cap_comes_before_any_sweep(runner, args):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr.startswith("resource cap: ")
+
+
+def _chain(n):
+    return [[2 if i == j else -(abs(i - j) == 1) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -2], [-2, 2]], [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]],
+    ids=["affine", "hyperbolic"],
+)
+def test_infinite_type_cartan_file_is_a_usage_error(runner, tmp_path, cartan):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"cartan": cartan}))
+    result = runner.invoke(
+        main, ["restrict", "--cartan", str(path), "--class", "e", "--at", "e"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        "Error: more than 2000 positive roots; "
+        "the Cartan matrix is not of finite type"
+    )
+
+
+def test_finite_type_past_the_root_cap_is_a_resource_cap(runner, tmp_path):
+    # A63 has 2,016 positive roots: finite, but over the cap of 2,000,
+    # from a file as from its label
+    path = tmp_path / "a63.json"
+    path.write_text(json.dumps({"cartan": _chain(63)}))
+    for source in (["--cartan", str(path)], ["A63"]):
+        result = runner.invoke(
+            main, ["restrict", *source, "--class", "e", "--at", "e"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("resource cap: ")
+        assert result.stderr.endswith("has more than 2000 positive roots\n")
 
 
 def test_cartan_file_input(runner, tmp_path):
@@ -745,10 +784,10 @@ def test_verify_reports_failures_loudly(runner, monkeypatch):
     assert "restriction-positivity" in result.output
 
 
-def _negated(expand):
-    def negated(f, order="increasing"):
-        coeffs = expand(f, order).coeffs
-        return PetersonExpansion({k: c * -1 for k, c in coeffs.items()})
+def _negated(solve):
+    # every Peterson pair is solved by back_substitute: negate its result
+    def negated(*args):
+        return {k: -c for k, c in solve(*args).items()}
 
     return negated
 
@@ -761,7 +800,7 @@ def _negated(expand):
         (["table", "A2"],
          gkm, "is_graham_positive", lambda expand: lambda p: False),
         (["peterson-mult", "A2", "--I", "1", "--J", "2"],
-         peterson, "expand_in_peterson_basis", _negated),
+         peterson, "back_substitute", _negated),
     ],
     ids=["mult", "table", "peterson-mult"],
 )

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -23,6 +23,7 @@ from petcalc import (
     weyl_enumerate,
     word_text,
 )
+from petcalc.rootsys import _is_finite_type, cartan_matrix_for_label
 
 
 def test_a1_single_positive_root():
@@ -53,8 +54,114 @@ def test_positive_root_order_is_height_then_lex(a3, b2):
 
 
 def test_root_orbit_bound_is_configurable(a2):
-    with pytest.raises(NotFiniteTypeError):
+    # A2 is of finite type: three roots over a cap of two is a resource
+    # cap, not a verdict on the matrix
+    with pytest.raises(ResourceCapError, match="more than 2 positive roots"):
         build_root_system([[2, -1], [-1, 2]], max_positive_roots=2)
+    with pytest.raises(ResourceCapError, match="^A3 has more than 5 "):
+        root_system_from_label("A3", max_positive_roots=5)
+
+
+def _closes(cartan, cap):
+    """The old test of finiteness: the reflection orbit of the simple
+    roots closes within ``cap`` positive roots."""
+    n = len(cartan)
+    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for vec in frontier:
+            for i in range(n):
+                img = list(vec)
+                img[i] -= sum(cartan[i][j] * vec[j] for j in range(n))
+                img = tuple(img)
+                if min(img) >= 0 and img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        if len(seen) > cap:
+            return False
+        frontier = new
+    return True
+
+
+def _small_cartan_matrices(rank, bonds):
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    for choice in product([(0, 0), *product(bonds, bonds)],
+                          repeat=len(pairs)):
+        matrix = [[2 if i == j else 0 for j in range(rank)]
+                  for i in range(rank)]
+        for (i, j), (a, b) in zip(pairs, choice):
+            matrix[i][j], matrix[j][i] = a, b
+        yield matrix
+
+
+def test_finite_type_matches_root_orbit_closure():
+    # every finite root system of rank at most 3 has at most 9 positive
+    # roots, and an infinite type has infinitely many
+    checked = 0
+    for rank, bonds in ((2, (-1, -2, -3, -4, -5)), (3, (-1, -2, -3))):
+        for matrix in _small_cartan_matrices(rank, bonds):
+            finite = _closes(matrix, 40)
+            assert _is_finite_type(matrix) == finite, matrix
+            if not finite:
+                with pytest.raises(NotFiniteTypeError):
+                    build_root_system(matrix)
+            checked += 1
+    assert checked == 26 + 10 ** 3
+
+
+def test_non_symmetrisable_cartan_is_not_finite():
+    # a cycle whose bond ratios do not multiply to one
+    cartan = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
+    assert not _is_finite_type(cartan)
+    with pytest.raises(NotFiniteTypeError, match="not of finite type"):
+        build_root_system(cartan)
+
+
+def _block_sum(*matrices):
+    size = sum(len(m) for m in matrices)
+    out = [[0] * size for _ in range(size)]
+    at = 0
+    for m in matrices:
+        for i, row in enumerate(m):
+            out[at + i][at:at + len(row)] = row
+        at += len(m)
+    return out
+
+
+def _roots_by_formula(family, n):
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
+            "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}[family]
+
+
+def _supported_labels(top):
+    ranks = {"A": range(1, top + 1), "B": range(2, top + 1),
+             "C": range(2, top + 1), "D": range(3, top + 1),
+             "E": range(6, 9), "F": [4], "G": [2]}
+    return [f"{family}{n}" for family, span in ranks.items() for n in span]
+
+
+def test_every_supported_label_builds():
+    for label in _supported_labels(8):
+        rs = root_system_from_label(label)
+        assert len(rs.positive_roots) == _roots_by_formula(label[0],
+                                                           int(label[1:]))
+    # past rank 8, the finiteness test alone, up to the root cap
+    for label in _supported_labels(44):
+        assert _is_finite_type(cartan_matrix_for_label(label)), label
+
+
+@pytest.mark.parametrize(
+    "labels", [("A1", "A1"), ("B2", "A1"), ("A1", "G2"), ("A2", "E6"),
+               ("F4", "D4", "A1")],
+    ids=lambda labels: "x".join(labels),
+)
+def test_reducible_cartan_matrices_build(labels):
+    cartan = _block_sum(*(cartan_matrix_for_label(l) for l in labels))
+    rs = build_root_system(cartan)
+    assert len(rs.positive_roots) == sum(
+        _roots_by_formula(l[0], int(l[1:])) for l in labels
+    )
 
 
 def test_positive_root_counts_by_type():
