@@ -9,15 +9,12 @@ deterministic for a given job, independent of cache state.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import re
 import sys
 import warnings
 from itertools import islice
 
-from .cache import BilleyDiskCache
 from .gkm import (
     LocalizedClass,
     NotInSpan,
@@ -79,13 +76,27 @@ class JobConfig:
         self.params = params
 
 
+def _read_json(path, what):
+    """The JSON document in the file ``path`` (stdin for None), or a
+    UsageError ``cannot read <what>: ...``."""
+    import json
+
+    try:
+        if path is None:
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        # ValueError: not JSON, or not UTF-8 text
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
 def _resolve_root_system(config):
     if config.root_label and config.cartan_path:
         raise UsageError("give either a type label or --cartan, not both")
     try:
         if config.cartan_path:
-            with open(config.cartan_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = _read_json(config.cartan_path, "Cartan file")
             if not isinstance(payload, dict) or "cartan" not in payload:
                 raise UsageError(
                     f'{config.cartan_path} must be JSON of the form '
@@ -98,8 +109,6 @@ def _resolve_root_system(config):
                                           max_weyl=config.max_weyl)
     except CartanError as exc:
         raise UsageError(str(exc)) from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read Cartan file: {exc}") from exc
     raise UsageError("specify a root system (label, --type or --cartan)")
 
 
@@ -155,12 +164,16 @@ def parse_subset(rs, spec):
 
 
 def _emit_csv(header, rows):
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
 def _emit_json(payload):
+    import json
+
     # the same bytes as json.dumps, without holding the whole text
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     for batch in iter(lambda: "".join(islice(chunks, 4096)), ""):
@@ -328,14 +341,7 @@ def _cmd_mult(config, rs):
 def _cmd_expand(config, rs):
     """Expand a localized class in the Schubert basis."""
     source = config.params["class_file"]
-    try:
-        if source == "-":
-            payload = json.load(sys.stdin)
-        else:
-            with open(source, encoding="utf-8") as handle:
-                payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read class JSON: {exc}") from exc
+    payload = _read_json(None if source == "-" else source, "class JSON")
     cls = localized_class_from_json(rs, payload)
     try:
         coeffs = expand_in_schubert_basis(cls)
@@ -471,6 +477,8 @@ def run(config):
         rs = _resolve_root_system(config)
         cache = None
         if config.cache_dir and _uses_disk_cache(config):
+            from .cache import BilleyDiskCache
+
             cache = BilleyDiskCache(config.cache_dir)
             cache.load(rs)
         with warnings.catch_warnings(record=True) as caught:

@@ -12,11 +12,11 @@ fixed-point sum with inverse Euler classes.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .poly import (
     NotDivisible,
     Polynomial,
+    _is_rational,
     divide_exact,
     is_graham_positive,
 )
@@ -111,7 +111,7 @@ class LocalizedClass:
             return LocalizedClass(
                 self.rs, values, self.degree + other.degree()
             )
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             if other == 0:
                 return LocalizedClass(self.rs, {}, self.degree)
             values = {w: poly * other for w, poly in self.values.items()}

@@ -10,7 +10,10 @@ each root replaced by its height. The sum is nonzero exactly when the
 support of v lies in J, and it runs over integers on the weak-order
 prefixes of v alone, so no Weyl group is enumerated and no polynomial
 restriction is formed. The basis class for K is the class of a Coxeter
-element for K.
+element for K. Its weak-order prefixes are the order ideals of the
+letters of its word, so the basis is built from one height sequence per
+fixed point and one table of prefix steps per class, with no Weyl group
+product in the sum.
 
 A class of degree d takes the value c t^d at every fixed point, so it
 is stored by the rationals c alone. Everything else (expansions,
@@ -35,11 +38,21 @@ from .gkm import (
     structure_constants,
 )
 from .poly import PolyT, specialize_to_t
-from .rootsys import Root, coxeter_element, is_type_a, longest_element
+from .rootsys import (
+    Root,
+    coxeter_element,
+    coxeter_word,
+    element_from_word,
+    is_type_a,
+    longest_element,
+)
 
 # root system -> {key: basis class or pullback expansion}; an entry lives
 # as long as its root system
 _memo = weakref.WeakKeyDictionary()
+# root system -> {J: height walk of w_J, or None until first read}, over
+# every subset J in ``all_subsets`` order
+_walks = weakref.WeakKeyDictionary()
 
 
 def subset_text(members):
@@ -167,6 +180,86 @@ def _fixed_point_values(rs, v):
     return values
 
 
+def _height_walk(rs, members):
+    """The letters of the canonical word of w_J, each with the height of
+    the root its simple root is sent to by the word before it: the
+    weights of the height-weighted Billey sum at the fixed point J."""
+    prefix = rs.identity()
+    walk = []
+    for letter in longest_element(rs, members).word:
+        root = rs.positive_roots[prefix.perm[rs.simple_index(letter)] - 1]
+        walk.append((letter, root.height()))
+        prefix = prefix * rs.simple_reflection(letter)
+    return walk
+
+
+def _prefix_steps(rs, word):
+    """The weak-order prefixes of the Coxeter element with reduced word
+    ``word`` (distinct letters), and the steps u -> u s between them.
+
+    A prefix is the product of an order ideal of the letters, ordered by
+    "a comes before b in the word and a, b do not commute"; u s is a
+    prefix again exactly when s is outside the ideal of u and every
+    neighbour of s that comes before it is inside. Prefixes are numbered
+    by ideal (0 the identity); returns the number of prefixes, the index
+    of the whole element, and per letter (indexed by simple index) the
+    steps as (from, to) pairs.
+    """
+    bit = {a: 1 << k for k, a in enumerate(word)}
+    need = {
+        a: sum(bit[b] for b in word[:k] if rs.cartan[a - 1][b - 1])
+        for k, a in enumerate(word)
+    }
+    index = {0: 0}
+    ideals = [0]
+    steps = [[] for _ in range(rs.rank + 1)]
+    for ideal in ideals:  # grows while read: breadth first
+        for a in word:
+            if not ideal & bit[a] and not need[a] & ~ideal:
+                up = ideal | bit[a]
+                if up not in index:
+                    index[up] = len(ideals)
+                    ideals.append(up)
+                steps[a].append((index[ideal], index[up]))
+    return len(ideals), index[sum(bit.values())], steps
+
+
+def _coxeter_values(rs, word):
+    """``_fixed_point_values`` for the Coxeter element with reduced word
+    ``word``, by walking each fixed point's height sequence over the
+    prefix steps of that element.
+
+    The walks are computed once per root system. A sum at J reaches
+    every prefix (each lies below w_J), so it holds as many states as
+    there are prefixes; when they outnumber ``rs.max_weyl``, the capped
+    subword sum of ``_fixed_point_values`` runs instead, and reports
+    where it outgrows the cap.
+    """
+    size, top, steps = _prefix_steps(rs, word)
+    if size > rs.max_weyl:
+        return _fixed_point_values(rs, element_from_word(rs, word))
+    walks = _walks.get(rs)
+    if walks is None:
+        walks = _walks[rs] = dict.fromkeys(all_subsets(rs))
+    members = frozenset(word)
+    values = {}
+    for subset, walk in walks.items():
+        if not members <= subset:
+            continue
+        if walk is None:
+            walk = walks[subset] = _height_walk(rs, subset)
+        acc = [1] + [0] * (size - 1)
+        for letter, height in walk:
+            # a step's source lacks the letter and its target has it, so
+            # updating in place never chains two steps of one letter
+            for u, us in steps[letter]:
+                a = acc[u]
+                if a:
+                    acc[us] += a * height
+        values[subset] = acc[top]
+    return values
+
+
 def peterson_class(rs, members, order="increasing"):
     """The basis class for a subset K of the simple roots.
 
@@ -182,11 +275,8 @@ def peterson_class(rs, members, order="increasing"):
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if members:
-        v = coxeter_element(rs, members, order)
-    else:
-        v = rs.identity()
-    result = PetersonClass(rs, _fixed_point_values(rs, v), len(members))
+    word = coxeter_word(rs, members, order) if members else ()
+    result = PetersonClass(rs, _coxeter_values(rs, word), len(members))
     memo[key] = result
     return result
 

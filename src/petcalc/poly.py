@@ -9,7 +9,7 @@ exact; no floating point enters anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from operator import add
 
 
@@ -27,15 +27,28 @@ class NotDivisible(ArithmeticError):
 
 def _norm(c):
     # plain ints are much faster than Fraction; downgrade whenever exact
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and _is_rational(c) and c.denominator == 1:
         return int(c)
     return c
 
 
 def _num_den(c):
-    if isinstance(c, Fraction):
+    if type(c) is not int and _is_rational(c):
         return c.numerator, c.denominator
     return c, 1
+
+
+def _is_rational(c):
+    """True for an int or a Fraction.
+
+    ``fractions`` is imported only by the code that makes a Fraction, so
+    one exists only once it is loaded, and this test never loads it.
+    Ints come first, and no abstract base class is consulted.
+    """
+    if isinstance(c, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
 
 
 def whole_number(a):
@@ -51,6 +64,8 @@ def _coeff_from_pair(num, den):
     num, den = whole_number(num), whole_number(den)
     if den == 1:
         return num
+    from fractions import Fraction
+
     return Fraction(num, den)
 
 
@@ -132,10 +147,10 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.rank, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = Polynomial.constant(self.rank, other)
         self._check_rank(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
@@ -162,17 +177,19 @@ class Polynomial:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.rank, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = Polynomial.constant(self.rank, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if type(other) is not int and not _is_rational(other):
+                return NotImplemented
             other = _norm(other)
             if not other:
                 return Polynomial.zero(self.rank)
@@ -180,8 +197,6 @@ class Polynomial:
             out.rank = self.rank
             out.terms = {e: _norm(c * other) for e, c in self.terms.items()}
             return out
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         self._check_rank(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -212,10 +227,10 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.rank, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = Polynomial.constant(self.rank, other)
         return self.rank == other.rank and self.terms == other.terms
 
     def __repr__(self):
@@ -327,10 +342,10 @@ class PolyT:
         return self.is_homogeneous()
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyT((other,))
         if not isinstance(other, PolyT):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = PolyT((other,))
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for k, c in enumerate(other.coeffs):
@@ -343,20 +358,20 @@ class PolyT:
         return PolyT(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyT((other,))
         if not isinstance(other, PolyT):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = PolyT((other,))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyT(tuple(c * other for c in self.coeffs))
         if not isinstance(other, PolyT):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            return PolyT(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return PolyT()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -371,10 +386,10 @@ class PolyT:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyT((other,))
         if not isinstance(other, PolyT):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = PolyT((other,))
         return self.coeffs == other.coeffs
 
     def __repr__(self):
@@ -437,6 +452,8 @@ def _divide_poly(num, den):
     num._check_rank(den)
     if num.is_zero():
         return Polynomial.zero(num.rank)
+    from fractions import Fraction
+
     lead_e, lead_c = _leading(den)
     quot = {}
     rem = dict(num.terms)
@@ -468,11 +485,13 @@ def divide_exact(num, den):
     """
     if isinstance(num, Polynomial) and isinstance(den, Polynomial):
         return _divide_poly(num, den)
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+    if _is_rational(num) and _is_rational(den):
         if not den:
             raise DivisionByZero("division by zero")
         if type(num) is int and type(den) is int and not num % den:
             return num // den
+        from fractions import Fraction
+
         return _norm(Fraction(num, den))
     raise TypeError("operands must both be Polynomial or both be rational")
 

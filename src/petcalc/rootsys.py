@@ -615,6 +615,24 @@ def longest_element(rs, members):
     return w
 
 
+def coxeter_word(rs, members, order="increasing"):
+    """The reduced word of ``coxeter_element(rs, members, order)``: each
+    subset member once, in the given order."""
+    members = _check_subset(rs, members)
+    if not members:
+        raise ValueError("a Coxeter element needs a nonempty subset")
+    if order == "increasing":
+        return tuple(sorted(members))
+    if order == "decreasing":
+        return tuple(sorted(members, reverse=True))
+    sequence = tuple(int(i) for i in order)
+    if frozenset(sequence) != members or len(sequence) != len(members):
+        raise ValueError(
+            "explicit order must list each subset member exactly once"
+        )
+    return sequence
+
+
 def coxeter_element(rs, members, order="increasing"):
     """Product of one simple reflection per subset member.
 
@@ -623,20 +641,7 @@ def coxeter_element(rs, members, order="increasing"):
     experiment with other choices (no invariance of downstream tables is
     claimed for those).
     """
-    members = _check_subset(rs, members)
-    if not members:
-        raise ValueError("a Coxeter element needs a nonempty subset")
-    if order == "increasing":
-        sequence = sorted(members)
-    elif order == "decreasing":
-        sequence = sorted(members, reverse=True)
-    else:
-        sequence = [int(i) for i in order]
-        if frozenset(sequence) != members or len(sequence) != len(members):
-            raise ValueError(
-                "explicit order must list each subset member exactly once"
-            )
-    return element_from_word(rs, sequence)
+    return element_from_word(rs, coxeter_word(rs, members, order))
 
 
 def inversions(w):

@@ -48,6 +48,43 @@ def test_importing_the_cli_loads_no_heavy_module():
     assert result.stdout.decode().strip() == "[]"
 
 
+# runs one command line and reports, after it exits, which of the lazily
+# imported modules it loaded
+_LOADED_AFTER = """
+import sys
+from petcalc.cli import main
+try:
+    main(sys.argv[1:], prog_name="petcalc")
+except SystemExit as exc:
+    code = exc.code
+lazy = ("csv", "decimal", "fractions", "json", "petcalc.cache")
+print(code, *[name for name in lazy if name in sys.modules], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["restrict", "A3", "--class", "e", "--at", "e"], []),
+        (["table", "A3", "--kind", "peterson", "--out", "csv"], ["csv"]),
+        (["peterson-mult", "A3", "--I", "1,2", "--J", "2,3"], []),
+        (["pullback", "A3", "--w", "1 2 3 2"], []),
+        (["mult", "A3", "--u", "1 2", "--v", "2 3"], ["decimal", "fractions"]),
+    ],
+    ids=["restrict", "table-peterson-csv", "peterson-mult", "pullback",
+         "mult"],
+)
+def test_commands_load_only_the_modules_they_use(args, loaded):
+    # fractions (which imports decimal), json, csv and the disk cache
+    # are imported where they are used: whole-number output, no JSON and
+    # no cache load none of them, and only --out csv loads csv; the
+    # division of one polynomial by another (mult) still takes each
+    # quotient term through Fraction
+    result = _python("-c", _LOADED_AFTER, *args)
+    assert result.stdout, result.stderr
+    assert result.stderr.decode().split() == ["0", *loaded]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -143,3 +180,72 @@ def test_a_type_label_over_the_root_cap_is_a_resource_cap(tmp_path):
         "Error: more than 2000 positive roots; "
         "the Cartan matrix is not of finite type"
     )
+
+
+def _errors(result):
+    return [line for line in result.stderr.splitlines()
+            if line.startswith("Error:")]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_an_unreadable_cartan_file_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "cartan.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    result = CliRunner().invoke(main, ["restrict", "--cartan", str(path),
+                                       "--class", "e", "--at", "e"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    errors = _errors(result)
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: cannot read Cartan file: ")
+
+
+@pytest.mark.parametrize("content", ["{not json", ""], ids=["bad", "empty"])
+def test_an_unreadable_class_file_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "class.json"
+    path.write_text(content)
+    result = CliRunner().invoke(main, ["expand", "A2", "--values", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = _errors(result)
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: cannot read class JSON: ")
+    from_stdin = CliRunner().invoke(main, ["expand", "A2", "--values", "-"],
+                                    input=content)
+    assert from_stdin.exit_code == 2
+    assert _errors(from_stdin)[0].startswith("Error: cannot read class JSON: ")
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["--cartan", "SHAPE"], 2, "Error: SHAPE must be JSON of the form "),
+        (["--cartan", "CARTAN"], 2, "Error: "),
+        (["Z2"], 2, "Error: "),
+        (["A63"], 3, "resource cap: A63 has more than 2000 positive roots"),
+    ],
+    ids=["payload-shape", "bad-matrix", "unknown-label", "label-over-cap"],
+)
+def test_every_exit_from_root_system_resolution_keeps_its_code(
+        tmp_path, args, code, message):
+    # each raises inside the try that reads the Cartan file, the label
+    # paths included: an except clause there must not fail in turn (for
+    # one naming a module that only the file path imports)
+    shape, cartan = tmp_path / "shape.json", tmp_path / "cartan.json"
+    shape.write_text("[[2, -1], [-1, 2]]")
+    cartan.write_text(json.dumps({"cartan": [[2, 1], [-1, 2]]}))
+    paths = {"SHAPE": str(shape), "CARTAN": str(cartan)}
+    args = [paths.get(arg, arg) for arg in args]
+    result = CliRunner().invoke(main, ["restrict", *args, "--class", "e",
+                                       "--at", "e"])
+    assert result.exit_code == code, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert not isinstance(result.exception, NameError)
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith(message.replace("SHAPE", str(shape)))

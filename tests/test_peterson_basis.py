@@ -1,0 +1,109 @@
+"""The Peterson basis built from shared height walks, against the
+subword sum it replaced.
+
+``peterson_class`` walks each fixed point's height sequence once over a
+table of prefix steps of the Coxeter element. The oracle is the
+per-(K, J) height-weighted Billey sum ``_billey_dp`` along the reduced
+word of w_J, kept to the weak-order prefixes of v_K: every value and
+every resource-cap threshold must agree with it.
+"""
+
+import pytest
+from click.testing import CliRunner
+
+from petcalc import (
+    ResourceCapError,
+    all_subsets,
+    build_root_system,
+    coxeter_element,
+    longest_element,
+    peterson_class,
+    root_system_from_label,
+)
+from petcalc.cli import main
+from petcalc.gkm import _billey_dp
+from petcalc.rootsys import Root
+
+_SYSTEMS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",
+            "C4", "D4", "D5", "F4", "G2", "E6", "A1xG2"]
+_A1_X_G2 = [[2, 0, 0], [0, 2, -1], [0, -3, 2]]
+
+
+def _root_system(label, max_weyl=None):
+    if label == "A1xG2":
+        return build_root_system(_A1_X_G2, max_weyl=max_weyl)
+    return root_system_from_label(label, max_weyl=max_weyl)
+
+
+def _oracle(rs, members, order="increasing"):
+    """{J: N} by one subword sum per fixed point J containing K."""
+    if members:
+        v = coxeter_element(rs, members, order)
+    else:
+        v = rs.identity()
+    return {
+        subset: _billey_dp(rs, longest_element(rs, subset).word, Root.height,
+                           1, keep=v)[v]
+        for subset in all_subsets(rs)
+        if members <= subset
+    }
+
+
+@pytest.mark.parametrize("label", _SYSTEMS)
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_basis_matches_the_subword_sum_oracle(label, order):
+    rs = _root_system(label)
+    for members in all_subsets(rs):
+        assert peterson_class(rs, members, order).values == _oracle(
+            rs, members, order
+        ), (label, order, sorted(members))
+
+
+@pytest.mark.parametrize("label", _SYSTEMS)
+def test_basis_matches_the_oracle_under_an_explicit_order(label):
+    # an explicit order names every member of the one subset it serves;
+    # an interleaved one makes a Coxeter element of neither direction
+    rs = _root_system(label)
+    full = frozenset(range(1, rs.rank + 1))
+    order = [*range(2, rs.rank + 1, 2), *range(1, rs.rank + 1, 2)]
+    assert peterson_class(rs, full, order).values == _oracle(rs, full, order)
+
+
+def _threshold(succeeds):
+    """The smallest cap of at least 1 at which ``succeeds(cap)`` holds,
+    every cap below it raising ResourceCapError."""
+    cap = 1
+    while True:
+        try:
+            succeeds(cap)
+            return cap
+        except ResourceCapError:
+            cap += 1
+        assert cap < 1000
+
+
+@pytest.mark.parametrize("label", ["B3", "A4"])
+def test_cap_threshold_matches_the_oracle(label):
+    # each attempt takes a fresh root system, so no memo skips the cap
+    runner = CliRunner()
+    for members in all_subsets(_root_system(label)):
+        ours = _threshold(
+            lambda cap: peterson_class(_root_system(label, cap), members)
+        )
+        oracle = _threshold(
+            lambda cap: _oracle(_root_system(label, cap), members)
+        )
+        assert ours == oracle, sorted(members)
+        # p_K times p_{} is p_K: the product builds the classes of K and
+        # of the empty set, and reads the column of K alone
+        args = ["peterson-mult", label, "--I",
+                ",".join(str(i) for i in sorted(members)), "--J", ""]
+        result = runner.invoke(main, [*args, "--max-weyl", str(ours)])
+        assert result.exit_code == 0, result.stderr
+        if ours == 1:
+            continue  # no cap lies below 1
+        capped = runner.invoke(main, [*args, "--max-weyl", str(ours - 1)])
+        assert capped.exit_code == 3
+        assert capped.stdout == ""
+        assert len(capped.stderr.splitlines()) == 1
+        assert capped.stderr.startswith("resource cap: Billey sum at ")
