@@ -164,32 +164,37 @@ class LocalizedClass:
 
 
 def _billey_step(rs, states, prefix, letter, weight, targets=None,
-                 max_length=None):
+                 within=None):
     """One letter of the subword sum: the sums along a word of ``prefix``
     extended by ``letter``, as a new map sharing the unchanged values.
 
-    The chosen letter weighs ``weight(prefix(alpha_letter))``. ``targets``
-    keeps only weak-order prefixes of one element (see ``_billey_dp``),
-    and ``max_length`` drops every u longer than it. Raises
+    The chosen letter weighs ``weight(prefix(alpha_letter))``: either a
+    root's coefficient vector, Billey's linear form, which the sum
+    multiplies in by ``Polynomial.times_linear`` so that its terms share
+    their exponent vectors, or a number such as the root's height, which
+    it multiplies in plainly. ``targets`` keeps only weak-order prefixes
+    of one element (see ``_billey_dp``). ``within``, a set closed under
+    right-weak prefixes, drops every u outside it; a state u only grows to
+    u s, of which u is a prefix, so the sums kept are exact. Raises
     ResourceCapError when the map outgrows ``rs.max_weyl``.
     """
     index = rs.simple_index(letter)
     s = rs.simple_reflection(letter)
     wt = weight(rs.positive_roots[prefix.perm[index] - 1])
-    if max_length is None:
-        out = dict(states)
-    else:
-        out = {u: acc for u, acc in states.items() if u.length <= max_length}
+    linear = type(wt) is tuple
+    if within is not None:
+        states = {u: acc for u, acc in states.items() if u in within}
+    out = dict(states)
     for u, acc in states.items():
         # u s is longer than u iff u sends the simple root positive; that
         # image is the one root (u s)^-1 sends negative and u^-1 does not
         image = u.perm[index]
         if image < 0 or (targets is not None and image not in targets):
             continue
-        if max_length is not None and u.length >= max_length:
-            continue
         u2 = u * s
-        add = acc * wt
+        if within is not None and u2 not in within:
+            continue
+        add = acc.times_linear(wt) if linear else acc * wt
         cur = out.get(u2)
         out[u2] = add if cur is None else cur + add
     if len(out) > rs.max_weyl:
@@ -209,9 +214,9 @@ def _billey_dp(rs, word, weight, unit, keep=None):
     chosen letters. A letter weighs ``weight(root)``, where root is the
     image of its simple root under the preceding partial product, and
     ``unit`` is the empty product: Billey's formula weighs a root by its
-    linear form, its restriction to the Peterson parameter t by its
-    height. ``keep`` restricts the state space to weak-order prefixes of
-    one target element.
+    linear form (``_root_form``), its restriction to the Peterson
+    parameter t by its height. ``keep`` restricts the state space to
+    weak-order prefixes of one target element.
     """
     targets = None
     if keep is not None:
@@ -226,9 +231,10 @@ def _billey_dp(rs, word, weight, unit, keep=None):
     return states
 
 
-def _root_form(rank):
-    """Billey's weight: a root as a linear form in the simple roots."""
-    return lambda root: Polynomial.linear_form(rank, root.coeffs)
+def _root_form(root):
+    """Billey's weight: a root as a linear form in the simple roots, given
+    by its coefficient vector."""
+    return root.coeffs
 
 
 def _parent(w):
@@ -252,13 +258,12 @@ def _fill_billey_row(rs, w):
     """
     row = rs._billey.get(w)
     if row is None:
-        form = _root_form(rs.rank)
         parent, letter = _parent(w) if w.length else (None, None)
         prev = rs._billey.get(parent)
         if prev is not None:
-            row = _billey_step(rs, prev, parent, letter, form)
+            row = _billey_step(rs, prev, parent, letter, _root_form)
         else:
-            row = _billey_dp(rs, w.word, form, Polynomial.one(rs.rank))
+            row = _billey_dp(rs, w.word, _root_form, Polynomial.one(rs.rank))
         rs._billey[w] = row
     return row
 
@@ -293,7 +298,7 @@ def billey_row(rs, w, word=None):
     word = tuple(int(i) for i in word)
     if len(word) != w.length or element_from_word(rs, word) != w:
         raise ValueError(f"{word} is not a reduced word for {w!r}")
-    return _billey_dp(rs, word, _root_form(rs.rank), Polynomial.one(rs.rank))
+    return _billey_dp(rs, word, _root_form, Polynomial.one(rs.rank))
 
 
 def billey_restriction(rs, v, w, word=None):
@@ -348,6 +353,15 @@ def gkm_verify(f):
     return True
 
 
+def _off_diagonal(k, remainder, label):
+    return NotInSpan(
+        f"residual at {label(k)} is not a multiple of the diagonal "
+        "restriction; the input is not in the span",
+        element=k,
+        remainder=remainder,
+    )
+
+
 def back_substitute(values, order, column, label):
     """Coefficients d_k with ``values`` equal to the sum of d_k times the
     basis class of k, for a basis that is triangular along ``order``.
@@ -373,12 +387,7 @@ def back_substitute(values, order, column, label):
         try:
             d = divide_exact(r, diagonal)
         except NotDivisible as exc:
-            raise NotInSpan(
-                f"residual at {label(k)} is not a multiple of the "
-                "diagonal restriction; the input is not in the span",
-                element=k,
-                remainder=exc.remainder,
-            ) from exc
+            raise _off_diagonal(k, exc.remainder, label) from exc
         coeffs[k] = d
         for x, val in entries:
             cur = residual.get(x)
@@ -397,63 +406,103 @@ def back_substitute(values, order, column, label):
     return coeffs
 
 
+def _right_weak_prefixes(elements):
+    """The right-weak prefixes of ``elements``: every u with u y = w and
+    length(u) + length(y) = length(w) for some w among them, reached from
+    w by removing right descents."""
+    found = set()
+    todo = list(elements)
+    while todo:
+        u = todo.pop()
+        if u not in found:
+            found.add(u)
+            todo.extend(u * u.rs.simple_reflection(i)
+                        for i in u.right_descents())
+    return found
+
+
 def expand_in_schubert_basis(f, fixed_points=None):
     """Coefficients d_w with f equal to the sum of d_w times the Schubert
     class of w.
 
-    Works up the Bruhat order: Schubert classes are supported above
-    their index, so ``back_substitute`` applies with the fixed points in
-    length order, the diagonal restriction of each class and its Billey
-    column. ``fixed_points`` is the list to solve over, all of W by
-    default. A Bruhat lower set in ``weyl_enumerate`` order, such as
-    ``weyl_enumerate(rs, L)``, gives exactly the coefficients d_w of the
-    full solve for every w in it, since the system is triangular; a
-    value of f outside the list is left over as a residual, and raises
-    NotInSpan like any other.
+    ``fixed_points`` is the list to solve over, in ``weyl_enumerate``
+    order (all of W by default); a Bruhat lower set such as
+    ``weyl_enumerate(rs, L)`` gives exactly the coefficients d_w of the
+    full solve for every w in it, since the system is triangular.
 
     A coefficient d_w has degree ``f.degree`` - length(w), so only the
-    classes of length at most the degree d can carry one, and the
-    columns are read from rows cut to those classes. The row at x comes
-    whole from the memo when the memo has it or length(x) <= d; otherwise
-    it is one cut ``_billey_step`` from the row of its parent, and stays
-    out of the memo. The residual is still checked at every fixed point:
-    a residual at w longer than d fails the division by the diagonal
-    restriction ``billey_restriction(rs, w, w)``, whose degree is larger.
+    classes of length at most the degree d carry one, and the fixed points
+    of length at most d are a closed lower block of the Bruhat-triangular
+    system. ``back_substitute`` solves on that block, in length order, with
+    the diagonal restriction of each class and its column read from the
+    whole memoised rows there. Each longer fixed point x, in order, is
+    then only checked: the residual f|_x - sum of d_w times the class of w
+    at x must vanish, or NotInSpan names x with the residual as its
+    remainder, as the full solve's division by the diagonal restriction
+    at x (of larger degree) would. The rows there are read whole from the
+    memo when it has them, and otherwise one ``_billey_step`` from the row
+    of the parent, pruned to the right-weak prefixes of the solved
+    classes: a Billey state grows only to longer states of which it is a
+    prefix, so the pruned row is exact at those classes. Pruned rows stay
+    out of the memo. A value of f off the list raises NotInSpan as a
+    residual that survived.
     """
     rs = f.rs
     if fixed_points is None:
         fixed_points = weyl_enumerate(rs)
     degree = f.degree
-    form = _root_form(rs.rank)
-    cut = {}  # x -> row at x cut to classes of length at most degree
+    block = [x for x in fixed_points if x.length <= degree]
     columns = None  # v -> [(x, restriction of the class of v at x)]
+
+    def column(w):
+        nonlocal columns
+        if columns is None:
+            columns = {}
+            for x in block:
+                for v, poly in billey_row(rs, x).items():
+                    columns.setdefault(v, []).append((x, poly))
+        return billey_restriction(rs, w, w), columns.get(w, ())
+
+    coeffs = back_substitute(
+        {x: f.values[x] for x in block if x in f.values},
+        block, column, word_text,
+    )
+    within = _right_weak_prefixes(coeffs)
+    pruned = {}
 
     def row(x):
         whole = rs._billey.get(x)
         if whole is not None or x.length <= degree:
             return whole or _fill_billey_row(rs, x)
-        got = cut.get(x)
+        got = pruned.get(x)
         if got is None:
             parent, letter = _parent(x)
-            got = cut[x] = _billey_step(
-                rs, row(parent), parent, letter, form, max_length=degree
+            got = pruned[x] = _billey_step(
+                rs, row(parent), parent, letter, _root_form, within=within
             )
         return got
 
-    def column(w):
-        nonlocal columns
-        diagonal = billey_restriction(rs, w, w)
-        if w.length > degree:
-            return diagonal, ()  # of larger degree than the residual
-        if columns is None:
-            columns = {}
-            for x in fixed_points:
-                for v, poly in row(x).items():
-                    if v.length <= degree:
-                        columns.setdefault(v, []).append((x, poly))
-        return diagonal, columns.get(w, ())
-
-    return back_substitute(f.values, fixed_points, column, word_text)
+    for x in fixed_points:
+        if x.length <= degree:
+            continue
+        residual = f.value(x)
+        if coeffs:
+            at_x = row(x)
+            for w, d in coeffs.items():
+                poly = at_x.get(w)
+                if poly is not None:
+                    residual = residual - d * poly
+        if residual:
+            raise _off_diagonal(x, residual, word_text)
+    points = set(fixed_points)
+    for x, poly in f.values.items():
+        if x not in points:
+            raise NotInSpan(
+                f"nonzero residual survived at {word_text(x)}",
+                element=x,
+                remainder=poly,
+            )
+    return coeffs
 
 
 def _certify(u, v, w, c):

@@ -5,6 +5,12 @@ simple-root symbols a1..ad with rational coefficients, and univariate
 polynomials in t, the common restriction of every simple root to the
 one-dimensional subtorus used in Peterson calculus. All arithmetic is
 exact; no floating point enters anywhere.
+
+``Polynomial.times_linear`` multiplies by a linear form in one pass over
+the terms. It raises exponent slots through a table kept per rank, so
+every exponent vector it makes is one shared tuple: the Billey rows,
+which hold hundreds of thousands of terms over a few thousand vectors,
+store each vector once.
 """
 
 from __future__ import annotations
@@ -58,6 +64,22 @@ def whole_number(a):
     if not isinstance(a, float) or a % 1:
         raise ValueError(f"{a!r} is not an integer")
     return int(a)
+
+
+_RAISED = {}  # rank -> {exponent vector: (it with slot 0 raised, ...)}
+_SHARED = {}  # rank -> {exponent vector: the one tuple shared for it}
+
+
+def _raise_slots(rank, exps):
+    """The vectors ``exps`` with one slot raised by one, one per slot, as
+    shared tuples; memoised in ``_RAISED[rank]``, which must exist."""
+    shared = _SHARED.setdefault(rank, {})
+    ups = []
+    for i in range(rank):
+        up = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+        ups.append(shared.setdefault(up, up))
+    ups = _RAISED[rank][exps] = tuple(ups)
+    return ups
 
 
 def _coeff_from_pair(num, den):
@@ -218,6 +240,40 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def times_linear(self, coeffs):
+        """``self * sum(coeffs[i] * a_{i+1})``, in one pass over the terms.
+
+        ``coeffs`` are integers, one per simple root. Equal to the generic
+        product with ``Polynomial.linear_form(rank, coeffs)``, but every
+        exponent vector it makes is the shared tuple of ``_raise_slots``.
+        """
+        rank = self.rank
+        if len(coeffs) != rank:
+            raise ValueError(f"rank mismatch: {rank} vs {len(coeffs)}")
+        terms = {}
+        form = [(i, k) for i, k in enumerate(coeffs) if k]
+        raised = _RAISED.setdefault(rank, {})
+        get = terms.get
+        for e, c in self.terms.items():
+            ups = raised.get(e) or _raise_slots(rank, e)
+            for i, k in form:
+                up = ups[i]
+                cur = get(up)
+                if cur is None:
+                    terms[up] = c * k
+                else:
+                    new = cur + c * k
+                    if new:
+                        terms[up] = new
+                    else:
+                        del terms[up]
+        if not {int}.issuperset(map(type, terms.values())):
+            terms = {e: _norm(c) for e, c in terms.items()}
+        out = Polynomial.__new__(Polynomial)
+        out.rank = rank
+        out.terms = terms
+        return out
+
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -285,6 +341,9 @@ class Polynomial:
             exps = tuple(whole_number(e) for e in exps)
             if len(exps) != rank or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for rank {rank}")
+            if exps in terms:
+                # a later entry would silently replace the first
+                raise ValueError(f"exponent vector {list(exps)} appears twice")
             terms[exps] = _coeff_from_pair(num, den)
         return cls(rank, terms)
 
@@ -433,7 +492,10 @@ class PolyT:
         coeffs = {}
         for entry in data:
             k, num, den = entry
-            coeffs[whole_number(k)] = _coeff_from_pair(num, den)
+            k = whole_number(k)
+            if k in coeffs:
+                raise ValueError(f"power {k} appears twice")
+            coeffs[k] = _coeff_from_pair(num, den)
         if not coeffs:
             return cls()
         top = max(coeffs)

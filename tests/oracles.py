@@ -4,14 +4,16 @@ Everything here works directly in the symmetric-group model: group
 elements are one-line permutation tuples acting on coordinates, roots
 are differences e_a - e_b, and formulas are evaluated by brute force
 (subsequence enumeration, transitive closures). Only the library's
-polynomial arithmetic is reused.
+polynomial arithmetic is reused, and, by the one oracle here that holds
+for every root system (``triangular_solve``), its whole Billey rows.
 """
 
 from functools import cache
 from itertools import combinations, permutations
 from operator import add
 
-from petcalc import Polynomial
+from petcalc import Polynomial, divide_exact, weyl_enumerate
+from petcalc.gkm import billey_row
 
 
 def identity_perm(n_letters):
@@ -273,3 +275,28 @@ def bruhat_by_reflection_closure(n_letters):
                 changed = True
     # leq[p] = everything above p; invert into pairs (u <= w)
     return {(u, w) for u in perms for w in leq[u]}
+
+
+def triangular_solve(f):
+    """Schubert-basis coefficients of the localized class f, by a plain
+    triangular solve over the whole Weyl group.
+
+    At each fixed point x in enumeration order, the residual f|_x minus
+    the sum of the coefficients found so far times their classes at x is
+    divided by the diagonal restriction, the class of x at x. Every
+    restriction is read from the whole row ``billey_row(rs, x)``; there is
+    no block, no pruning and no ``back_substitute``. A failed division
+    raises ``NotDivisible``.
+    """
+    rs = f.rs
+    coeffs = {}
+    for x in weyl_enumerate(rs):
+        row = billey_row(rs, x)
+        residual = f.value(x)
+        for w, d in coeffs.items():
+            restriction = row.get(w)
+            if restriction is not None:
+                residual = residual - d * restriction
+        if residual:
+            coeffs[x] = divide_exact(residual, row[x])
+    return coeffs

@@ -204,6 +204,22 @@ def test_expand_rejects_a_fixed_point_named_twice(runner, tmp_path):
     assert errors[0].startswith("Error: malformed class JSON: ")
 
 
+def test_expand_rejects_an_exponent_vector_named_twice(runner, tmp_path):
+    # the second [1] entry must not replace the first: a1 + a1 is not the
+    # class of s1, and no reading of the file should expand it as one
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"type": "A1", "degree": 1, "values": {
+        "s1": [[[1], 1, 1], [[1], 1, 1]]}}))
+    result = runner.invoke(main, ["expand", "A1", "--values", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("Error:")]
+    assert errors == [
+        "Error: malformed class JSON: exponent vector [1] appears twice"
+    ]
+
+
 @pytest.mark.parametrize(
     "cartan, message",
     [

@@ -351,9 +351,13 @@ def test_structure_table_matches_per_pair_on_sampled_pairs(label):
 
 def _assert_block_solve_matches_full_solve(rs, u, v):
     # structure_constants solves on the fixed points of length at most
-    # l(u) + l(v); the full solve runs over all of W
-    full = expand_in_schubert_basis(schubert_class(rs, u) * schubert_class(rs, v))
+    # l(u) + l(v), and expand_in_schubert_basis solves there and checks
+    # the longer ones on pruned rows; the oracle divides at every point
+    # of W, on whole rows
+    product = schubert_class(rs, u) * schubert_class(rs, v)
+    full = oracles.triangular_solve(product)
     assert structure_constants(rs, u, v) == full
+    assert expand_in_schubert_basis(product) == full
 
 
 @pytest.mark.parametrize(
@@ -510,22 +514,52 @@ def _other_word(w):
 def test_stepped_and_cut_rows_match_billey_row(name):
     rs = _system(name)
     elements = weyl_enumerate(rs)
-    form = gkm._root_form(rs.rank)
     expected = {w: gkm.billey_row(rs, w, _other_word(w)) for w in elements}
     assert not rs._billey
     for w in elements:  # in order, so every row but e is one step
         assert gkm._fill_billey_row(rs, w) == expected[w]
-    for cut in range(elements[-1].length + 1):
+    # rows pruned to sets closed under right-weak prefixes: the elements
+    # up to each length, and the prefixes of a few sampled supports
+    rng = random.Random(name)
+    prunings = [{x for x in elements if x.length <= cut}
+                for cut in range(elements[-1].length + 1)]
+    prunings += [gkm._right_weak_prefixes(rng.sample(elements, k))
+                 for k in (1, 2, 3, 5)]
+    for within in prunings:
         rows = {rs.identity(): {rs.identity(): Polynomial.one(rs.rank)}}
         for w in elements[1:]:
             parent, letter = gkm._parent(w)
-            want = {v: p for v, p in expected[w].items() if v.length <= cut}
-            rows[w] = gkm._billey_step(rs, rows[parent], parent, letter, form,
-                                       max_length=cut)
+            want = {v: p for v, p in expected[w].items() if v in within}
+            rows[w] = gkm._billey_step(rs, rows[parent], parent, letter,
+                                       gkm._root_form, within=within)
             assert rows[w] == want
-            # a cut step from the whole parent row gives the same cut row
+            # a pruned step from the whole parent row gives the same row
             assert gkm._billey_step(rs, rs._billey[parent], parent, letter,
-                                    form, max_length=cut) == want
+                                    gkm._root_form, within=within) == want
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A1xG2"])
+def test_times_linear_matches_the_product_on_every_row_and_root(name):
+    rs = _system(name)
+    polys = {id(p): p for w in weyl_enumerate(rs)
+             for p in gkm._fill_billey_row(rs, w).values()}
+    forms = [(root.coeffs, Polynomial.linear_form(rs.rank, root.coeffs))
+             for root in rs.positive_roots]
+    for p in polys.values():
+        for coeffs, form in forms:
+            assert p.times_linear(coeffs) == p * form
+
+
+def test_whole_b3_rows_store_each_exponent_vector_once():
+    # the rows are built by times_linear, whose exponent vectors are shared
+    # tuples, and by sums, which keep their operands' keys
+    rs = root_system_from_label("B3")
+    for w in weyl_enumerate(rs):
+        gkm._fill_billey_row(rs, w)
+    keys = [e for row in rs._billey.values() for p in row.values()
+            for e in p.terms]
+    assert len(keys) > 10 * len(set(keys))
+    assert len({id(e) for e in keys}) == len(set(keys))
 
 
 def _on_fresh_system(f):
@@ -556,7 +590,7 @@ def test_expand_is_the_same_on_a_cold_and_a_warm_memo(name, u, v):
     got = _by_perm(expand_in_schubert_basis(cold))
     assert got == _by_perm(expand_in_schubert_basis(product))
     assert got == _by_perm(structure_constants(warm, u, v))
-    # cut rows stay out of the memo
+    # pruned rows stay out of the memo
     assert cold.rs._billey
     assert all(x.length <= product.degree for x in cold.rs._billey)
 
@@ -588,6 +622,44 @@ def test_non_gkm_residual_above_the_degree_still_raises(name):
             )
             assert caught.value.element.perm == x.perm
             assert caught.value.remainder == bump
+
+
+@pytest.mark.parametrize("name,u,v", [
+    ("A3", (1, 2), (2, 3)),
+    ("B3", (2, 3), (3, 2)),
+    ("G2", (1, 2), (2, 1)),
+    ("A1xG2", (2, 3), (3, 2)),
+])
+def test_a_residual_at_every_longer_fixed_point_raises(name, u, v):
+    # expand solves only on the fixed points of length at most the degree
+    # and checks the longer ones on rows pruned to the prefixes of the
+    # solved classes; a bump at any longer point must still fail there,
+    # with the element, message and remainder of the full solve's division
+    warm = _system(name)
+    u, v = (element_from_word(warm, word) for word in (u, v))
+    product = schubert_class(warm, u) * schubert_class(warm, v)
+    degree = product.degree
+    assert len(expand_in_schubert_basis(product)) >= 3
+    bump = (Polynomial.variable(warm.rank, 1) ** (degree - 1)
+            * Polynomial.variable(warm.rank, warm.rank) * 2)
+    longer = [x for x in weyl_enumerate(warm) if x.length > degree]
+    assert len(longer) >= 3
+    for x in longer:
+        values = dict(product.values)
+        values[x] = product.value(x) + bump
+        f = LocalizedClass(warm, values, degree)
+        cold = _on_fresh_system(f)
+        for g in (f, cold):
+            with pytest.raises(NotInSpan) as caught:
+                expand_in_schubert_basis(g)
+            assert str(caught.value) == (
+                f"residual at {gkm.word_text(x)} is not a multiple of the "
+                "diagonal restriction; the input is not in the span"
+            )
+            assert caught.value.element.perm == x.perm
+            assert caught.value.remainder == bump
+        # pruned rows stay out of the memo
+        assert all(y.length <= degree for y in cold.rs._billey)
 
 
 def test_non_gkm_residual_outside_the_fixed_points_survives(a3):

@@ -143,6 +143,14 @@ def test_from_json_accepts_whole_floats():
     assert Polynomial.from_json(2, [[[1.0, 0], 4.0, 2.0]]) == a(1) * 2
 
 
+def test_from_json_rejects_a_repeated_exponent_vector_or_power():
+    with pytest.raises(ValueError, match=r"exponent vector \[1, 0\] appears"):
+        Polynomial.from_json(2, [[[1, 0], 1, 1], [[0, 1], 2, 1],
+                                 [[1.0, 0], 3, 1]])
+    with pytest.raises(ValueError, match="power 2 appears twice"):
+        PolyT.from_json([[2, 1, 1], [0, 1, 1], [2, 1, 1]])
+
+
 def test_polyt_trim_and_degree():
     assert PolyT((1, 0, 0)).coeffs == (1,)
     assert PolyT().degree() == -1
@@ -160,7 +168,7 @@ coefficients = st.one_of(
 
 
 @st.composite
-def polynomials(draw, rank):
+def polynomials(draw, rank, coefficients=coefficients):
     n_terms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(n_terms):
@@ -207,6 +215,42 @@ def test_division_inverts_multiplication(triple):
     if q.is_zero():
         return
     assert divide_exact(p * q, q) == p
+
+
+@st.composite
+def linear_products(draw):
+    rank = draw(st.integers(1, 4))
+    integers = st.integers(-9, 9)
+    p = draw(polynomials(rank, integers))
+    coeffs = tuple(draw(integers) for _ in range(rank))
+    return p, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_products())
+def test_times_linear_is_the_product_with_the_linear_form(case):
+    p, coeffs = case
+    got = p.times_linear(coeffs)
+    assert got == p * Polynomial.linear_form(p.rank, coeffs)
+    assert all(type(c) is int and c for c in got.terms.values())
+
+
+def test_times_linear_cancels_and_keeps_rationals_canonical():
+    p = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    got = p.times_linear((2, -2))  # (a1 + a2) / 2 times 2 (a1 - a2)
+    assert got == a(1) ** 2 - a(2) ** 2
+    assert got.terms == {(2, 0): 1, (0, 2): -1}
+    assert all(type(c) is int for c in got.terms.values())
+
+
+def test_times_linear_shares_equal_exponent_vectors():
+    # a1 * a2 reached as a1 * (a2) and as a2 * (a1) is one tuple
+    left = Polynomial.variable(2, 2).times_linear((1, 0))
+    right = Polynomial.variable(2, 1).times_linear((0, 1))
+    (e1,), (e2,) = left.terms, right.terms
+    assert e1 == (1, 1) and e1 is e2
+    with pytest.raises(ValueError):
+        left.times_linear((1, 2, 3))
 
 
 @settings(max_examples=100, deadline=None)
