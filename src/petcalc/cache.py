@@ -19,8 +19,6 @@ and the root system of a line from its ``{"rs":<key>,`` prefix, so
 neither holds the file whole nor parses the rows of other systems.
 """
 
-from __future__ import annotations
-
 import contextlib
 import json
 import os

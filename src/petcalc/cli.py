@@ -6,9 +6,6 @@ violation), 2 usage error, 3 resource cap exceeded. Output bytes are
 deterministic for a given job, independent of cache state.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import re
 import sys
@@ -238,26 +235,61 @@ def localized_class_from_json(rs, payload):
 # -- commands ------------------------------------------------------------
 
 
-def _option(*flags, **settings):
-    """One option: the arguments of an ``add_argument`` call."""
-    return flags, settings
+class _Option:
+    """One option of a command: its ``--flag``, its help line, the
+    JobConfig keyword it fills (``dest``, the flag's name by default) and
+    the checks on its value."""
 
+    def __init__(self, flag, dest=None, default=None, choices=None,
+                 type=str, required=False, help=""):
+        self.flag = flag
+        self.help = help
+        self.dest = dest or flag.lstrip("-").replace("-", "_")
+        self.default = default
+        self.choices = choices
+        self.type = type
+        self.required = required
+
+    def read(self, value):
+        """``value`` converted by ``type`` and checked against ``choices``,
+        or a UsageError."""
+        try:
+            value = self.type(value)
+        except ValueError:
+            raise UsageError(f"argument {self.flag}: invalid "
+                             f"{self.type.__name__} value: {value!r}") from None
+        if self.choices and value not in self.choices:
+            raise UsageError(
+                f"argument {self.flag}: invalid choice: {value!r} (choose "
+                f"from {', '.join(map(repr, self.choices))})"
+            )
+        return value
+
+    def help_line(self):
+        """The flag, what it takes, the help, and the default or whether
+        it is required."""
+        takes = ("{" + ",".join(self.choices) + "}" if self.choices
+                 else "INTEGER" if self.type is int else "TEXT")
+        note = (" [required]" if self.required
+                else f" [default: {self.default}]" if self.default is not None
+                else "")
+        return f"{self.flag} {takes}", self.help + note
+
+
+_ROOT_SYSTEM_HELP = "Root system label such as A3 or B2."
 
 _COMMON_OPTIONS = (
-    _option("root_system", nargs="?", metavar="ROOT_SYSTEM",
-            help="Root system label such as A3 or B2."),
-    _option("--type", dest="type_label",
-            help="Root system label such as A3 or B2."),
-    _option("--cartan", dest="cartan_path",
+    _Option("--type", dest="type_label", help=_ROOT_SYSTEM_HELP),
+    _Option("--cartan", dest="cartan_path",
             help='JSON file {"cartan": [[...]]} with a Cartan matrix.'),
-    _option("--out", dest="out_format", choices=("text", "csv", "json"),
+    _Option("--out", dest="out_format", choices=("text", "csv", "json"),
             default="text", help="Output format."),
-    _option("--cache", dest="cache_dir",
+    _Option("--cache", dest="cache_dir",
             help="Directory for the restriction disk cache (no effect on "
                  "mult, peterson-mult, pullback and table --kind peterson)."),
-    _option("--jobs", type=int, default=1,
+    _Option("--jobs", type=int, default=1,
             help="Accepted for compatibility; has no effect."),
-    _option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
+    _Option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
             help="Abort if a command walks more Weyl group elements than "
                  "this (mult walks only those of length at most l(u)+l(v))."),
 )
@@ -270,8 +302,8 @@ def _command(name, *options):
     """Register ``body(config, rs)`` as the command ``name``.
 
     The command takes the common options followed by ``options``, and
-    its help is the body's docstring. This table both builds the parser
-    and dispatches the parsed job.
+    its help is the body's docstring. This table both reads the command
+    line (``parse_job``, ``_help``) and dispatches the parsed job.
     """
 
     def register(body):
@@ -281,7 +313,7 @@ def _command(name, *options):
     return register
 
 
-_COXETER_ORDER = _option(
+_COXETER_ORDER = _Option(
     "--coxeter-order", default="increasing",
     choices=("increasing", "decreasing"),
     help="Order in which Coxeter elements multiply their letters.",
@@ -290,9 +322,9 @@ _COXETER_ORDER = _option(
 
 @_command(
     "restrict",
-    _option("--class", dest="class_spec", required=True,
+    _Option("--class", dest="class_spec", required=True,
             help="Schubert class index (one-line such as 231, or a word)."),
-    _option("--at", dest="at_spec", required=True,
+    _Option("--at", dest="at_spec", required=True,
             help="Fixed point at which to restrict."),
 )
 def _cmd_restrict(config, rs):
@@ -319,8 +351,8 @@ def _cmd_restrict(config, rs):
 
 @_command(
     "mult",
-    _option("--u", dest="u_spec", required=True, help="First Schubert class."),
-    _option("--v", dest="v_spec", required=True, help="Second Schubert class."),
+    _Option("--u", dest="u_spec", required=True, help="First Schubert class."),
+    _Option("--v", dest="v_spec", required=True, help="Second Schubert class."),
 )
 def _cmd_mult(config, rs):
     """Structure constants of a product of two Schubert classes."""
@@ -335,7 +367,7 @@ def _cmd_mult(config, rs):
 
 @_command(
     "expand",
-    _option("--values", dest="class_file", required=True,
+    _Option("--values", dest="class_file", required=True,
             help="JSON file with the class (or - for stdin)."),
 )
 def _cmd_expand(config, rs):
@@ -355,9 +387,9 @@ def _cmd_expand(config, rs):
 
 @_command(
     "peterson-mult",
-    _option("--I", dest="i_spec", required=True,
+    _Option("--I", dest="i_spec", required=True,
             help='First subset of simple roots, e.g. "1,2" ("" for empty).'),
-    _option("--J", dest="j_spec", required=True, help="Second subset."),
+    _Option("--J", dest="j_spec", required=True, help="Second subset."),
     _COXETER_ORDER,
 )
 def _cmd_peterson_mult(config, rs):
@@ -376,7 +408,7 @@ def _cmd_peterson_mult(config, rs):
 
 @_command(
     "pullback",
-    _option("--w", dest="w_spec", required=True,
+    _Option("--w", dest="w_spec", required=True,
             help="Schubert class to pull back."),
     _COXETER_ORDER,
 )
@@ -392,7 +424,7 @@ def _cmd_pullback(config, rs):
 
 @_command(
     "table",
-    _option("--kind", choices=("schubert", "peterson"),
+    _Option("--kind", choices=("schubert", "peterson"),
             default="schubert", help="Which structure-constant table."),
     _COXETER_ORDER,
 )
@@ -423,7 +455,7 @@ def _cmd_table(config, rs):
 
 @_command(
     "verify",
-    _option("--suite", required=True, choices=tuple(SUITES),
+    _Option("--suite", required=True, choices=tuple(SUITES),
             help="Which verification sweep to run."),
     _COXETER_ORDER,
 )
@@ -500,36 +532,94 @@ def run(config):
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors print a usage line, a pointer to
-    ``--help`` and one ``Error:`` line on stderr, and exit 2."""
-
-    def error(self, message):
-        usage = self.usage % {"prog": self.prog}
-        self.exit(EXIT_USAGE, f"Usage: {usage}\nTry '{self.prog} --help' "
-                              f"for help.\n\nError: {message}\n")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def _group_parser(prog):
-    """The parser of ``petcalc --help``: it lists the commands."""
-    parser = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
-                     description=main.__doc__.split("\n")[0],
-                     allow_abbrev=False)
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    for name, (body, _) in _COMMANDS.items():
-        commands.add_parser(name, help=body.__doc__.split("\n")[0])
-    return parser
+def _is_flag(arg):
+    """True when ``arg`` reads as an option rather than a value: it starts
+    with a dash, and is neither "-" (stdin), a negative number nor text
+    with a space (such as the word "-1 2")."""
+    return (arg.startswith("-") and arg != "-" and " " not in arg
+            and not _NEGATIVE_NUMBER.fullmatch(arg))
 
 
-def _command_parser(prog, name):
-    """The parser of one command's arguments, from its registry entry."""
-    body, options = _COMMANDS[name]
-    parser = _Parser(prog=f"{prog} {name}",
-                     usage="%(prog)s [OPTIONS] [ROOT_SYSTEM]",
-                     description=body.__doc__, allow_abbrev=False)
-    for flags, settings in options:
-        parser.add_argument(*flags, **settings)
-    return parser
+def parse_job(command, args):
+    """The JobConfig of ``command`` run with the arguments ``args``.
+
+    Reads ``args`` against the command's registry entry: exact flags,
+    each as ``--flag value`` or ``--flag=value`` (a repeated flag keeps
+    its last value), and at most one positional root system, anywhere
+    among them. A flag without its value, an unknown option or extra
+    argument, a value that fails its type or choices, and a missing
+    required option raise UsageError.
+    """
+    options = _COMMANDS[command][1]
+    by_flag = {option.flag: option for option in options}
+    values = {option.dest: option.default for option in options}
+    positionals, extra = [], []
+    args = iter(args)
+    for arg in args:
+        flag, given, value = arg.partition("=")
+        option = by_flag.get(flag)
+        if option is None:
+            (extra if _is_flag(arg) else positionals).append(arg)
+            continue
+        if not given:
+            value = next(args, None)
+            if value is None or _is_flag(value):
+                raise UsageError(f"argument {flag}: expected one argument")
+        values[option.dest] = option.read(value)
+    extra += positionals[1:]
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    missing = [option.flag for option in options
+               if option.required and values[option.dest] is None]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    return JobConfig(command, positionals[0] if positionals else None,
+                     **values)
+
+
+def _usage(prog, command):
+    if command is None:
+        return f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    return f"{prog} {command} [OPTIONS] [ROOT_SYSTEM]"
+
+
+def _help(prog, command):
+    """The ``--help`` text of the group (``command`` None), which lists
+    the commands, or of one command, which lists its options."""
+    help_entry = ("-h, --help", "Show this message and exit.")
+    if command is None:
+        about = main.__doc__.split("\n")[0]
+        sections = {"Options": [help_entry], "Commands": [
+            (name, body.__doc__.split("\n")[0])
+            for name, (body, _) in _COMMANDS.items()
+        ]}
+    else:
+        body, options = _COMMANDS[command]
+        about = body.__doc__
+        sections = {"Options": [
+            ("ROOT_SYSTEM", _ROOT_SYSTEM_HELP),
+            *(option.help_line() for option in options), help_entry,
+        ]}
+    width = 2 + max(len(name) for entries in sections.values()
+                    for name, _ in entries)
+    lines = [f"Usage: {_usage(prog, command)}", "", f"  {about}"]
+    for heading, entries in sections.items():
+        lines += ["", f"{heading}:"]
+        lines += [f"  {name:<{width}}{text}" for name, text in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(prog, command, message):
+    """Exit 2 with a usage line, a pointer to ``--help`` and one
+    ``Error:`` line on stderr."""
+    named = prog if command is None else f"{prog} {command}"
+    sys.stderr.write(f"Usage: {_usage(prog, command)}\nTry '{named} --help' "
+                     f"for help.\n\nError: {message}\n")
+    sys.exit(EXIT_USAGE)
 
 
 def _program_name():
@@ -541,24 +631,29 @@ def _program_name():
 def main(args=None, prog_name=None, standalone_mode=True):
     """Exact equivariant Schubert and Peterson Schubert calculus.
 
-    Parses ``args`` (default ``sys.argv[1:]``), runs the job and exits
-    with its code; a usage error exits 2. Only the named command's
-    parser is built. ``main.main`` is this same function: the entry that
-    click's ``CliRunner`` and in-process drivers call, with click's
-    keywords (``standalone_mode`` is accepted, and true is the only
-    behaviour).
+    Parses ``args`` (default ``sys.argv[1:]``) with ``parse_job``, runs
+    the job and exits with its code; a usage error exits 2, and ``-h`` or
+    ``--help`` anywhere prints the help and exits 0. ``main.main`` is
+    this same function: the entry that click's ``CliRunner`` and
+    in-process drivers call, with click's keywords (``standalone_mode``
+    is accepted, and true is the only behaviour).
     """
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or _program_name()
-    if not args or args[0] not in _COMMANDS:
-        group = _group_parser(prog)
-        group.parse_args(args)  # prints the help, or fails on the command
-        group.error("the command must come first")
-    parser = _command_parser(prog, args[0])
+    command = args[0] if args and args[0] in _COMMANDS else None
+    if "-h" in args or "--help" in args:
+        sys.stdout.write(_help(prog, command))
+        sys.exit(0)
+    if command is None:
+        _usage_error(prog, None, (
+            f"argument COMMAND: invalid choice: {args[0]!r} (choose from "
+            f"{', '.join(map(repr, _COMMANDS))})" if args
+            else "the following arguments are required: COMMAND"
+        ))
     try:
-        code = run(JobConfig(args[0], **vars(parser.parse_args(args[1:]))))
+        code = run(parse_job(command, args[1:]))
     except UsageError as exc:
-        parser.error(str(exc))
+        _usage_error(prog, command, exc)
     except BrokenPipeError:
         # the reader left (``| head``): send the unflushed rest of stdout
         # nowhere, so that the exit flush fails no second time

@@ -9,8 +9,6 @@ equivariant Chevalley recurrence instead; pushforward to a point is the
 fixed-point sum with inverse Euler classes.
 """
 
-from __future__ import annotations
-
 import warnings
 
 from .poly import (

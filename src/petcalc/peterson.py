@@ -24,8 +24,6 @@ That power is attached here, once per coefficient; no polynomial in t
 is divided.
 """
 
-from __future__ import annotations
-
 import warnings
 import weakref
 from itertools import combinations

@@ -13,8 +13,6 @@ which hold hundreds of thousands of terms over a few thousand vectors,
 store each vector once.
 """
 
-from __future__ import annotations
-
 import sys
 from operator import add
 

@@ -7,8 +7,6 @@ the positive-root list (a signed permutation), which gives cheap
 equality, hashing and length.
 """
 
-from __future__ import annotations
-
 from math import lcm
 
 from .poly import whole_number
@@ -410,8 +408,9 @@ def build_root_system(cartan, type_label=None, max_positive_roots=None,
     )
 
 
-def cartan_matrix_for_label(label):
-    """Standard Cartan matrix for a type label such as "A3" or "B2"."""
+def _family_and_rank(label):
+    """The family letter and rank of a type label such as "A3", or
+    CartanError."""
     label = label.strip().upper()
     if len(label) < 2 or label[0] not in "ABCDEFG":
         raise CartanError(f"unknown root system label {label!r}")
@@ -424,7 +423,24 @@ def cartan_matrix_for_label(label):
     maximum = {"E": 8, "F": 4, "G": 2}
     if n < minimum[family] or n > maximum.get(family, 10**9):
         raise CartanError(f"rank {n} is not valid for type {family}")
+    return family, n
 
+
+def positive_root_count(label):
+    """The number of positive roots of a type label, in closed form."""
+    family, n = _family_and_rank(label)
+    if family == "A":
+        return n * (n + 1) // 2
+    if family in "BC":
+        return n * n
+    if family == "D":
+        return n * (n - 1)
+    return {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}[f"{family}{n}"]
+
+
+def cartan_matrix_for_label(label):
+    """Standard Cartan matrix for a type label such as "A3" or "B2"."""
+    family, n = _family_and_rank(label)
     matrix = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def chain_link(i, j):
@@ -458,10 +474,18 @@ def cartan_matrix_for_label(label):
 
 def root_system_from_label(label, max_positive_roots=None, max_weyl=None):
     """The root system of a type label such as "A3" or "E6"; the caps are
-    those of ``build_root_system``."""
+    those of ``build_root_system``. A label over the root cap raises
+    ResourceCapError from its closed-form root count, before its Cartan
+    matrix is built."""
+    type_label = label.strip().upper()
+    cap = max_positive_roots or DEFAULT_MAX_ROOTS
+    if positive_root_count(type_label) > cap:
+        raise ResourceCapError(
+            f"{type_label} has more than {cap} positive roots"
+        )
     return build_root_system(
-        cartan_matrix_for_label(label),
-        type_label=label.strip().upper(),
+        cartan_matrix_for_label(type_label),
+        type_label=type_label,
         max_positive_roots=max_positive_roots,
         max_weyl=max_weyl,
     )

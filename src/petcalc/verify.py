@@ -5,8 +5,6 @@ and returns one ``Check``. ``SUITES`` names the sweeps each suite runs,
 in order; ``run_suite`` runs one suite.
 """
 
-from __future__ import annotations
-
 from .gkm import (
     billey_row,
     forget_to_ordinary,

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import petcalc
-from petcalc.cli import main
+from petcalc.cli import UsageError, main, parse_job
 
 SRC = str(Path(petcalc.__file__).resolve().parents[1])
 
@@ -30,19 +30,26 @@ OWN_OPTIONS = {
 RESTRICT = ["restrict", "A3", "--class", "2 1", "--at", "1 2 1"]
 
 
-def _python(*args):
+def _python(*args, timeout=120):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=timeout)
+
+
+# what the command line once imported and no command needs: the
+# argument parser with the gettext and locale lookups it makes, and the
+# __future__ module that a dead annotations import loaded
+UNUSED = ("argparse", "gettext", "locale", "__future__")
 
 
 def test_importing_the_cli_loads_no_heavy_module():
-    # start-up is paid by every single query: keep click, dataclasses and
-    # inspect (which dataclasses pulls in) out of it
+    # start-up is paid by every single query: keep click, dataclasses,
+    # inspect (which dataclasses pulls in) and UNUSED out of it
+    heavy = {"click", "dataclasses", "inspect", *UNUSED}
     result = _python("-c", (
         "import sys, petcalc.cli; "
-        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted({heavy!r} & set(sys.modules)))"
     ))
     assert result.returncode == 0, result.stderr
     assert result.stdout.decode().strip() == "[]"
@@ -50,14 +57,14 @@ def test_importing_the_cli_loads_no_heavy_module():
 
 # runs one command line and reports, after it exits, which of the lazily
 # imported modules it loaded
-_LOADED_AFTER = """
+_LOADED_AFTER = f"""
 import sys
 from petcalc.cli import main
 try:
     main(sys.argv[1:], prog_name="petcalc")
 except SystemExit as exc:
     code = exc.code
-lazy = ("csv", "decimal", "fractions", "json", "petcalc.cache")
+lazy = ("csv", "decimal", "fractions", "json", "petcalc.cache", *{UNUSED!r})
 print(code, *[name for name in lazy if name in sys.modules], file=sys.stderr)
 """
 
@@ -79,7 +86,7 @@ def test_commands_load_only_the_modules_they_use(args, loaded):
     # are imported where they are used: whole-number output, no JSON and
     # no cache load none of them, and only --out csv loads csv; the
     # division of one polynomial by another (mult) still takes each
-    # quotient term through Fraction
+    # quotient term through Fraction; no command loads any of UNUSED
     result = _python("-c", _LOADED_AFTER, *args)
     assert result.stdout, result.stderr
     assert result.stderr.decode().split() == ["0", *loaded]
@@ -100,11 +107,19 @@ def test_commands_load_only_the_modules_they_use(args, loaded):
         [*RESTRICT, "--max-weyl", "-1"],
         ["no-such-command", "A2"],
         [*RESTRICT, "B3"],
+        ["restrict", "A3", "--class", "--at", "1"],
+        [*RESTRICT, "--class"],
+        [*RESTRICT, "--jobs", "2.5"],
+        ["table", "A2", "--kind=affine"],
+        [],
+        ["A2", "restrict", "--class", "e", "--at", "e"],
     ],
     ids=["missing-option", "unknown-option", "abbreviated-class",
          "abbreviated-ca", "abbreviated-max-weyl", "bad-out", "bad-kind",
          "bad-suite", "non-integer-max-weyl", "negative-max-weyl",
-         "unknown-command", "extra-argument"],
+         "unknown-command", "extra-argument", "missing-value",
+         "missing-last-value", "non-integer-jobs", "bad-kind-after-equals",
+         "no-command", "command-not-first"],
 )
 def test_usage_error_contract(args):
     result = CliRunner().invoke(main, args)
@@ -115,6 +130,52 @@ def test_usage_error_contract(args):
     assert sum(line.startswith("Error:") for line in lines) == 1
     assert lines[-1].startswith("Error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["A3", "--class=1", "--at=1"],
+        ["A3", "--class", "2 1", "--class", "1", "--at", "1"],
+        ["--class", "1", "--at", "1", "A3"],
+        ["--class", "1", "A3", "--at=1"],
+        ["--type", "A3", "--at", "1", "--class", "1"],
+    ],
+    ids=["equals", "repeated-class", "root-system-last",
+         "root-system-between", "type-flag"],
+)
+def test_equivalent_command_lines_give_the_same_job(args):
+    expected = vars(parse_job("restrict", ["A3", "--class", "1", "--at", "1"]))
+    assert vars(parse_job("restrict", args)) == expected
+
+
+@pytest.mark.parametrize("value", ["-", "-1", "-2.5", "-s1 s2"])
+def test_a_dash_that_is_no_flag_is_a_value(value):
+    # "-" (stdin), a negative number and text with a space
+    config = parse_job("restrict", ["A3", "--class", value, "--at", "e"])
+    assert config.params["class_spec"] == value
+
+
+@pytest.mark.parametrize("flag", ["--at", "--bogus", "-x"])
+def test_a_flag_is_never_taken_as_a_value(flag):
+    with pytest.raises(UsageError) as error:
+        parse_job("restrict", ["A3", "--class", flag, "--at", "e"])
+    assert str(error.value) == "argument --class: expected one argument"
+
+
+@pytest.mark.parametrize("args", [[], ["restrict"], RESTRICT,
+                                  [*RESTRICT, "--bogus"]],
+                         ids=["group", "command", "command-line",
+                              "after-an-error"])
+def test_short_help_flag_anywhere_prints_the_help(args):
+    # -h is --help wherever it stands, and wins over any error
+    runner = CliRunner()
+    short = runner.invoke(main, [*args, "-h"])
+    assert short.exit_code == 0
+    assert short.stderr == ""
+    long = runner.invoke(main, [*args[:1], "--help"])
+    assert short.stdout == long.stdout
+    assert short.stdout.startswith("Usage: petcalc ")
 
 
 def test_group_help_names_every_command():
@@ -180,6 +241,19 @@ def test_a_type_label_over_the_root_cap_is_a_resource_cap(tmp_path):
         "Error: more than 2000 positive roots; "
         "the Cartan matrix is not of finite type"
     )
+
+
+@pytest.mark.parametrize("label", ["A300", "D500"])
+def test_a_large_type_label_fails_before_its_matrix_is_built(label):
+    # the closed-form root count is checked first: A300 once took 22 s to
+    # exit, building its Cartan matrix and listing roots up to the cap
+    result = _python("-m", "petcalc.cli", "restrict", label, "--class", "e",
+                     "--at", "e", timeout=10)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == [
+        f"resource cap: {label} has more than 2000 positive roots"
+    ]
 
 
 def _errors(result):

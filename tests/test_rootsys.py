@@ -23,7 +23,12 @@ from petcalc import (
     weyl_enumerate,
     word_text,
 )
-from petcalc.rootsys import _is_finite_type, cartan_matrix_for_label
+from petcalc.rootsys import (
+    DEFAULT_MAX_ROOTS,
+    _is_finite_type,
+    cartan_matrix_for_label,
+    positive_root_count,
+)
 
 
 def test_a1_single_positive_root():
@@ -149,6 +154,23 @@ def test_every_supported_label_builds():
     # past rank 8, the finiteness test alone, up to the root cap
     for label in _supported_labels(44):
         assert _is_finite_type(cartan_matrix_for_label(label)), label
+
+
+def test_closed_form_root_count_matches_the_built_system():
+    # built up to rank 16: the largest labels under the cap take seconds
+    # each (the command-line tests build A62)
+    for label in _supported_labels(16):
+        rs = root_system_from_label(label)
+        assert positive_root_count(label) == len(rs.positive_roots), label
+    # the count is checked against the cap before any matrix is built, so
+    # a cap one below it raises at once for every label under the default
+    for label in _supported_labels(62):
+        count = positive_root_count(label)
+        if not 1 < count <= DEFAULT_MAX_ROOTS:
+            continue
+        with pytest.raises(ResourceCapError, match=(
+                f"^{label} has more than {count - 1} positive roots$")):
+            root_system_from_label(label, max_positive_roots=count - 1)
 
 
 @pytest.mark.parametrize(
