@@ -14,6 +14,7 @@ from itertools import islice
 
 from .gkm import (
     LocalizedClass,
+    NonPolynomialResult,
     NotInSpan,
     PositivityViolation,
     billey_restriction,
@@ -374,12 +375,7 @@ def _cmd_expand(config, rs):
     """Expand a localized class in the Schubert basis."""
     source = config.params["class_file"]
     payload = _read_json(None if source == "-" else source, "class JSON")
-    cls = localized_class_from_json(rs, payload)
-    try:
-        coeffs = expand_in_schubert_basis(cls)
-    except NotInSpan as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    coeffs = expand_in_schubert_basis(localized_class_from_json(rs, payload))
     _emit_expansion(config, {}, "w", word_text,
                     sorted(coeffs.items(), key=lambda kv: kv[0].sort_key()))
     return 0
@@ -503,8 +499,10 @@ def _uses_disk_cache(config):
 
 def run(config):
     """Execute a job: resolve the root system, warm and persist the cache,
-    dispatch, and map resource exhaustion to exit code 3 and positivity
-    violations (reported after the output) to exit code 1."""
+    dispatch, and map resource exhaustion to exit code 3, a maths error
+    (a class outside the Schubert span, a non-polynomial integral) to one
+    ``error:`` line and exit code 1, and positivity violations (reported
+    after the output) to exit code 1."""
     try:
         rs = _resolve_root_system(config)
         cache = None
@@ -515,7 +513,11 @@ def run(config):
             cache.load(rs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PositivityViolation)
-            code = _COMMANDS[config.command][0](config, rs)
+            try:
+                code = _COMMANDS[config.command][0](config, rs)
+            except (NotInSpan, NonPolynomialResult) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = EXIT_VERIFY_FAILED
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -613,6 +615,12 @@ def _help(prog, command):
     return "\n".join(lines) + "\n"
 
 
+def _discard_stdout():
+    """Send the unflushed rest of stdout nowhere once its reader has left
+    (``| head``), so that a later flush fails no second time."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _usage_error(prog, command, message):
     """Exit 2 with a usage line, a pointer to ``--help`` and one
     ``Error:`` line on stderr."""
@@ -636,7 +644,8 @@ def main(args=None, prog_name=None, standalone_mode=True):
     ``--help`` anywhere prints the help and exits 0. ``main.main`` is
     this same function: the entry that click's ``CliRunner`` and
     in-process drivers call, with click's keywords (``standalone_mode``
-    is accepted, and true is the only behaviour).
+    is accepted, and true is the only behaviour). A process runs it
+    through ``process_main``.
     """
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or _program_name()
@@ -655,9 +664,7 @@ def main(args=None, prog_name=None, standalone_mode=True):
     except UsageError as exc:
         _usage_error(prog, command, exc)
     except BrokenPipeError:
-        # the reader left (``| head``): send the unflushed rest of stdout
-        # nowhere, so that the exit flush fails no second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         code = 1
     sys.exit(code)
 
@@ -666,5 +673,31 @@ main.main = main
 main.name = "petcalc"
 
 
+def process_main():
+    """Run ``main`` as a whole process and end it without interpreter
+    teardown: the one way out of ``python -m petcalc.cli`` and of the
+    ``petcalc`` script.
+
+    Nothing here needs teardown (no atexit callback, finalizer or
+    thread; ``run`` writes and renames the disk cache itself), so once
+    stdout and then stderr are flushed the process leaves through
+    ``os._exit`` and skips unloading every module. A reader that left
+    before the final flush exits 1 quietly, as in ``main``. Any other
+    exception than SystemExit takes the normal path: a traceback, then
+    teardown.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    process_main()

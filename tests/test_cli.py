@@ -9,6 +9,8 @@ from click.testing import CliRunner
 
 import oracles
 from petcalc import (
+    NonPolynomialResult,
+    NotInSpan,
     Polynomial,
     element_from_word,
     gkm,
@@ -19,6 +21,7 @@ from petcalc import (
 )
 from petcalc import cache as cache_module
 from petcalc.cache import BilleyDiskCache, _signed_line
+from petcalc import cli as cli_module
 from petcalc.cli import main
 
 
@@ -829,9 +832,38 @@ def test_positivity_violation_exits_one(runner, monkeypatch, args, module,
     assert result.stderr.startswith("positivity violation: ")
 
 
-def test_other_warnings_are_shown(runner, monkeypatch):
-    from petcalc import cli as cli_module
+@pytest.mark.parametrize(
+    "error", [NotInSpan("injected: not in the span"),
+              NonPolynomialResult("injected: not a polynomial")],
+    ids=["not-in-span", "non-polynomial"],
+)
+@pytest.mark.parametrize(
+    "args, attr",
+    [
+        (["mult", "A2", "--u", "213", "--v", "213"], "structure_constants"),
+        (["table", "A2"], "structure_table"),
+        (["table", "A2", "--kind", "peterson"], "peterson_table"),
+        (["peterson-mult", "A2", "--I", "1", "--J", "2"],
+         "peterson_structure_constants"),
+        (["pullback", "A2", "--w", "321"], "pullback_expansion"),
+    ],
+    ids=["mult", "table", "table-peterson", "peterson-mult", "pullback"],
+)
+def test_a_maths_error_is_one_error_line(runner, monkeypatch, args, attr,
+                                         error):
+    # the handler in run() that expand's non-GKM input reaches, for every
+    # command: one line on stderr and exit 1, never a traceback
+    def fail(*args, **kwargs):
+        raise error
 
+    monkeypatch.setattr(cli_module, attr, fail)
+    result = invoke(runner, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {error}\n"
+
+
+def test_other_warnings_are_shown(runner, monkeypatch):
     restriction = cli_module.billey_restriction
 
     def noisy(*args, **kwargs):

@@ -1,6 +1,8 @@
 """The command-line contract around the computations: start-up cost,
-usage errors, help, the in-process entry point, and the root cap."""
+usage errors, help, the in-process entry point, how a process ends, and
+the root cap."""
 
+import hashlib
 import json
 import os
 import re
@@ -12,6 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import petcalc
+from petcalc import root_system_from_label
+from petcalc.cache import BilleyDiskCache
 from petcalc.cli import UsageError, main, parse_job
 
 SRC = str(Path(petcalc.__file__).resolve().parents[1])
@@ -30,11 +34,14 @@ OWN_OPTIONS = {
 RESTRICT = ["restrict", "A3", "--class", "2 1", "--at", "1 2 1"]
 
 
-def _python(*args, timeout=120):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, timeout=timeout)
+def _python(*args, timeout=120, stdout=subprocess.PIPE):
+    # stdout block-buffered, as from a shell, whatever the environment of
+    # the test run says: what is left in the buffer at exit must arrive
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=timeout)
 
 
 # what the command line once imported and no command needs: the
@@ -214,6 +221,91 @@ def test_in_process_entry_matches_a_subprocess(args, code, capsys):
     assert child.returncode == code
     assert in_process.out.encode() == child.stdout
     assert in_process.err.count("Error:") == child.stderr.count(b"Error:")
+
+
+# -- how a process ends: flushed, then os._exit without teardown ----------
+
+
+@pytest.mark.parametrize("args", [RESTRICT, ["table", "A3", "--out", "csv"]],
+                         ids=["small", "large"])
+def test_a_closed_stdout_exits_one_quietly(args):
+    # the reader is gone before the child writes: a small output fails at
+    # the final flush, a large one (57 KB) at a write inside main
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _python("-m", "petcalc.cli", *args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b""
+
+
+def test_a_process_flushes_a_large_stdout_in_full():
+    result = _python("-m", "petcalc.cli", "table", "B3", "--out", "csv")
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "7e85acb639c250ad986562e6454669b13a3ba763ba8b5899ce5a95eff53372dc")
+
+
+def test_a_process_keeps_its_error_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"type": "A1", "degree": 0, "values": {"e": [[[0], 1, 1]]}}))
+    result = _python("-m", "petcalc.cli", "expand", "A1", "--values", str(path))
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == [
+        "error: residual at s1 is not a multiple of the diagonal "
+        "restriction; the input is not in the span"
+    ]
+
+
+def test_a_process_leaves_a_whole_disk_cache(tmp_path):
+    result = _python("-m", "petcalc.cli", *RESTRICT, "--cache", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["billey-cache.jsonl"]
+    assert BilleyDiskCache(tmp_path).load(root_system_from_label("A3")) > 0
+
+
+# runs one job of each command through main in a fresh interpreter, and
+# reports after each the atexit callbacks registered since before petcalc
+# was imported, and the threads alive
+_EXIT_HOOKS_AFTER = """
+import atexit, json, sys, threading
+before = atexit._ncallbacks()
+from petcalc.cli import main
+seen = []
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args, prog_name="petcalc")
+    except SystemExit as exc:
+        seen.append([args[0], exc.code, atexit._ncallbacks() - before,
+                     threading.active_count()])
+print(json.dumps(seen), file=sys.stderr)
+"""
+
+
+def test_no_job_leaves_work_for_interpreter_teardown(tmp_path):
+    # a process ends through os._exit, which runs no atexit callback and
+    # waits for no thread: a job that left either would lose its work
+    good = tmp_path / "class.json"
+    good.write_text(json.dumps({"type": "A2", "degree": 2, "values": {
+        "s1": [[[1, 1], -1, 1]], "s1 s2": [[[1, 1], -1, 1]]}}))
+    jobs = [
+        [*RESTRICT, "--cache", str(tmp_path / "cache")],
+        ["mult", "A3", "--u", "1 2", "--v", "2 3"],
+        ["expand", "A2", "--values", str(good), "--out", "json"],
+        ["peterson-mult", "A3", "--I", "1,2", "--J", "2,3"],
+        ["pullback", "A3", "--w", "1 2 3 2"],
+        ["table", "A2", "--out", "csv"],
+        ["table", "A3", "--kind", "peterson"],
+        ["verify", "A2", "--suite", "all"],
+    ]
+    result = _python("-c", _EXIT_HOOKS_AFTER, json.dumps(jobs))
+    seen = json.loads(result.stderr.decode().splitlines()[-1])
+    assert seen == [[args[0], 0, 0, 1] for args in jobs]
+    assert {args[0] for args in jobs} == set(OWN_OPTIONS)
 
 
 def test_a_type_label_over_the_root_cap_is_a_resource_cap(tmp_path):
