@@ -512,9 +512,8 @@ def _divide_poly(num, den):
     num._check_rank(den)
     if num.is_zero():
         return Polynomial.zero(num.rank)
-    from fractions import Fraction
-
     lead_e, lead_c = _leading(den)
+    int_lead = type(lead_c) is int
     quot = {}
     rem = dict(num.terms)
     while rem:
@@ -523,7 +522,12 @@ def _divide_poly(num, den):
         diff = tuple(a - b for a, b in zip(re, lead_e))
         if any(d < 0 for d in diff):
             raise NotDivisible(rpoly)
-        qc = _norm(Fraction(rc) / Fraction(lead_c))
+        if int_lead and type(rc) is int and not rc % lead_c:
+            qc = rc // lead_c  # the integral quotients of the Schubert side
+        else:
+            from fractions import Fraction
+
+            qc = _norm(Fraction(rc) / Fraction(lead_c))
         quot[diff] = quot.get(diff, 0) + qc
         for e, c in den.terms.items():
             shifted = tuple(a + b for a, b in zip(e, diff))

@@ -258,6 +258,11 @@ class RootSystem:
         cartan = _validate_cartan(cartan)
         self.cartan = cartan
         self.rank = len(cartan)
+        # row i - 1 of the Cartan matrix as its nonzero (j, a): a simple
+        # reflection pairs a root with at most four simple roots
+        self._cartan_support = [
+            tuple((j, a) for j, a in enumerate(row) if a) for row in cartan
+        ]
         self.type_label = type_label
         self.max_weyl = DEFAULT_MAX_WEYL if max_weyl is None else max_weyl
         cap = max_positive_roots or DEFAULT_MAX_ROOTS
@@ -296,7 +301,9 @@ class RootSystem:
                     perm.append(-(self._index[neg] + 1))
             self._simples[i] = self.element(tuple(perm))
 
-        self._reflections = self._build_reflections(order, provenance)
+        # reflections over every positive root, built on first use
+        self._provenance = provenance
+        self._reflections = None
 
         # memo tables (idempotent writes; safe under the GIL)
         self._weyl_list = None
@@ -308,8 +315,9 @@ class RootSystem:
 
     def _reflect_vector(self, i, vec):
         # s_i(v) = v - <v, alpha_i^vee> alpha_i, in simple-root coordinates
-        row = self.cartan[i - 1]
-        pairing = sum(row[j] * vec[j] for j in range(self.rank))
+        pairing = 0
+        for j, a in self._cartan_support[i - 1]:
+            pairing += a * vec[j]
         out = list(vec)
         out[i - 1] -= pairing
         return tuple(out)
@@ -339,18 +347,18 @@ class RootSystem:
             frontier = new
         return list(provenance), provenance
 
-    def _build_reflections(self, order, provenance):
+    def _build_reflections(self):
         # the reflection over s_i(beta) is s_i t_beta s_i; provenance lists
         # every root after the root it was reflected from
         reflection = {}
-        for vec, source in provenance.items():
+        for vec, source in self._provenance.items():
             if source is None:
                 reflection[vec] = self._simples[vec.index(1) + 1]
             else:
                 i, parent = source
                 s = self._simples[i]
                 reflection[vec] = s * reflection[parent] * s
-        return tuple(reflection[vec] for vec in order)
+        return tuple(reflection[root.coeffs] for root in self.positive_roots)
 
     # -- element access --------------------------------------------------
 
@@ -376,6 +384,8 @@ class RootSystem:
 
     def reflection(self, k):
         """The reflection over positive root number k."""
+        if self._reflections is None:
+            self._reflections = self._build_reflections()
         return self._reflections[k]
 
     def root_index(self, root):

@@ -6,13 +6,25 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 (subsequence enumeration, transitive closures). Only the library's
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
+
+Two references for any root system close the file: the polynomial
+division that takes every quotient term through ``Fraction``, and the
+reflections over all positive roots built at once by conjugation.
 """
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from operator import add
 
-from petcalc import Polynomial, divide_exact, weyl_enumerate
+from petcalc import (
+    DivisionByZero,
+    NotDivisible,
+    Polynomial,
+    act_on_root,
+    divide_exact,
+    weyl_enumerate,
+)
 from petcalc.gkm import billey_row
 
 
@@ -300,3 +312,60 @@ def triangular_solve(f):
         if residual:
             coeffs[x] = divide_exact(residual, row[x])
     return coeffs
+
+
+def fraction_divide(num, den):
+    """``num / den`` by graded-lex leading-term reduction, every quotient
+    term computed as ``Fraction(rc) / Fraction(lead_c)``.
+
+    Raises ``NotDivisible`` with the remainder at the first leading term
+    that ``den``'s leading term does not divide, as ``divide_exact`` does.
+    """
+    def leading(terms):
+        exps = max(terms, key=lambda e: (sum(e), e))
+        return exps, terms[exps]
+
+    if not den.terms:
+        raise DivisionByZero("division by the zero polynomial")
+    lead_e, lead_c = leading(den.terms)
+    quot = {}
+    rem = dict(num.terms)
+    while rem:
+        rpoly = Polynomial(num.rank, rem)
+        re, rc = leading(rpoly.terms)
+        diff = tuple(a - b for a, b in zip(re, lead_e))
+        if any(d < 0 for d in diff):
+            raise NotDivisible(rpoly)
+        qc = Fraction(rc) / Fraction(lead_c)
+        qc = qc.numerator if qc.denominator == 1 else qc
+        quot[diff] = quot.get(diff, 0) + qc
+        for e, c in den.terms.items():
+            shifted = tuple(a + b for a, b in zip(e, diff))
+            new = rem.get(shifted, 0) - qc * c
+            if new:
+                rem[shifted] = new
+            else:
+                rem.pop(shifted, None)
+    return Polynomial(num.rank, quot)
+
+
+def eager_reflections(rs):
+    """The reflection over every positive root of ``rs``, in root order.
+
+    Walks up from the simple roots: the reflection over s_i(beta) is
+    s_i t_beta s_i, for each positive s_i(beta) not reached before.
+    """
+    reflection = {root: rs.simple_reflection(i)
+                  for i, root in enumerate(rs.simple_roots, 1)}
+    frontier = list(reflection)
+    while frontier:
+        reached = []
+        for root in frontier:
+            for i in range(1, rs.rank + 1):
+                s = rs.simple_reflection(i)
+                image = act_on_root(s, root)
+                if image.is_positive() and image not in reflection:
+                    reflection[image] = s * reflection[root] * s
+                    reached.append(image)
+        frontier = reached
+    return tuple(reflection[root] for root in rs.positive_roots)

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import petcalc
-from petcalc import root_system_from_label
+from petcalc import element_from_word, root_system_from_label, schubert_class
 from petcalc.cache import BilleyDiskCache
 from petcalc.cli import UsageError, main, parse_job
 
@@ -76,6 +76,22 @@ print(code, *[name for name in lazy if name in sys.modules], file=sys.stderr)
 """
 
 
+def _b3_class_file(tmp_path, denominator):
+    # the B3 product of the Schubert classes of s2 s1 and s3 s2, each
+    # value divided by ``denominator``
+    rs = root_system_from_label("B3")
+    product = (schubert_class(rs, element_from_word(rs, (2, 1)))
+               * schubert_class(rs, element_from_word(rs, (3, 2))))
+    payload = product.to_json()
+    payload["values"] = {
+        word: [[exps, num, den * denominator] for exps, num, den in terms]
+        for word, terms in payload["values"].items()
+    }
+    path = tmp_path / f"class-{denominator}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "args, loaded",
     [
@@ -83,17 +99,24 @@ print(code, *[name for name in lazy if name in sys.modules], file=sys.stderr)
         (["table", "A3", "--kind", "peterson", "--out", "csv"], ["csv"]),
         (["peterson-mult", "A3", "--I", "1,2", "--J", "2,3"], []),
         (["pullback", "A3", "--w", "1 2 3 2"], []),
-        (["mult", "A3", "--u", "1 2", "--v", "2 3"], ["decimal", "fractions"]),
+        (["mult", "A3", "--u", "1 2", "--v", "2 3"], []),
+        (["expand", "B3", "--values", 1], ["json"]),
+        (["expand", "B3", "--values", 2], ["decimal", "fractions", "json"]),
+        (["table", "G2", "--out", "csv"], ["csv"]),
+        (["verify", "B3", "--suite", "gkm"], []),
     ],
     ids=["restrict", "table-peterson-csv", "peterson-mult", "pullback",
-         "mult"],
+         "mult", "expand", "expand-halves", "table-g2-csv", "verify-gkm"],
 )
-def test_commands_load_only_the_modules_they_use(args, loaded):
+def test_commands_load_only_the_modules_they_use(args, loaded, tmp_path):
     # fractions (which imports decimal), json, csv and the disk cache
     # are imported where they are used: whole-number output, no JSON and
-    # no cache load none of them, and only --out csv loads csv; the
-    # division of one polynomial by another (mult) still takes each
-    # quotient term through Fraction; no command loads any of UNUSED
+    # no cache load none of them, and only --out csv loads csv; exact
+    # division keeps integral quotients in ints, so only a class with a
+    # coefficient 1/2 loads fractions; no command loads any of UNUSED.
+    # An int argument n stands for a class file divided by n.
+    args = [_b3_class_file(tmp_path, arg) if type(arg) is int else arg
+            for arg in args]
     result = _python("-c", _LOADED_AFTER, *args)
     assert result.stdout, result.stderr
     assert result.stderr.decode().split() == ["0", *loaded]

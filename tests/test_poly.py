@@ -1,16 +1,22 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from petcalc import (
     DivisionByZero,
     NotDivisible,
     Polynomial,
     PolyT,
     divide_exact,
+    gkm,
     is_graham_positive,
+    root_system_from_label,
     specialize_to_t,
+    structure_table,
 )
 
 
@@ -265,3 +271,94 @@ def test_product_of_homogeneous_is_homogeneous(triple):
         assert product.is_zero()
     else:
         assert product.is_homogeneous(dp + dq)
+
+
+# -- exact division against the Fraction-per-term reference ---------------
+
+
+@contextmanager
+def _within(seconds):
+    # a division that stops removing its leading term loops for ever; fail
+    # it instead of hanging the run
+    def expire(signum, frame):
+        raise TimeoutError(f"division still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _outcome(divide, num, den):
+    """What ``divide(num, den)`` gives: ("quotient", terms with their
+    coefficient types) or ("remainder", the same of the remainder)."""
+    def typed(poly):
+        return {e: (c, type(c)) for e, c in poly.terms.items()}
+
+    try:
+        with _within(5):
+            return "quotient", typed(divide(num, den))
+    except NotDivisible as exc:
+        return "remainder", typed(exc.remainder)
+
+
+@st.composite
+def divisors(draw, rank):
+    """A product of one to three nonzero linear forms with coefficients
+    in -3..3, or any small nonzero polynomial."""
+    if draw(st.booleans()):
+        forms = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+        den = Polynomial.one(rank)
+        for coeffs in draw(st.lists(forms.filter(any), min_size=1,
+                                    max_size=3)):
+            den = den * Polynomial.linear_form(rank, coeffs)
+        return den
+    return draw(polynomials(rank).filter(bool))
+
+
+@st.composite
+def division_cases(draw):
+    rank = draw(st.integers(1, 4))
+    integral = draw(st.booleans())
+    p = draw(polynomials(rank, st.integers(-9, 9) if integral
+                         else coefficients))
+    return integral, p, draw(divisors(rank)), draw(polynomials(rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_division_agrees_with_the_fraction_reference(case):
+    integral, p, d, r = case
+    product = p * d
+    with _within(5):
+        q = divide_exact(product, d)
+    assert q == p == oracles.fraction_divide(product, d)
+    if integral:
+        assert all(type(c) is int for c in q.terms.values())
+    # p * d + r: the same quotient or the same remainder, types included
+    num = product + r
+    assert (_outcome(divide_exact, num, d)
+            == _outcome(oracles.fraction_divide, num, d))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_structure_table_divisions_agree_with_the_fraction_reference(
+        label, monkeypatch):
+    # every division the Chevalley recurrence makes, and the same
+    # numerator over twice and three times the divisor, whose quotients
+    # are rational where a coefficient is odd or not a multiple of 3
+    divisions = []
+
+    def compare(num, den):
+        for k in (1, 2, 3):
+            assert (_outcome(divide_exact, num, den * k)
+                    == _outcome(oracles.fraction_divide, num, den * k))
+        divisions.append(num)
+        return divide_exact(num, den)
+
+    monkeypatch.setattr(gkm, "divide_exact", compare)
+    table = structure_table(root_system_from_label(label))
+    assert divisions and table.entries

@@ -2,6 +2,7 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
+from click.testing import CliRunner
 
 import oracles
 from petcalc import (
@@ -23,8 +24,10 @@ from petcalc import (
     weyl_enumerate,
     word_text,
 )
+from petcalc.cli import main
 from petcalc.rootsys import (
     DEFAULT_MAX_ROOTS,
+    RootSystem,
     _is_finite_type,
     cartan_matrix_for_label,
     positive_root_count,
@@ -491,6 +494,45 @@ def test_reflections_negate_their_roots():
             assert act_on_root(refl, root) == -root
             assert (refl * refl).is_identity()
             assert refl.length % 2 == 1
+
+
+def _cartan_of_c4_reversed():
+    # C4 with its nodes numbered from the other end: a --cartan matrix
+    # that no label builds
+    c4 = cartan_matrix_for_label("C4")
+    return [list(reversed(row)) for row in reversed(c4)]
+
+
+@pytest.mark.parametrize(
+    "label", [*_supported_labels(8), "cartan"],
+)
+def test_reflections_built_on_first_use_match_the_eager_construction(label):
+    if label == "cartan":
+        rs = build_root_system(_cartan_of_c4_reversed())
+    else:
+        rs = root_system_from_label(label)
+    expected = oracles.eager_reflections(rs)
+    assert rs._reflections is None
+    for k, root in enumerate(rs.positive_roots):
+        refl = rs.reflection(k)
+        assert refl == expected[k]
+        assert (refl * refl).is_identity()
+        assert act_on_root(refl, root) == -root
+
+
+def test_restrict_leaves_the_reflections_unbuilt(monkeypatch):
+    built = []
+    build = RootSystem._build_reflections
+    monkeypatch.setattr(RootSystem, "_build_reflections",
+                        lambda rs: built.append(rs) or build(rs))
+    result = CliRunner().invoke(
+        main, ["restrict", "D5", "--class", "1 2 3", "--at", "3 2 1 4 3 2"])
+    assert result.exit_code == 0, result.output
+    assert built == []
+    rs = root_system_from_label("D5")
+    rs.reflection(3)
+    rs.reflection(4)
+    assert built == [rs]
 
 
 def test_highest_root_reflection_a2(a2):
