@@ -116,19 +116,14 @@ def parse_element(rs, spec):
     if spec in ("e", "id", "identity", ""):
         return rs.identity()
     tokens = [t for t in re.split(r"[\s,*]+", spec) if t]
-    if len(tokens) == 1 and tokens[0].isdigit():
-        token = tokens[0]
-        if len(token) == 1:
-            return _word_element(rs, [token])
-        if is_type_a(rs) and len(token) == rs.rank + 1:
-            try:
-                return element_from_one_line(rs, [int(ch) for ch in token])
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        raise UsageError(
-            f"cannot parse element {spec!r}: use one-line notation with "
-            f"{rs.rank + 1} digits (type A) or a word like 's1 s2 s1'"
-        )
+    # a lone token is one-line notation when it can be: type A, with one
+    # digit per letter; otherwise it is a word of one letter
+    if (len(tokens) == 1 and tokens[0].isdigit() and is_type_a(rs)
+            and len(tokens[0]) == rs.rank + 1):
+        try:
+            return element_from_one_line(rs, [int(ch) for ch in tokens[0]])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     return _word_element(rs, tokens)
 
 
@@ -147,11 +142,11 @@ def _word_element(rs, tokens):
 
 
 def parse_subset(rs, spec):
+    """Subset of simple indices such as "1,3", "{1,3}", "" or "{}"."""
     spec = spec.strip()
-    if spec in ("", "{}"):
-        return frozenset()
+    inner = spec[1:-1] if spec[:1] == "{" and spec[-1:] == "}" else spec
     try:
-        members = frozenset(int(tok) for tok in spec.split(",") if tok.strip())
+        members = frozenset(int(tok) for tok in inner.split(",") if tok.strip())
     except ValueError as exc:
         raise UsageError(f"bad subset {spec!r}: {exc}") from exc
     if not members <= frozenset(range(1, rs.rank + 1)):
@@ -392,8 +387,9 @@ def _cmd_peterson_mult(config, rs):
     """Structure constants of a product of Peterson basis classes."""
     members_i = parse_subset(rs, config.params["i_spec"])
     members_j = parse_subset(rs, config.params["j_spec"])
-    order = config.params.get("coxeter_order", "increasing")
-    expansion = peterson_structure_constants(rs, members_i, members_j, order)
+    expansion = peterson_structure_constants(
+        rs, members_i, members_j, config.params["coxeter_order"]
+    )
     _emit_expansion(
         config, {"I": subset_text(members_i), "J": subset_text(members_j)},
         "K", subset_text,
@@ -411,8 +407,7 @@ def _cmd_peterson_mult(config, rs):
 def _cmd_pullback(config, rs):
     """Expand the pullback of a Schubert class in the Peterson basis."""
     w = parse_element(rs, config.params["w_spec"])
-    order = config.params.get("coxeter_order", "increasing")
-    expansion = pullback_expansion(rs, w, order)
+    expansion = pullback_expansion(rs, w, config.params["coxeter_order"])
     _emit_expansion(config, {"w": word_text(w)}, "K", subset_text,
                     [(k, expansion.coeff(k)) for k in expansion.support()])
     return 0

@@ -161,38 +161,31 @@ class LocalizedClass:
         return payload
 
 
-def _billey_step(rs, states, prefix, letter, weight, targets=None,
-                 within=None):
+def _billey_step(rs, states, prefix, letter, within=None):
     """One letter of the subword sum: the sums along a word of ``prefix``
     extended by ``letter``, as a new map sharing the unchanged values.
 
-    The chosen letter weighs ``weight(prefix(alpha_letter))``: either a
-    root's coefficient vector, Billey's linear form, which the sum
-    multiplies in by ``Polynomial.times_linear`` so that its terms share
-    their exponent vectors, or a number such as the root's height, which
-    it multiplies in plainly. ``targets`` keeps only weak-order prefixes
-    of one element (see ``_billey_dp``). ``within``, a set closed under
-    right-weak prefixes, drops every u outside it; a state u only grows to
-    u s, of which u is a prefix, so the sums kept are exact. Raises
-    ResourceCapError when the map outgrows ``rs.max_weyl``.
+    The chosen letter weighs the root ``prefix(alpha_letter)`` as a
+    linear form, which ``Polynomial.times_linear`` multiplies in so that
+    the terms share their exponent vectors. ``within``, a set closed
+    under right-weak prefixes, drops every u outside it; a state u only
+    grows to u s, of which u is a prefix, so the sums kept are exact.
+    Raises ResourceCapError when the map outgrows ``rs.max_weyl``.
     """
     index = rs.simple_index(letter)
     s = rs.simple_reflection(letter)
-    wt = weight(rs.positive_roots[prefix.perm[index] - 1])
-    linear = type(wt) is tuple
+    form = rs.positive_roots[prefix.perm[index] - 1].coeffs
     if within is not None:
         states = {u: acc for u, acc in states.items() if u in within}
     out = dict(states)
     for u, acc in states.items():
-        # u s is longer than u iff u sends the simple root positive; that
-        # image is the one root (u s)^-1 sends negative and u^-1 does not
-        image = u.perm[index]
-        if image < 0 or (targets is not None and image not in targets):
+        # u s is longer than u iff u sends the simple root positive
+        if u.perm[index] < 0:
             continue
         u2 = u * s
         if within is not None and u2 not in within:
             continue
-        add = acc.times_linear(wt) if linear else acc * wt
+        add = acc.times_linear(form)
         cur = out.get(u2)
         out[u2] = add if cur is None else cur + add
     if len(out) > rs.max_weyl:
@@ -203,36 +196,21 @@ def _billey_step(rs, states, prefix, letter, weight, targets=None,
     return out
 
 
-def _billey_dp(rs, word, weight, unit, keep=None):
+def _billey_dp(rs, word):
     """Run the subword sum along a reduced word, one ``_billey_step`` a
     letter.
 
     Returns the map u -> sum over subsequences of the word that multiply
-    to u (necessarily reduced) of the product of the weights of the
-    chosen letters. A letter weighs ``weight(root)``, where root is the
-    image of its simple root under the preceding partial product, and
-    ``unit`` is the empty product: Billey's formula weighs a root by its
-    linear form (``_root_form``), its restriction to the Peterson
-    parameter t by its height. ``keep`` restricts the state space to
-    weak-order prefixes of one target element.
+    to u (necessarily reduced) of the product of the chosen letters'
+    roots, a letter's root being the image of its simple root under the
+    preceding partial product.
     """
-    targets = None
-    if keep is not None:
-        # u is a prefix of keep iff every positive root that u^-1 sends
-        # negative is one that keep^-1 sends negative
-        targets = {k + 1 for k, v in enumerate(keep.inverse().perm) if v < 0}
-    states = {rs.identity(): unit}
+    states = {rs.identity(): Polynomial.one(rs.rank)}
     prefix = rs.identity()
     for letter in word:
-        states = _billey_step(rs, states, prefix, letter, weight, targets)
+        states = _billey_step(rs, states, prefix, letter)
         prefix = prefix * rs.simple_reflection(letter)
     return states
-
-
-def _root_form(root):
-    """Billey's weight: a root as a linear form in the simple roots, given
-    by its coefficient vector."""
-    return root.coeffs
 
 
 def _parent(w):
@@ -259,9 +237,9 @@ def _fill_billey_row(rs, w):
         parent, letter = _parent(w) if w.length else (None, None)
         prev = rs._billey.get(parent)
         if prev is not None:
-            row = _billey_step(rs, prev, parent, letter, _root_form)
+            row = _billey_step(rs, prev, parent, letter)
         else:
-            row = _billey_dp(rs, w.word, _root_form, Polynomial.one(rs.rank))
+            row = _billey_dp(rs, w.word)
         rs._billey[w] = row
     return row
 
@@ -296,7 +274,7 @@ def billey_row(rs, w, word=None):
     word = tuple(int(i) for i in word)
     if len(word) != w.length or element_from_word(rs, word) != w:
         raise ValueError(f"{word} is not a reduced word for {w!r}")
-    return _billey_dp(rs, word, _root_form, Polynomial.one(rs.rank))
+    return _billey_dp(rs, word)
 
 
 def billey_restriction(rs, v, w, word=None):
@@ -476,7 +454,7 @@ def expand_in_schubert_basis(f, fixed_points=None):
         if got is None:
             parent, letter = _parent(x)
             got = pruned[x] = _billey_step(
-                rs, row(parent), parent, letter, _root_form, within=within
+                rs, row(parent), parent, letter, within=within
             )
         return got
 

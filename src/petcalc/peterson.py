@@ -9,11 +9,11 @@ for an integer N: Billey's subword sum along a reduced word of w_J with
 each root replaced by its height. The sum is nonzero exactly when the
 support of v lies in J, and it runs over integers on the weak-order
 prefixes of v alone, so no Weyl group is enumerated and no polynomial
-restriction is formed. The basis class for K is the class of a Coxeter
-element for K. Its weak-order prefixes are the order ideals of the
-letters of its word, so the basis is built from one height sequence per
-fixed point and one table of prefix steps per class, with no Weyl group
-product in the sum.
+restriction is formed. One walk serves every class v, a basis class
+(the class of a Coxeter element for K) and a pulled-back Schubert class
+alike: the prefixes of v are numbered once, with one Weyl group product
+a step between them, and each fixed point's height sequence, computed
+once per root system, runs over those steps.
 
 A class of degree d takes the value c t^d at every fixed point, so it
 is stored by the rationals c alone. Everything else (expansions,
@@ -29,18 +29,11 @@ import weakref
 from itertools import combinations
 from math import factorial
 
-from .gkm import (
-    PositivityViolation,
-    _billey_dp,
-    back_substitute,
-    structure_constants,
-)
+from .gkm import PositivityViolation, back_substitute, structure_constants
 from .poly import PolyT, specialize_to_t
 from .rootsys import (
-    Root,
+    ResourceCapError,
     coxeter_element,
-    coxeter_word,
-    element_from_word,
     is_type_a,
     longest_element,
 )
@@ -164,20 +157,6 @@ def _order_key(order):
     return order if isinstance(order, str) else tuple(order)
 
 
-def _fixed_point_values(rs, v):
-    """The Schubert class of v at every Peterson fixed point, as {J: N}
-    for the value N t^length(v), over the subsets J containing the
-    support of v (elsewhere v is not below w_J and the value is zero).
-    """
-    support = v.support()
-    values = {}
-    for subset in all_subsets(rs):
-        if support <= subset:
-            word = longest_element(rs, subset).word
-            values[subset] = _billey_dp(rs, word, Root.height, 1, keep=v)[v]
-    return values
-
-
 def _height_walk(rs, members):
     """The letters of the canonical word of w_J, each with the height of
     the root its simple root is sent to by the word before it: the
@@ -191,70 +170,64 @@ def _height_walk(rs, members):
     return walk
 
 
-def _prefix_steps(rs, word):
-    """The weak-order prefixes of the Coxeter element with reduced word
-    ``word`` (distinct letters), and the steps u -> u s between them.
+def _fixed_point_values(rs, v):
+    """The Schubert class of v at every Peterson fixed point, as {J: N}
+    for the value N t^length(v), over the subsets J containing the
+    support of v (elsewhere v is not below w_J and the value is zero).
 
-    A prefix is the product of an order ideal of the letters, ordered by
-    "a comes before b in the word and a, b do not commute"; u s is a
-    prefix again exactly when s is outside the ideal of u and every
-    neighbour of s that comes before it is inside. Prefixes are numbered
-    by ideal (0 the identity); returns the number of prefixes, the index
-    of the whole element, and per letter (indexed by simple index) the
-    steps as (from, to) pairs.
+    The weak-order prefixes of v are numbered once, breadth first (0 the
+    identity, v the last), with the steps u -> u s between them: u s is
+    a longer prefix exactly when u sends alpha_s to a positive root that
+    v^-1 sends negative. Each fixed point's height walk, computed once
+    per root system, then runs the height-weighted Billey sum over those
+    steps in integers. The sum at J holds one state per prefix, so
+    ResourceCapError is raised when the prefixes outnumber
+    ``rs.max_weyl``, naming the length of the first prefix past it.
     """
-    bit = {a: 1 << k for k, a in enumerate(word)}
-    need = {
-        a: sum(bit[b] for b in word[:k] if rs.cartan[a - 1][b - 1])
-        for k, a in enumerate(word)
-    }
-    index = {0: 0}
-    ideals = [0]
+    targets = {k + 1 for k, x in enumerate(v.inverse().perm) if x < 0}
+    prefixes = []
+    index = {}
     steps = [[] for _ in range(rs.rank + 1)]
-    for ideal in ideals:  # grows while read: breadth first
-        for a in word:
-            if not ideal & bit[a] and not need[a] & ~ideal:
-                up = ideal | bit[a]
-                if up not in index:
-                    index[up] = len(ideals)
-                    ideals.append(up)
-                steps[a].append((index[ideal], index[up]))
-    return len(ideals), index[sum(bit.values())], steps
 
+    def number(u):
+        k = index.get(u)
+        if k is None:
+            if len(prefixes) >= rs.max_weyl:
+                raise ResourceCapError(
+                    f"Billey sum at an element of length {u.length} holds "
+                    f"more than the cap of {rs.max_weyl} Weyl group elements"
+                )
+            k = index[u] = len(prefixes)
+            prefixes.append(u)
+        return k
 
-def _coxeter_values(rs, word):
-    """``_fixed_point_values`` for the Coxeter element with reduced word
-    ``word``, by walking each fixed point's height sequence over the
-    prefix steps of that element.
-
-    The walks are computed once per root system. A sum at J reaches
-    every prefix (each lies below w_J), so it holds as many states as
-    there are prefixes; when they outnumber ``rs.max_weyl``, the capped
-    subword sum of ``_fixed_point_values`` runs instead, and reports
-    where it outgrows the cap.
-    """
-    size, top, steps = _prefix_steps(rs, word)
-    if size > rs.max_weyl:
-        return _fixed_point_values(rs, element_from_word(rs, word))
+    number(rs.identity())
+    for k, u in enumerate(prefixes):  # grows while read: breadth first
+        for letter in range(1, rs.rank + 1):
+            if u.perm[rs.simple_index(letter)] in targets:
+                us = u * rs.simple_reflection(letter)
+                steps[letter].append((k, number(us)))
     walks = _walks.get(rs)
     if walks is None:
         walks = _walks[rs] = dict.fromkeys(all_subsets(rs))
-    members = frozenset(word)
+    # the support of v: the letters of its prefix steps
+    support = {letter for letter, found in enumerate(steps) if found}
     values = {}
     for subset, walk in walks.items():
-        if not members <= subset:
+        if not support <= subset:
             continue
         if walk is None:
             walk = walks[subset] = _height_walk(rs, subset)
-        acc = [1] + [0] * (size - 1)
+        acc = [1] + [0] * (len(prefixes) - 1)
         for letter, height in walk:
-            # a step's source lacks the letter and its target has it, so
-            # updating in place never chains two steps of one letter
+            # a step's target sends alpha_letter negative, so it is never
+            # the source of a step of that letter: updating in place never
+            # chains two of them
             for u, us in steps[letter]:
                 a = acc[u]
                 if a:
                     acc[us] += a * height
-        values[subset] = acc[top]
+        values[subset] = acc[-1]
     return values
 
 
@@ -273,8 +246,8 @@ def peterson_class(rs, members, order="increasing"):
     cached = memo.get(key)
     if cached is not None:
         return cached
-    word = coxeter_word(rs, members, order) if members else ()
-    result = PetersonClass(rs, _coxeter_values(rs, word), len(members))
+    v = coxeter_element(rs, members, order) if members else rs.identity()
+    result = PetersonClass(rs, _fixed_point_values(rs, v), len(members))
     memo[key] = result
     return result
 

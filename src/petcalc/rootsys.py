@@ -649,24 +649,6 @@ def longest_element(rs, members):
     return w
 
 
-def coxeter_word(rs, members, order="increasing"):
-    """The reduced word of ``coxeter_element(rs, members, order)``: each
-    subset member once, in the given order."""
-    members = _check_subset(rs, members)
-    if not members:
-        raise ValueError("a Coxeter element needs a nonempty subset")
-    if order == "increasing":
-        return tuple(sorted(members))
-    if order == "decreasing":
-        return tuple(sorted(members, reverse=True))
-    sequence = tuple(int(i) for i in order)
-    if frozenset(sequence) != members or len(sequence) != len(members):
-        raise ValueError(
-            "explicit order must list each subset member exactly once"
-        )
-    return sequence
-
-
 def coxeter_element(rs, members, order="increasing"):
     """Product of one simple reflection per subset member.
 
@@ -675,7 +657,20 @@ def coxeter_element(rs, members, order="increasing"):
     experiment with other choices (no invariance of downstream tables is
     claimed for those).
     """
-    return element_from_word(rs, coxeter_word(rs, members, order))
+    members = _check_subset(rs, members)
+    if not members:
+        raise ValueError("a Coxeter element needs a nonempty subset")
+    if order == "increasing":
+        word = sorted(members)
+    elif order == "decreasing":
+        word = sorted(members, reverse=True)
+    else:
+        word = tuple(int(i) for i in order)
+        if frozenset(word) != members or len(word) != len(members):
+            raise ValueError(
+                "explicit order must list each subset member exactly once"
+            )
+    return element_from_word(rs, word)
 
 
 def inversions(w):

@@ -7,9 +7,10 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
 
-Two references for any root system close the file: the polynomial
-division that takes every quotient term through ``Fraction``, and the
-reflections over all positive roots built at once by conjugation.
+Three references for any root system close the file: the polynomial
+division that takes every quotient term through ``Fraction``, the
+reflections over all positive roots built at once by conjugation, and
+the height-weighted subword sum at one Peterson fixed point.
 """
 
 from fractions import Fraction
@@ -21,8 +22,11 @@ from petcalc import (
     DivisionByZero,
     NotDivisible,
     Polynomial,
+    ResourceCapError,
     act_on_root,
+    all_subsets,
     divide_exact,
+    longest_element,
     weyl_enumerate,
 )
 from petcalc.gkm import billey_row
@@ -369,3 +373,46 @@ def eager_reflections(rs):
                     reached.append(image)
         frontier = reached
     return tuple(reflection[root] for root in rs.positive_roots)
+
+
+def height_subword_sum(rs, v, w):
+    """The Schubert class of v at w with every root replaced by its
+    height: the integer N of N t^length(v) when w is a Peterson fixed
+    point.
+
+    Billey's subword sum along the canonical word of w, one dict of
+    states per letter, kept to the weak-order prefixes of v: u s is one
+    exactly when u sends the letter's simple root to a positive root
+    that v^-1 sends negative. Raises ResourceCapError when the states
+    outnumber ``rs.max_weyl``.
+    """
+    targets = {k + 1 for k, x in enumerate(v.inverse().perm) if x < 0}
+    states = {rs.identity(): 1}
+    prefix = rs.identity()
+    for letter in w.word:
+        index = rs.simple_index(letter)
+        s = rs.simple_reflection(letter)
+        height = rs.positive_roots[prefix.perm[index] - 1].height()
+        grown = dict(states)
+        for u, acc in states.items():
+            if u.perm[index] in targets:
+                us = u * s
+                grown[us] = grown.get(us, 0) + acc * height
+        if len(grown) > rs.max_weyl:
+            raise ResourceCapError(
+                f"{len(grown)} states outnumber the cap of {rs.max_weyl}"
+            )
+        states = grown
+        prefix = prefix * s
+    return states.get(v, 0)
+
+
+def peterson_values(rs, v):
+    """{J: N} for the class of v at every Peterson fixed point w_J where
+    it is nonzero, one ``height_subword_sum`` each."""
+    values = {}
+    for subset in all_subsets(rs):
+        n = height_subword_sum(rs, v, longest_element(rs, subset))
+        if n:
+            values[subset] = n
+    return values

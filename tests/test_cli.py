@@ -362,6 +362,43 @@ def test_usage_errors_exit_two(runner):
     ).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["restrict", "A10", "--class", "{}", "--at", "{}"],
+    ["restrict", "D10", "--class", "{}", "--at", "{}"],
+    ["pullback", "A10", "--w", "{}"],
+], ids=["restrict-A10", "restrict-D10", "pullback-A10"])
+def test_a_lone_letter_past_nine_is_a_word(runner, args):
+    # one-line notation of A10 has 11 digits, and D10 has none, so "10"
+    # can only be the letter s10
+    by_letter = invoke(runner, [a.format("10") for a in args])
+    by_word = invoke(runner, [a.format("s10") for a in args])
+    assert by_letter.exit_code == by_word.exit_code == 0
+    assert by_letter.output == by_word.output
+
+
+def test_a_lone_token_too_short_for_one_line_is_still_refused(runner):
+    # "12" is not one-line notation of A2 (3 digits), and s12 is no letter
+    result = runner.invoke(main, ["restrict", "A2", "--class", "12",
+                                  "--at", "321"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_subsets_may_be_braced(runner):
+    plain = invoke(runner, ["peterson-mult", "A3", "--I", "1,2", "--J", "3"])
+    braced = invoke(runner,
+                    ["peterson-mult", "A3", "--I", "{1,2}", "--J", "{3}"])
+    assert braced.exit_code == 0
+    assert braced.output == plain.output
+    empty = invoke(runner, ["peterson-mult", "A3", "--I", "{}", "--J", "{3}"])
+    assert empty.output == invoke(
+        runner, ["peterson-mult", "A3", "--I", "", "--J", "3"]
+    ).output
+    assert runner.invoke(
+        main, ["peterson-mult", "A3", "--I", "{{1}}", "--J", "3"]
+    ).exit_code == 2
+
+
 def test_resource_cap_exit_three(runner):
     result = runner.invoke(
         main, ["table", "A4", "--max-weyl", "50"]

@@ -531,11 +531,11 @@ def test_stepped_and_cut_rows_match_billey_row(name):
             parent, letter = gkm._parent(w)
             want = {v: p for v, p in expected[w].items() if v in within}
             rows[w] = gkm._billey_step(rs, rows[parent], parent, letter,
-                                       gkm._root_form, within=within)
+                                       within=within)
             assert rows[w] == want
             # a pruned step from the whole parent row gives the same row
             assert gkm._billey_step(rs, rs._billey[parent], parent, letter,
-                                    gkm._root_form, within=within) == want
+                                    within=within) == want
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "A1xG2"])

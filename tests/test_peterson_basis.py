@@ -1,28 +1,33 @@
-"""The Peterson basis built from shared height walks, against the
-subword sum it replaced.
+"""Peterson restrictions from shared height walks, against a subword
+sum per fixed point.
 
-``peterson_class`` walks each fixed point's height sequence once over a
-table of prefix steps of the Coxeter element. The oracle is the
-per-(K, J) height-weighted Billey sum ``_billey_dp`` along the reduced
-word of w_J, kept to the weak-order prefixes of v_K: every value and
-every resource-cap threshold must agree with it.
+``peterson_class`` and ``pullback_expansion`` walk each fixed point's
+height sequence over the steps between the weak-order prefixes of one
+Schubert class v. The oracle, ``oracles.peterson_values``, runs one
+height-weighted Billey sum per (v, J) along the reduced word of w_J,
+kept to the weak-order prefixes of v: every value and every
+resource-cap threshold must agree with it.
 """
 
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from petcalc import (
+    PetersonClass,
     ResourceCapError,
     all_subsets,
     build_root_system,
     coxeter_element,
-    longest_element,
+    expand_in_peterson_basis,
+    inversions,
     peterson_class,
+    pullback_expansion,
     root_system_from_label,
+    weyl_enumerate,
 )
 from petcalc.cli import main
-from petcalc.gkm import _billey_dp
-from petcalc.rootsys import Root
+from petcalc.peterson import _fixed_point_values
 
 _SYSTEMS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",
             "C4", "D4", "D5", "F4", "G2", "E6", "A1xG2"]
@@ -36,17 +41,13 @@ def _root_system(label, max_weyl=None):
 
 
 def _oracle(rs, members, order="increasing"):
-    """{J: N} by one subword sum per fixed point J containing K."""
+    """{J: N} for the basis class of K, by one subword sum per fixed
+    point J."""
     if members:
         v = coxeter_element(rs, members, order)
     else:
         v = rs.identity()
-    return {
-        subset: _billey_dp(rs, longest_element(rs, subset).word, Root.height,
-                           1, keep=v)[v]
-        for subset in all_subsets(rs)
-        if members <= subset
-    }
+    return oracles.peterson_values(rs, v)
 
 
 @pytest.mark.parametrize("label", _SYSTEMS)
@@ -107,3 +108,44 @@ def test_cap_threshold_matches_the_oracle(label):
         assert capped.stdout == ""
         assert len(capped.stderr.splitlines()) == 1
         assert capped.stderr.startswith("resource cap: Billey sum at ")
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xG2"])
+def test_pullback_values_match_the_oracle_on_every_element(label):
+    rs = _root_system(label)
+    for w in weyl_enumerate(rs):
+        values = oracles.peterson_values(rs, w)
+        assert _fixed_point_values(rs, w) == values, w
+        assert pullback_expansion(rs, w) == expand_in_peterson_basis(
+            PetersonClass(rs, values, w.length)
+        ), w
+
+
+def _prefix_count(w):
+    """The weak-order prefixes of w, counted over W: u is one exactly
+    when every root that u^-1 sends negative, w^-1 sends negative too."""
+    inverted = set(inversions(w.inverse()))
+    return sum(
+        1 for u in weyl_enumerate(w.rs)
+        if inverted.issuperset(inversions(u.inverse()))
+    )
+
+
+@pytest.mark.parametrize("label", ["B3", "A4"])
+def test_pullback_cap_threshold_is_the_prefix_count(label):
+    # each attempt takes a fresh root system, so no memo skips the cap
+    for w in weyl_enumerate(_root_system(label)):
+        cap = _prefix_count(w)
+        rs = _root_system(label, cap)
+        pullback_expansion(rs, rs.element(w.perm))
+        rs = _root_system(label, cap - 1)
+        with pytest.raises(ResourceCapError):
+            pullback_expansion(rs, rs.element(w.perm))
+
+
+def test_cap_zero_refuses_the_empty_class_and_the_pullback_of_e():
+    rs = _root_system("A2", 0)
+    with pytest.raises(ResourceCapError, match="^Billey sum at an element"):
+        peterson_class(rs, ())
+    with pytest.raises(ResourceCapError, match="^Billey sum at an element"):
+        pullback_expansion(rs, rs.identity())
