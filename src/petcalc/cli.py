@@ -2,7 +2,8 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 a
 mathematical verification failed (positivity or localization-condition
-violation), 2 usage error, 3 resource cap exceeded. Output bytes are
+violation), 2 usage error (or a ``--cache`` directory that cannot be
+written, after the output), 3 resource cap exceeded. Output bytes are
 deterministic for a given job, independent of cache state.
 """
 
@@ -40,6 +41,7 @@ from .rootsys import (
     element_from_word,
     is_type_a,
     root_system_from_label,
+    weyl_enumerate,
     word_text,
 )
 from .verify import SUITES, Unsupported, run_suite
@@ -422,23 +424,25 @@ def _cmd_pullback(config, rs):
 def _cmd_table(config, rs):
     """Full structure-constant table."""
     kind = config.params["kind"]
+    # each key is rendered once, however many rows name it
     if kind == "schubert":
-        columns, label = ("u", "v", "w"), word_text
+        columns = ("u", "v", "w")
         table = structure_table(rs).rows()
+        label = {x: word_text(x) for x in weyl_enumerate(rs)}
     else:
         columns = ("I", "J", "K")
-        label = {m: subset_text(m) for m in all_subsets(rs)}.__getitem__
+        label = {m: subset_text(m) for m in all_subsets(rs)}
         table = peterson_table(rs, config.params["coxeter_order"])
     as_json = config.out_format == "json"
     rows, entries = [], []
-    for *keys, poly in table:
-        labels = [label(key) for key in keys]
+    for a, b, c, poly in table:
         if as_json:
-            entries.append(
-                {**dict(zip(columns, labels)), "coefficient": poly.to_json()}
-            )
+            entries.append({
+                **dict(zip(columns, (label[a], label[b], label[c]))),
+                "coefficient": poly.to_json(),
+            })
         else:
-            rows.append(labels + [poly.text()])
+            rows.append([label[a], label[b], label[c], poly.text()])
     payload = {"kind": kind, "entries": entries}
     _emit_rows(config, [*columns, "coefficient"], rows, payload)
     return 0
@@ -496,8 +500,9 @@ def run(config):
     """Execute a job: resolve the root system, warm and persist the cache,
     dispatch, and map resource exhaustion to exit code 3, a maths error
     (a class outside the Schubert span, a non-polynomial integral) to one
-    ``error:`` line and exit code 1, and positivity violations (reported
-    after the output) to exit code 1."""
+    ``error:`` line and exit code 1, positivity violations (reported
+    after the output) to exit code 1, and a cache that cannot be written
+    to one ``cache:`` line and exit code 2."""
     try:
         rs = _resolve_root_system(config)
         cache = None
@@ -517,7 +522,12 @@ def run(config):
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     if cache:
-        cache.save(rs)
+        try:
+            cache.save(rs)
+        except OSError as exc:  # such as a --cache path that is a file
+            print(f"cache: cannot write {config.cache_dir}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            code = code or EXIT_USAGE
     for warning in caught:
         if issubclass(warning.category, PositivityViolation):
             print(f"positivity violation: {warning.message}",

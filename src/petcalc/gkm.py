@@ -173,7 +173,6 @@ def _billey_step(rs, states, prefix, letter, within=None):
     Raises ResourceCapError when the map outgrows ``rs.max_weyl``.
     """
     index = rs.simple_index(letter)
-    s = rs.simple_reflection(letter)
     form = rs.positive_roots[prefix.perm[index] - 1].coeffs
     if within is not None:
         states = {u: acc for u, acc in states.items() if u in within}
@@ -182,7 +181,7 @@ def _billey_step(rs, states, prefix, letter, within=None):
         # u s is longer than u iff u sends the simple root positive
         if u.perm[index] < 0:
             continue
-        u2 = u * s
+        u2 = u.times_simple(letter)
         if within is not None and u2 not in within:
             continue
         add = acc.times_linear(form)
@@ -209,7 +208,7 @@ def _billey_dp(rs, word):
     prefix = rs.identity()
     for letter in word:
         states = _billey_step(rs, states, prefix, letter)
-        prefix = prefix * rs.simple_reflection(letter)
+        prefix = prefix.times_simple(letter)
     return states
 
 
@@ -218,7 +217,7 @@ def _parent(w):
     canonical word of w s is that word without its last letter, since a
     prefix of a lexicographically smallest reduced word is one too."""
     letter = w.word[-1]
-    return w * w.rs.simple_reflection(letter), letter
+    return w.times_simple(letter), letter
 
 
 def _fill_billey_row(rs, w):
@@ -392,8 +391,7 @@ def _right_weak_prefixes(elements):
         u = todo.pop()
         if u not in found:
             found.add(u)
-            todo.extend(u * u.rs.simple_reflection(i)
-                        for i in u.right_descents())
+            todo.extend(u.times_simple(i) for i in u.right_descents())
     return found
 
 
@@ -536,12 +534,17 @@ class StructTable:
         return poly
 
     def rows(self):
-        """Triples in deterministic order: (u, v, w, coefficient)."""
-        keys = sorted(
-            self.entries,
-            key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key()),
-        )
-        return [(u, v, w, self.entries[(u, v, w)]) for u, v, w in keys]
+        """The entries as (u, v, w, coefficient), in table order: by the
+        enumeration rank of u, then of v, then of w, where an element's
+        rank is its position in ``weyl_enumerate``. That list is sorted
+        by ``WeylElt.sort_key``, so this is the order of the sort keys."""
+        rank = {x: k for k, x in enumerate(weyl_enumerate(self.rs))}
+        n = len(rank)
+        by_rank = {
+            (rank[u] * n + rank[v]) * n + rank[w]: (u, v, w, poly)
+            for (u, v, w), poly in self.entries.items()
+        }
+        return [by_rank[k] for k in sorted(by_rank)]
 
 
 def structure_table(rs):

@@ -74,9 +74,11 @@ class WeylElt:
     inversion count, i.e. the number of positive roots sent negative.
     The canonical reduced word (lexicographically smallest) is derived
     lazily; it exists purely as display/derived data, never as identity.
+    The products with simple reflections are kept once computed, one
+    small list per element that ``times_simple`` touches.
     """
 
-    __slots__ = ("rs", "perm", "length", "_word", "_hash")
+    __slots__ = ("rs", "perm", "length", "_word", "_hash", "_steps")
 
     def __init__(self, rs, perm):
         self.rs = rs
@@ -84,6 +86,7 @@ class WeylElt:
         self.length = sum(1 for v in perm if v < 0)
         self._word = None
         self._hash = hash(perm)
+        self._steps = None  # i -> self * s_i, for i in 1..rank
 
     def __eq__(self, other):
         if not isinstance(other, WeylElt):
@@ -109,6 +112,19 @@ class WeylElt:
             else:
                 out.append(-sperm[-v - 1])
         return self.rs.element(tuple(out))
+
+    def times_simple(self, i):
+        """The product self * s_i, computed once and then kept; raises
+        ValueError unless 1 <= i <= rank."""
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = [None] * (self.rs.rank + 1)
+        if not 0 < i < len(steps):
+            raise ValueError(f"simple reflection index {i} out of range")
+        w = steps[i]
+        if w is None:
+            w = steps[i] = self * self.rs._simples[i]
+        return w
 
     def inverse(self):
         inv = [0] * len(self.perm)
@@ -148,7 +164,7 @@ class WeylElt:
                 for i in range(1, rs.rank + 1):
                     if y.perm[rs.simple_index(i)] < 0:
                         letters.append(i)
-                        y = y * rs.simple_reflection(i)
+                        y = y.times_simple(i)
                         break
             self._word = tuple(letters)
         return self._word
@@ -511,7 +527,10 @@ def is_type_a(rs):
 
 def weyl_enumerate(rs, max_length=None):
     """The Weyl group elements of length at most ``max_length`` (all of
-    W when None), graded by length then canonical word.
+    W when None), graded by length then canonical word: sorted by
+    ``WeylElt.sort_key``. An element's position in the full list is its
+    enumeration rank, and tables (``StructTable.rows``, the ``table``
+    command's labels) are ordered and rendered by that rank.
 
     A breadth-first walk by length that stops after level
     ``max_length``. These elements form a Bruhat lower set. Raises
@@ -532,7 +551,7 @@ def weyl_enumerate(rs, max_length=None):
             for w in level:
                 for i in range(1, rs.rank + 1):
                     if w.perm[rs.simple_index(i)] > 0:  # ascent: length grows
-                        ws = w * rs.simple_reflection(i)
+                        ws = w.times_simple(i)
                         if ws not in seen:
                             nxt.add(ws)
             seen.update(nxt)
@@ -569,7 +588,7 @@ def element_from_word(rs, word):
     """Product of simple reflections; the word need not be reduced."""
     w = rs.identity()
     for i in word:
-        w = w * rs.simple_reflection(i)
+        w = w.times_simple(i)
     return w
 
 
@@ -579,7 +598,7 @@ def reduced_words(w):
         return [()]
     out = []
     for i in w.right_descents():
-        shorter = w * w.rs.simple_reflection(i)
+        shorter = w.times_simple(i)
         out.extend(tail + (i,) for tail in reduced_words(shorter))
     out.sort()
     return out
@@ -605,9 +624,8 @@ def bruhat_leq(u, w):
     if cached is not None:
         return cached
     i = w.right_descents()[0]
-    s = rs.simple_reflection(i)
-    ws = w * s
-    us = u * s
+    ws = w.times_simple(i)
+    us = u.times_simple(i)
     if us.length < u.length:
         result = bruhat_leq(us, ws)
     else:
@@ -642,7 +660,7 @@ def longest_element(rs, members):
         progressed = False
         for i in sorted(members):
             if w.perm[rs.simple_index(i)] > 0:
-                w = w * rs.simple_reflection(i)
+                w = w.times_simple(i)
                 progressed = True
                 break
     rs._parabolic_longest[members] = w

@@ -87,13 +87,16 @@ def _structure(rs, elements, coxeter_order):
     failures = check.failures
     for u, v, w, poly in table.rows():
         check.checked += 1
-        label = f"({word_text(u)}, {word_text(v)}, {word_text(w)})"
+        problems = []
         if not is_graham_positive(poly):
-            failures.append(f"{label}: negative coefficient {poly.text()}")
+            problems.append(f"negative coefficient {poly.text()}")
         if not poly.is_homogeneous(u.length + v.length - w.length):
-            failures.append(f"{label}: wrong degree {poly.text()}")
+            problems.append(f"wrong degree {poly.text()}")
         if not (bruhat_leq(u, w) and bruhat_leq(v, w)):
-            failures.append(f"{label}: support outside the Bruhat interval")
+            problems.append("support outside the Bruhat interval")
+        if problems:  # the row's label is built only when it fails
+            label = f"({word_text(u)}, {word_text(v)}, {word_text(w)})"
+            failures.extend(f"{label}: {problem}" for problem in problems)
     try:
         if any(c < 0 for c in forget_to_ordinary(table).values()):
             failures.append("a degree-zero constant is negative")

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import tracemalloc
@@ -12,17 +14,20 @@ from petcalc import (
     NonPolynomialResult,
     NotInSpan,
     Polynomial,
+    build_root_system,
     element_from_word,
     gkm,
     one_line,
     peterson,
     root_system_from_label,
     weyl_enumerate,
+    word_text,
 )
 from petcalc import cache as cache_module
 from petcalc.cache import BilleyDiskCache, _signed_line
 from petcalc import cli as cli_module
 from petcalc.cli import main
+from petcalc.rootsys import cartan_matrix_for_label
 
 
 @pytest.fixture
@@ -610,6 +615,31 @@ def test_table_output_bytes_pinned(runner, args, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "system", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "reversed-C3"]
+)
+def test_table_rows_and_labels_follow_the_sort_keys(runner, tmp_path, system):
+    # table order is enumeration rank and each label is rendered once per
+    # element; both must match sorting by sort_key and calling word_text
+    if system == "reversed-C3":
+        cartan = [row[::-1] for row in cartan_matrix_for_label("C3")[::-1]]
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"cartan": cartan}))
+        rs, source = build_root_system(cartan), ["--cartan", str(path)]
+    else:
+        rs, source = root_system_from_label(system), [system]
+    table = gkm.structure_table(rs)
+    expected = oracles.rows_by_sort_key(table)
+    assert table.rows() == expected
+    result = invoke(runner, ["table", *source, "--out", "csv"])
+    assert result.exit_code == 0
+    assert list(csv.reader(io.StringIO(result.output))) == [
+        ["u", "v", "w", "coefficient"],
+        *([word_text(u), word_text(v), word_text(w), poly.text()]
+          for u, v, w, poly in expected),
+    ]
+
+
 def test_peterson_table_csv(runner):
     result = invoke(
         runner, ["table", "A2", "--kind", "peterson", "--out", "csv"]
@@ -682,6 +712,22 @@ FORMAT_1_A2 = (
     '{"rs":"A2","v":[],"w":[1,2,1],"poly":[[[0,0],1,1]]}\n'
     '{"rs":"A2","w":[1,2,1],"row_complete":true}\n'
 )
+
+
+@pytest.mark.parametrize("nested", [False, True],
+                         ids=["regular-file", "path-under-a-file"])
+def test_cache_path_that_cannot_be_a_directory(runner, tmp_path, nested):
+    # the job's output stands; the failed save is one line and exit 2
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = blocker / "sub" if nested else blocker
+    reason = "Not a directory" if nested else "File exists"
+    result = invoke(runner, ["restrict", "G2", "--class", "1", "--at", "1",
+                             "--cache", str(cache)])
+    assert result.exit_code == 2
+    assert result.stdout == "a1\n"
+    assert result.stderr == f"cache: cannot write {cache}: {reason}\n"
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize(

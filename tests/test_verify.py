@@ -3,7 +3,13 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from petcalc import build_root_system, root_system_from_label
+from petcalc import (
+    build_root_system,
+    element_from_word,
+    gkm,
+    root_system_from_label,
+)
+from petcalc import verify
 from petcalc.cli import main
 from petcalc.verify import Check, Unsupported, run_suite
 
@@ -42,3 +48,14 @@ def test_unsupported_sweep_alone_raises():
 
 def test_failed_check_status():
     assert Check("sweep", 3, ["one bad entry"]).status == "fail"
+
+
+def test_structure_sweep_labels_only_failing_rows(monkeypatch):
+    a2 = root_system_from_label("A2")
+    table = gkm.structure_table(a2)
+    s1 = element_from_word(a2, (1,))
+    table.entries[s1, s1, s1] = -table.entries[s1, s1, s1]
+    monkeypatch.setattr(verify, "structure_table", lambda rs: table)
+    structure = run_suite(a2, "positivity")[1]
+    assert structure.checked == len(table.entries)
+    assert structure.failures == ["(s1, s1, s1): negative coefficient -a1"]
