@@ -2,8 +2,8 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 a
 mathematical verification failed (positivity or localization-condition
-violation), 2 usage error (or a ``--cache`` directory that cannot be
-written, after the output), 3 resource cap exceeded. Output bytes are
+violation), 2 usage error (or a ``--cache`` path that is, or lies under,
+a regular file, after the output), 3 resource cap exceeded. Output bytes are
 deterministic for a given job, independent of cache state.
 """
 
@@ -501,8 +501,8 @@ def run(config):
     dispatch, and map resource exhaustion to exit code 3, a maths error
     (a class outside the Schubert span, a non-polynomial integral) to one
     ``error:`` line and exit code 1, positivity violations (reported
-    after the output) to exit code 1, and a cache that cannot be written
-    to one ``cache:`` line and exit code 2."""
+    after the output) to exit code 1, and a ``--cache`` path that is, or
+    lies under, a regular file to one ``cache:`` line and exit code 2."""
     try:
         rs = _resolve_root_system(config)
         cache = None
@@ -521,13 +521,6 @@ def run(config):
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    if cache:
-        try:
-            cache.save(rs)
-        except OSError as exc:  # such as a --cache path that is a file
-            print(f"cache: cannot write {config.cache_dir}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            code = code or EXIT_USAGE
     for warning in caught:
         if issubclass(warning.category, PositivityViolation):
             print(f"positivity violation: {warning.message}",
@@ -536,6 +529,14 @@ def run(config):
         else:
             warnings.showwarning(warning.message, warning.category,
                                  warning.filename, warning.lineno)
+    if cache:
+        try:
+            cache.save(rs)
+        except (FileExistsError, NotADirectoryError) as exc:
+            # the --cache path is, or lies under, a regular file
+            print(f"cache: cannot write {config.cache_dir}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            code = code or EXIT_USAGE
     return code
 
 

@@ -173,6 +173,7 @@ def _billey_step(rs, states, prefix, letter, within=None):
     Raises ResourceCapError when the map outgrows ``rs.max_weyl``.
     """
     index = rs.simple_index(letter)
+    s = rs.simple_reflection(letter)
     form = rs.positive_roots[prefix.perm[index] - 1].coeffs
     if within is not None:
         states = {u: acc for u, acc in states.items() if u in within}
@@ -181,7 +182,7 @@ def _billey_step(rs, states, prefix, letter, within=None):
         # u s is longer than u iff u sends the simple root positive
         if u.perm[index] < 0:
             continue
-        u2 = u.times_simple(letter)
+        u2 = u * s
         if within is not None and u2 not in within:
             continue
         add = acc.times_linear(form)
@@ -208,7 +209,7 @@ def _billey_dp(rs, word):
     prefix = rs.identity()
     for letter in word:
         states = _billey_step(rs, states, prefix, letter)
-        prefix = prefix.times_simple(letter)
+        prefix = prefix * rs.simple_reflection(letter)
     return states
 
 
@@ -217,7 +218,7 @@ def _parent(w):
     canonical word of w s is that word without its last letter, since a
     prefix of a lexicographically smallest reduced word is one too."""
     letter = w.word[-1]
-    return w.times_simple(letter), letter
+    return w * w.rs.simple_reflection(letter), letter
 
 
 def _fill_billey_row(rs, w):
@@ -391,7 +392,8 @@ def _right_weak_prefixes(elements):
         u = todo.pop()
         if u not in found:
             found.add(u)
-            todo.extend(u.times_simple(i) for i in u.right_descents())
+            todo.extend(u * u.rs.simple_reflection(i)
+                        for i in u.right_descents())
     return found
 
 
@@ -539,12 +541,11 @@ class StructTable:
         rank is its position in ``weyl_enumerate``. That list is sorted
         by ``WeylElt.sort_key``, so this is the order of the sort keys."""
         rank = {x: k for k, x in enumerate(weyl_enumerate(self.rs))}
-        n = len(rank)
-        by_rank = {
-            (rank[u] * n + rank[v]) * n + rank[w]: (u, v, w, poly)
-            for (u, v, w), poly in self.entries.items()
-        }
-        return [by_rank[k] for k in sorted(by_rank)]
+        items = sorted(
+            self.entries.items(),
+            key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]], rank[kv[0][2]]),
+        )
+        return [(u, v, w, poly) for (u, v, w), poly in items]
 
 
 def structure_table(rs):

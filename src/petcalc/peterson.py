@@ -166,7 +166,7 @@ def _height_walk(rs, members):
     for letter in longest_element(rs, members).word:
         root = rs.positive_roots[prefix.perm[rs.simple_index(letter)] - 1]
         walk.append((letter, root.height()))
-        prefix = prefix.times_simple(letter)
+        prefix = prefix * rs.simple_reflection(letter)
     return walk
 
 
@@ -205,7 +205,7 @@ def _fixed_point_values(rs, v):
     for k, u in enumerate(prefixes):  # grows while read: breadth first
         for letter in range(1, rs.rank + 1):
             if u.perm[rs.simple_index(letter)] in targets:
-                us = u.times_simple(letter)
+                us = u * rs.simple_reflection(letter)
                 steps[letter].append((k, number(us)))
     walks = _walks.get(rs)
     if walks is None:

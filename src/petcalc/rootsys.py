@@ -74,11 +74,9 @@ class WeylElt:
     inversion count, i.e. the number of positive roots sent negative.
     The canonical reduced word (lexicographically smallest) is derived
     lazily; it exists purely as display/derived data, never as identity.
-    The products with simple reflections are kept once computed, one
-    small list per element that ``times_simple`` touches.
     """
 
-    __slots__ = ("rs", "perm", "length", "_word", "_hash", "_steps")
+    __slots__ = ("rs", "perm", "length", "_word", "_hash")
 
     def __init__(self, rs, perm):
         self.rs = rs
@@ -86,7 +84,6 @@ class WeylElt:
         self.length = sum(1 for v in perm if v < 0)
         self._word = None
         self._hash = hash(perm)
-        self._steps = None  # i -> self * s_i, for i in 1..rank
 
     def __eq__(self, other):
         if not isinstance(other, WeylElt):
@@ -112,19 +109,6 @@ class WeylElt:
             else:
                 out.append(-sperm[-v - 1])
         return self.rs.element(tuple(out))
-
-    def times_simple(self, i):
-        """The product self * s_i, computed once and then kept; raises
-        ValueError unless 1 <= i <= rank."""
-        steps = self._steps
-        if steps is None:
-            steps = self._steps = [None] * (self.rs.rank + 1)
-        if not 0 < i < len(steps):
-            raise ValueError(f"simple reflection index {i} out of range")
-        w = steps[i]
-        if w is None:
-            w = steps[i] = self * self.rs._simples[i]
-        return w
 
     def inverse(self):
         inv = [0] * len(self.perm)
@@ -164,7 +148,7 @@ class WeylElt:
                 for i in range(1, rs.rank + 1):
                     if y.perm[rs.simple_index(i)] < 0:
                         letters.append(i)
-                        y = y.times_simple(i)
+                        y = y * rs.simple_reflection(i)
                         break
             self._word = tuple(letters)
         return self._word
@@ -551,7 +535,7 @@ def weyl_enumerate(rs, max_length=None):
             for w in level:
                 for i in range(1, rs.rank + 1):
                     if w.perm[rs.simple_index(i)] > 0:  # ascent: length grows
-                        ws = w.times_simple(i)
+                        ws = w * rs.simple_reflection(i)
                         if ws not in seen:
                             nxt.add(ws)
             seen.update(nxt)
@@ -588,7 +572,7 @@ def element_from_word(rs, word):
     """Product of simple reflections; the word need not be reduced."""
     w = rs.identity()
     for i in word:
-        w = w.times_simple(i)
+        w = w * rs.simple_reflection(i)
     return w
 
 
@@ -598,7 +582,7 @@ def reduced_words(w):
         return [()]
     out = []
     for i in w.right_descents():
-        shorter = w.times_simple(i)
+        shorter = w * w.rs.simple_reflection(i)
         out.extend(tail + (i,) for tail in reduced_words(shorter))
     out.sort()
     return out
@@ -624,8 +608,9 @@ def bruhat_leq(u, w):
     if cached is not None:
         return cached
     i = w.right_descents()[0]
-    ws = w.times_simple(i)
-    us = u.times_simple(i)
+    s = rs.simple_reflection(i)
+    ws = w * s
+    us = u * s
     if us.length < u.length:
         result = bruhat_leq(us, ws)
     else:
@@ -660,7 +645,7 @@ def longest_element(rs, members):
         progressed = False
         for i in sorted(members):
             if w.perm[rs.simple_index(i)] > 0:
-                w = w.times_simple(i)
+                w = w * rs.simple_reflection(i)
                 progressed = True
                 break
     rs._parabolic_longest[members] = w

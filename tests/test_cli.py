@@ -730,6 +730,21 @@ def test_cache_path_that_cannot_be_a_directory(runner, tmp_path, nested):
     assert blocker.read_text() == ""
 
 
+def test_positivity_violation_outranks_a_blocked_cache(runner, monkeypatch,
+                                                       tmp_path):
+    # a failed verification is exit 1 even when the cache save fails too
+    monkeypatch.setattr(gkm, "is_graham_positive", lambda p: False)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    result = invoke(runner, ["table", "A2", "--cache", str(blocker)])
+    assert result.exit_code == 1
+    assert result.stdout
+    lines = result.stderr.splitlines()
+    assert lines[-1] == f"cache: cannot write {blocker}: File exists"
+    assert all(line.startswith("positivity violation: ")
+               for line in lines[:-1]) and len(lines) > 1
+
+
 @pytest.mark.parametrize(
     "stale", ['{"format": 99}\n{"rs": "A2"}\n', FORMAT_1_A2],
     ids=["format-99", "format-1"],

@@ -356,22 +356,9 @@ def test_canonical_word_is_lex_minimal(a3):
         assert all(element_from_word(a3, word) == w for word in words)
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
-def test_times_simple_is_the_interned_product(label):
-    rs = root_system_from_label(label)
-    for u in weyl_enumerate(rs):
-        for i in range(1, rs.rank + 1):
-            step = u.times_simple(i)
-            assert step is u * rs.simple_reflection(i)
-            assert u.times_simple(i) is step
-
-
 @pytest.mark.parametrize("letter", [0, -1, 4])
 def test_element_from_word_rejects_letters_out_of_range(letter):
     a3 = root_system_from_label("A3")
-    for u in weyl_enumerate(a3):  # every step kept, s3 at list index -1 too
-        for i in range(1, a3.rank + 1):
-            u.times_simple(i)
     for word in ((letter,), (1, letter), (3, 2, letter)):
         with pytest.raises(ValueError, match="out of range"):
             element_from_word(a3, word)
