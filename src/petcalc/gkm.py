@@ -537,15 +537,14 @@ class StructTable:
 
     def rows(self):
         """The entries as (u, v, w, coefficient), in table order: by the
-        enumeration rank of u, then of v, then of w, where an element's
-        rank is its position in ``weyl_enumerate``. That list is sorted
-        by ``WeylElt.sort_key``, so this is the order of the sort keys."""
-        rank = {x: k for k, x in enumerate(weyl_enumerate(self.rs))}
-        items = sorted(
-            self.entries.items(),
-            key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]], rank[kv[0][2]]),
+        sort key of u, then of v, then of w. ``weyl_enumerate`` is sorted
+        by ``WeylElt.sort_key``, so this is also the order of the
+        elements' enumeration ranks (their positions in that list)."""
+        keys = sorted(
+            self.entries,
+            key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key()),
         )
-        return [(u, v, w, poly) for (u, v, w), poly in items]
+        return [(u, v, w, self.entries[(u, v, w)]) for u, v, w in keys]
 
 
 def structure_table(rs):

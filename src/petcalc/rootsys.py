@@ -513,8 +513,9 @@ def weyl_enumerate(rs, max_length=None):
     """The Weyl group elements of length at most ``max_length`` (all of
     W when None), graded by length then canonical word: sorted by
     ``WeylElt.sort_key``. An element's position in the full list is its
-    enumeration rank, and tables (``StructTable.rows``, the ``table``
-    command's labels) are ordered and rendered by that rank.
+    enumeration rank; ``StructTable.rows`` lists the table in the order
+    of those ranks, and the ``table`` command labels each element once
+    from this list.
 
     A breadth-first walk by length that stops after level
     ``max_length``. These elements form a Bruhat lower set. Raises

@@ -7,11 +7,10 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
 
-Four references for any root system close the file: the polynomial
+Three references for any root system close the file: the polynomial
 division that takes every quotient term through ``Fraction``, the
-reflections over all positive roots built at once by conjugation, the
-height-weighted subword sum at one Peterson fixed point, and the
-structure table's rows sorted by their elements' sort keys.
+reflections over all positive roots built at once by conjugation, and
+the height-weighted subword sum at one Peterson fixed point.
 """
 
 from fractions import Fraction
@@ -417,13 +416,3 @@ def peterson_values(rs, v):
         if n:
             values[subset] = n
     return values
-
-
-def rows_by_sort_key(table):
-    """The entries of a ``StructTable`` as (u, v, w, coefficient), sorted
-    by ``(u.sort_key(), v.sort_key(), w.sort_key())``."""
-    keys = sorted(
-        table.entries,
-        key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key()),
-    )
-    return [(u, v, w, table.entries[u, v, w]) for u, v, w in keys]
