@@ -648,10 +648,9 @@ def main(args=None, prog_name=None, standalone_mode=True):
     Parses ``args`` (default ``sys.argv[1:]``) with ``parse_job``, runs
     the job and exits with its code; a usage error exits 2, and ``-h`` or
     ``--help`` anywhere prints the help and exits 0. ``main.main`` is
-    this same function: the entry that click's ``CliRunner`` and
-    in-process drivers call, with click's keywords (``standalone_mode``
-    is accepted, and true is the only behaviour). A process runs it
-    through ``process_main``.
+    this same function, the entry that in-process drivers call
+    (``standalone_mode`` is accepted, and true is the only behaviour). A
+    process runs it through ``process_main``.
     """
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or _program_name()
@@ -676,7 +675,6 @@ def main(args=None, prog_name=None, standalone_mode=True):
 
 
 main.main = main
-main.name = "petcalc"
 
 
 def process_main():

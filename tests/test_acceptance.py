@@ -7,8 +7,7 @@ use fresh root systems so no work is hidden in warmed caches. Run with
 
 import time
 
-from click.testing import CliRunner
-
+from conftest import run_cli
 from petcalc import (
     LocalizedClass,
     Polynomial,
@@ -34,7 +33,6 @@ from petcalc import (
     structure_table,
     weyl_enumerate,
 )
-from petcalc.cli import main
 
 
 def _report(number, name):
@@ -213,13 +211,8 @@ def test_criterion_9_performance_and_determinism():
     pair_count = len({(mi, mj) for (mi, mj, _, _) in rows})
     assert pair_count == 32 * 32
 
-    runner = CliRunner()
     outputs = [
-        runner.invoke(
-            main,
-            ["table", "A3", "--out", "csv", "--jobs", str(jobs)],
-            catch_exceptions=False,
-        ).output
+        run_cli(["table", "A3", "--out", "csv", "--jobs", str(jobs)])
         for jobs in (1, 4)
     ]
     assert outputs[0] == outputs[1]

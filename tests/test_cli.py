@@ -7,9 +7,9 @@ import tracemalloc
 import warnings
 
 import pytest
-from click.testing import CliRunner
 
 import oracles
+from conftest import run_cli
 from petcalc import (
     NonPolynomialResult,
     NotInSpan,
@@ -26,93 +26,66 @@ from petcalc import (
 from petcalc import cache as cache_module
 from petcalc.cache import BilleyDiskCache, _signed_line
 from petcalc import cli as cli_module
-from petcalc.cli import main
 from petcalc.rootsys import cartan_matrix_for_label
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+def test_restrict_golden_text():
+    assert run_cli(["restrict", "A2", "--class", "231", "--at", "321"]) == (
+        0, "a1*a2 + a1^2\n", "")
 
 
-def invoke(runner, args, **kwargs):
-    return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+def test_restrict_accepts_words():
+    by_line = run_cli(["restrict", "A2", "--class", "231", "--at", "321"])
+    by_word = run_cli(
+        ["restrict", "A2", "--class", "s1 s2", "--at", "s1 s2 s1"])
+    assert by_word == by_line
 
 
-def test_restrict_golden_text(runner):
-    result = invoke(runner, ["restrict", "A2", "--class", "231", "--at", "321"])
-    assert result.exit_code == 0
-    assert result.output == "a1*a2 + a1^2\n"
+def test_restrict_csv():
+    args = ["restrict", "A2", "--class", "231", "--at", "321", "--out", "csv"]
+    assert run_cli(args) == (
+        0, "v,w,restriction\ns1 s2,s1 s2 s1,a1*a2 + a1^2\n", "")
 
 
-def test_restrict_accepts_words(runner):
-    by_line = invoke(runner, ["restrict", "A2", "--class", "231", "--at", "321"])
-    by_word = invoke(
-        runner,
-        ["restrict", "A2", "--class", "s1 s2", "--at", "s1 s2 s1"],
-    )
-    assert by_word.output == by_line.output
-
-
-def test_restrict_csv(runner):
-    result = invoke(
-        runner,
-        ["restrict", "A2", "--class", "231", "--at", "321", "--out", "csv"],
-    )
-    assert result.output == "v,w,restriction\ns1 s2,s1 s2 s1,a1*a2 + a1^2\n"
-
-
-def test_restrict_json(runner):
-    result = invoke(
-        runner,
-        ["restrict", "A2", "--class", "231", "--at", "321", "--out", "json"],
-    )
-    payload = json.loads(result.output)
+def test_restrict_json():
+    _, out, _ = run_cli(
+        ["restrict", "A2", "--class", "231", "--at", "321", "--out", "json"])
+    payload = json.loads(out)
     assert payload["restriction_text"] == "a1*a2 + a1^2"
     assert payload["restriction"] == [[[1, 1], 1, 1], [[2, 0], 1, 1]]
 
 
-def test_type_flag_equivalent_to_positional(runner):
-    positional = invoke(runner, ["restrict", "A2", "--class", "e", "--at", "e"])
-    flagged = invoke(
-        runner, ["restrict", "--type", "A2", "--class", "e", "--at", "e"]
-    )
-    assert positional.output == flagged.output == "1\n"
+def test_type_flag_equivalent_to_positional():
+    positional = run_cli(["restrict", "A2", "--class", "e", "--at", "e"])
+    flagged = run_cli(
+        ["restrict", "--type", "A2", "--class", "e", "--at", "e"])
+    assert positional == flagged == (0, "1\n", "")
 
 
-def test_mult_golden(runner):
-    result = invoke(
-        runner, ["mult", "A2", "--u", "213", "--v", "213", "--out", "csv"]
-    )
-    assert result.output == (
-        "u,v,w,coefficient\n"
-        "s1,s1,s1,a1\n"
-        "s1,s1,s2 s1,1\n"
-    )
+def test_mult_golden():
+    assert run_cli(
+        ["mult", "A2", "--u", "213", "--v", "213", "--out", "csv"]) == (
+        0, "u,v,w,coefficient\ns1,s1,s1,a1\ns1,s1,s2 s1,1\n", "")
 
 
-def test_peterson_mult_golden(runner):
-    result = invoke(
-        runner, ["peterson-mult", "A2", "--I", "1", "--J", "2", "--out", "csv"]
-    )
-    assert result.output == 'I,J,K,coefficient\n1,2,"1,2",2\n'
+def test_peterson_mult_golden():
+    assert run_cli(
+        ["peterson-mult", "A2", "--I", "1", "--J", "2", "--out", "csv"]) == (
+        0, 'I,J,K,coefficient\n1,2,"1,2",2\n', "")
 
 
-def test_peterson_mult_empty_subset(runner):
-    result = invoke(
-        runner, ["peterson-mult", "A2", "--I", "", "--J", "2", "--out", "csv"]
-    )
-    assert result.output == "I,J,K,coefficient\n,2,2,1\n"
+def test_peterson_mult_empty_subset():
+    assert run_cli(
+        ["peterson-mult", "A2", "--I", "", "--J", "2", "--out", "csv"]) == (
+        0, "I,J,K,coefficient\n,2,2,1\n", "")
 
 
-def test_pullback(runner):
-    result = invoke(
-        runner, ["pullback", "A2", "--w", "321", "--out", "csv"]
-    )
-    assert result.output == 'w,K,coefficient\ns1 s2 s1,"1,2",t^1\n'
+def test_pullback():
+    assert run_cli(["pullback", "A2", "--w", "321", "--out", "csv"]) == (
+        0, 'w,K,coefficient\ns1 s2 s1,"1,2",t^1\n', "")
 
 
-def test_expand_golden(runner, tmp_path):
+def test_expand_golden(tmp_path):
     payload = {
         "type": "A2",
         "degree": 2,
@@ -123,18 +96,17 @@ def test_expand_golden(runner, tmp_path):
     }
     path = tmp_path / "gamma.json"
     path.write_text(json.dumps(payload))
-    result = invoke(
-        runner, ["expand", "A2", "--values", str(path), "--out", "csv"]
-    )
-    assert result.output == "w,coefficient\ns1,-a2\ns2 s1,1\n"
+    assert run_cli(
+        ["expand", "A2", "--values", str(path), "--out", "csv"]) == (
+        0, "w,coefficient\ns1,-a2\ns2 s1,1\n", "")
 
 
-def test_expand_rejects_non_gkm_with_exit_one(runner, tmp_path):
+def test_expand_rejects_non_gkm_with_exit_one(tmp_path):
     payload = {"type": "A1", "degree": 0, "values": {"e": [[[0], 1, 1]]}}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    result = runner.invoke(main, ["expand", "A1", "--values", str(path)])
-    assert result.exit_code == 1
+    code, _, _ = run_cli(["expand", "A1", "--values", str(path)])
+    assert code == 1
 
 
 @pytest.mark.parametrize(
@@ -150,13 +122,13 @@ def test_expand_rejects_non_gkm_with_exit_one(runner, tmp_path):
     ids=["top-level-string", "values-list", "short-term", "zero-denominator",
          "value-not-a-list", "cartan-not-a-matrix"],
 )
-def test_expand_rejects_malformed_class_json(runner, tmp_path, payload):
+def test_expand_rejects_malformed_class_json(tmp_path, payload):
     path = tmp_path / "class.json"
     path.write_text(json.dumps(payload))
-    result = runner.invoke(main, ["expand", "A2", "--values", str(path)])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    errors = [line for line in result.stderr.splitlines()
+    code, out, err = run_cli(["expand", "A2", "--values", str(path)])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines()
               if line.startswith("Error:")]
     assert len(errors) == 1
 
@@ -181,20 +153,20 @@ _A2_CLASS_OF_S1 = {
     ],
     ids=["fractional-coefficients", "fractional-cartan", "fractional-degree"],
 )
-def test_expand_rejects_fractional_numbers(runner, tmp_path, payload):
+def test_expand_rejects_fractional_numbers(tmp_path, payload):
     # int() would truncate 1.5 to 1 and expand these as the class of s1
     path = tmp_path / "class.json"
     path.write_text(json.dumps(payload))
-    result = runner.invoke(main, ["expand", "A2", "--values", str(path)])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    errors = [line for line in result.stderr.splitlines()
+    code, out, err = run_cli(["expand", "A2", "--values", str(path)])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines()
               if line.startswith("Error:")]
     assert len(errors) == 1
     assert errors[0].startswith("Error: malformed class JSON: ")
 
 
-def test_expand_rejects_a_fixed_point_named_twice(runner, tmp_path):
+def test_expand_rejects_a_fixed_point_named_twice(tmp_path):
     # s1 s2 s1 and s2 s1 s2 are one element of A2: a wrong value under the
     # first name must not be overwritten by the right one under the second
     values = {w: terms for w, terms in _A2_CLASS_OF_S1.items()
@@ -203,25 +175,25 @@ def test_expand_rejects_a_fixed_point_named_twice(runner, tmp_path):
     values["s2 s1 s2"] = _A2_CLASS_OF_S1["s1 s2 s1"]
     path = tmp_path / "class.json"
     path.write_text(json.dumps({"type": "A2", "degree": 1, "values": values}))
-    result = runner.invoke(main, ["expand", "A2", "--values", str(path)])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    errors = [line for line in result.stderr.splitlines()
+    code, out, err = run_cli(["expand", "A2", "--values", str(path)])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines()
               if line.startswith("Error:")]
     assert len(errors) == 1
     assert errors[0].startswith("Error: malformed class JSON: ")
 
 
-def test_expand_rejects_an_exponent_vector_named_twice(runner, tmp_path):
+def test_expand_rejects_an_exponent_vector_named_twice(tmp_path):
     # the second [1] entry must not replace the first: a1 + a1 is not the
     # class of s1, and no reading of the file should expand it as one
     path = tmp_path / "class.json"
     path.write_text(json.dumps({"type": "A1", "degree": 1, "values": {
         "s1": [[[1], 1, 1], [[1], 1, 1]]}}))
-    result = runner.invoke(main, ["expand", "A1", "--values", str(path)])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    errors = [line for line in result.stderr.splitlines()
+    code, out, err = run_cli(["expand", "A1", "--values", str(path)])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines()
               if line.startswith("Error:")]
     assert errors == [
         "Error: malformed class JSON: exponent vector [1] appears twice"
@@ -238,52 +210,50 @@ def test_expand_rejects_an_exponent_vector_named_twice(runner, tmp_path):
     ],
     ids=["string", "number", "string-entry", "fractional-entry"],
 )
-def test_malformed_cartan_file_is_a_usage_error(runner, tmp_path, cartan,
-                                                message):
+def test_malformed_cartan_file_is_a_usage_error(tmp_path, cartan, message):
     path = tmp_path / "cartan.json"
     path.write_text(json.dumps({"cartan": cartan}))
-    result = runner.invoke(
-        main, ["verify", "--cartan", str(path), "--suite", "positivity"]
-    )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == f"Error: {message}"
+    code, out, err = run_cli(
+        ["verify", "--cartan", str(path), "--suite", "positivity"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"Error: {message}"
 
 
-def test_verify_suites_pass(runner):
+def test_verify_suites_pass():
     for suite in ("positivity", "gkm", "billey", "closed-form", "consistency"):
-        result = invoke(runner, ["verify", "A2", "--suite", suite])
-        assert result.exit_code == 0, result.output
+        code, out, err = run_cli(["verify", "A2", "--suite", suite])
+        assert code == 0, out + err
 
 
-def test_verify_positivity_sweep_a3(runner):
-    result = invoke(runner, ["verify", "A3", "--suite", "positivity"])
-    assert result.exit_code == 0
-    assert "ok A3 suite=positivity" in result.output
-    result = invoke(runner, ["verify", "A2", "--suite", "all", "--out", "json"])
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+def test_verify_positivity_sweep_a3():
+    code, out, _ = run_cli(["verify", "A3", "--suite", "positivity"])
+    assert code == 0
+    assert "ok A3 suite=positivity" in out
+    code, out, _ = run_cli(
+        ["verify", "A2", "--suite", "all", "--out", "json"])
+    assert code == 0
+    payload = json.loads(out)
     assert payload["ok"] is True
     assert len(payload["checks"]) == 7
 
 
-def test_verify_closed_form_requires_type_a(runner, tmp_path):
+def test_verify_closed_form_requires_type_a(tmp_path):
     path = tmp_path / "b2.json"
     path.write_text(json.dumps({"cartan": [[2, -1], [-2, 2]]}))
-    result = runner.invoke(
-        main, ["verify", "--cartan", str(path), "--suite", "closed-form"]
-    )
-    assert result.exit_code == 2
-    assert result.stderr.splitlines()[-1] == (
+    code, _, err = run_cli(
+        ["verify", "--cartan", str(path), "--suite", "closed-form"])
+    assert code == 2
+    assert err.splitlines()[-1] == (
         "Error: the closed-form suite needs a type A system"
     )
 
 
-def test_consistency_suite_beyond_its_size_is_a_usage_error(runner):
-    result = runner.invoke(main, ["verify", "A5", "--suite", "consistency"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
+def test_consistency_suite_beyond_its_size_is_a_usage_error():
+    code, out, err = run_cli(["verify", "A5", "--suite", "consistency"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         "Error: the consistency sweep multiplies Schubert classes over all "
         "of W; 720 elements is beyond the supported size"
     )
@@ -292,12 +262,12 @@ def test_consistency_suite_beyond_its_size_is_a_usage_error(runner):
 @pytest.mark.parametrize(
     "args", [["A8"], ["A4", "--max-weyl", "100"]], ids=["A8", "A4-cap-100"]
 )
-def test_verify_cap_comes_before_any_sweep(runner, args):
+def test_verify_cap_comes_before_any_sweep(args):
     # the closed form itself never enumerates W
-    result = runner.invoke(main, ["verify", *args, "--suite", "closed-form"])
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert result.stderr.startswith("resource cap: ")
+    code, out, err = run_cli(["verify", *args, "--suite", "closed-form"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap: ")
 
 
 def _chain(n):
@@ -310,61 +280,52 @@ def _chain(n):
     [[[2, -2], [-2, 2]], [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]],
     ids=["affine", "hyperbolic"],
 )
-def test_infinite_type_cartan_file_is_a_usage_error(runner, tmp_path, cartan):
+def test_infinite_type_cartan_file_is_a_usage_error(tmp_path, cartan):
     path = tmp_path / "cartan.json"
     path.write_text(json.dumps({"cartan": cartan}))
-    result = runner.invoke(
-        main, ["restrict", "--cartan", str(path), "--class", "e", "--at", "e"]
-    )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
+    code, out, err = run_cli(
+        ["restrict", "--cartan", str(path), "--class", "e", "--at", "e"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         "Error: more than 2000 positive roots; "
         "the Cartan matrix is not of finite type"
     )
 
 
-def test_finite_type_past_the_root_cap_is_a_resource_cap(runner, tmp_path):
+def test_finite_type_past_the_root_cap_is_a_resource_cap(tmp_path):
     # A63 has 2,016 positive roots: finite, but over the cap of 2,000,
     # from a file as from its label
     path = tmp_path / "a63.json"
     path.write_text(json.dumps({"cartan": _chain(63)}))
     for source in (["--cartan", str(path)], ["A63"]):
-        result = runner.invoke(
-            main, ["restrict", *source, "--class", "e", "--at", "e"]
-        )
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("resource cap: ")
-        assert result.stderr.endswith("has more than 2000 positive roots\n")
+        code, out, err = run_cli(
+            ["restrict", *source, "--class", "e", "--at", "e"])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resource cap: ")
+        assert err.endswith("has more than 2000 positive roots\n")
 
 
-def test_cartan_file_input(runner, tmp_path):
+def test_cartan_file_input(tmp_path):
     path = tmp_path / "b2.json"
     path.write_text(json.dumps({"cartan": [[2, -1], [-2, 2]]}))
-    result = invoke(
-        runner,
-        ["verify", "--cartan", str(path), "--suite", "positivity"],
-    )
-    assert result.exit_code == 0
+    code, _, _ = run_cli(
+        ["verify", "--cartan", str(path), "--suite", "positivity"])
+    assert code == 0
 
 
-def test_usage_errors_exit_two(runner):
-    assert runner.invoke(main, ["restrict", "Q7", "--class", "1", "--at", "1"]).exit_code == 2
-    assert runner.invoke(main, ["restrict", "--class", "1", "--at", "1"]).exit_code == 2
-    assert runner.invoke(
-        main, ["restrict", "A2", "--type", "A3", "--class", "1", "--at", "1"]
-    ).exit_code == 2
-    assert runner.invoke(
-        main, ["restrict", "A2", "--class", "9999", "--at", "1"]
-    ).exit_code == 2
-    assert runner.invoke(
-        main, ["peterson-mult", "A2", "--I", "7", "--J", "1"]
-    ).exit_code == 2
-    assert runner.invoke(
-        main, ["restrict", "A2", "--class", "1", "--at", "1", "--jobs", "0"]
-    ).exit_code == 2
+def test_usage_errors_exit_two():
+    for args in (
+        ["restrict", "Q7", "--class", "1", "--at", "1"],
+        ["restrict", "--class", "1", "--at", "1"],
+        ["restrict", "A2", "--type", "A3", "--class", "1", "--at", "1"],
+        ["restrict", "A2", "--class", "9999", "--at", "1"],
+        ["peterson-mult", "A2", "--I", "7", "--J", "1"],
+        ["restrict", "A2", "--class", "1", "--at", "1", "--jobs", "0"],
+    ):
+        assert run_cli(args)[0] == 2, args
 
 
 @pytest.mark.parametrize("args", [
@@ -372,78 +333,70 @@ def test_usage_errors_exit_two(runner):
     ["restrict", "D10", "--class", "{}", "--at", "{}"],
     ["pullback", "A10", "--w", "{}"],
 ], ids=["restrict-A10", "restrict-D10", "pullback-A10"])
-def test_a_lone_letter_past_nine_is_a_word(runner, args):
+def test_a_lone_letter_past_nine_is_a_word(args):
     # one-line notation of A10 has 11 digits, and D10 has none, so "10"
     # can only be the letter s10
-    by_letter = invoke(runner, [a.format("10") for a in args])
-    by_word = invoke(runner, [a.format("s10") for a in args])
-    assert by_letter.exit_code == by_word.exit_code == 0
-    assert by_letter.output == by_word.output
+    by_letter = run_cli([a.format("10") for a in args])
+    by_word = run_cli([a.format("s10") for a in args])
+    assert by_letter == by_word
+    assert by_letter[0] == 0
 
 
-def test_a_lone_token_too_short_for_one_line_is_still_refused(runner):
+def test_a_lone_token_too_short_for_one_line_is_still_refused():
     # "12" is not one-line notation of A2 (3 digits), and s12 is no letter
-    result = runner.invoke(main, ["restrict", "A2", "--class", "12",
-                                  "--at", "321"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
+    code, out, _ = run_cli(["restrict", "A2", "--class", "12", "--at", "321"])
+    assert code == 2
+    assert out == ""
 
 
-def test_subsets_may_be_braced(runner):
-    plain = invoke(runner, ["peterson-mult", "A3", "--I", "1,2", "--J", "3"])
-    braced = invoke(runner,
-                    ["peterson-mult", "A3", "--I", "{1,2}", "--J", "{3}"])
-    assert braced.exit_code == 0
-    assert braced.output == plain.output
-    empty = invoke(runner, ["peterson-mult", "A3", "--I", "{}", "--J", "{3}"])
-    assert empty.output == invoke(
-        runner, ["peterson-mult", "A3", "--I", "", "--J", "3"]
-    ).output
-    assert runner.invoke(
-        main, ["peterson-mult", "A3", "--I", "{{1}}", "--J", "3"]
-    ).exit_code == 2
+def test_subsets_may_be_braced():
+    plain = run_cli(["peterson-mult", "A3", "--I", "1,2", "--J", "3"])
+    braced = run_cli(["peterson-mult", "A3", "--I", "{1,2}", "--J", "{3}"])
+    assert braced[0] == 0
+    assert braced == plain
+    empty = run_cli(["peterson-mult", "A3", "--I", "{}", "--J", "{3}"])
+    assert empty == run_cli(["peterson-mult", "A3", "--I", "", "--J", "3"])
+    assert run_cli(
+        ["peterson-mult", "A3", "--I", "{{1}}", "--J", "3"])[0] == 2
 
 
-def test_resource_cap_exit_three(runner):
-    result = runner.invoke(
-        main, ["table", "A4", "--max-weyl", "50"]
-    )
-    assert result.exit_code == 3
+def test_resource_cap_exit_three():
+    assert run_cli(["table", "A4", "--max-weyl", "50"])[0] == 3
 
 
 @pytest.mark.parametrize("cap", [[], ["--max-weyl", "100"]],
                          ids=["default-cap", "cap-100"])
-def test_peterson_mult_needs_no_weyl_group(runner, cap):
+def test_peterson_mult_needs_no_weyl_group(cap):
     # E6 has 51,840 Weyl group elements, above both caps
-    result = invoke(runner, ["peterson-mult", "E6", "--I", "1", "--J", "2",
-                             *cap])
-    assert result.exit_code == 0
-    assert result.stdout == "1 2 1,2 1\n"
-    assert result.stderr == ""
+    code, out, err = run_cli(
+        ["peterson-mult", "E6", "--I", "1", "--J", "2", *cap])
+    assert code == 0
+    assert out == "1 2 1,2 1\n"
+    assert err == ""
 
 
 MULT_123_321 = ["--u", "1 2 3", "--v", "3 2 1"]
 
 
-def test_mult_cap_counts_the_fixed_points_it_walks(runner):
+def test_mult_cap_counts_the_fixed_points_it_walks():
     # l(u) + l(v) = 6, and A5 has 259 elements of length at most 6
     args = ["mult", "A5", *MULT_123_321, "--out", "json", "--max-weyl"]
-    capped = runner.invoke(main, [*args, "258"])
-    assert capped.exit_code == 3
-    assert capped.stdout == ""
-    assert len(capped.stderr.splitlines()) == 1
-    assert capped.stderr.startswith("resource cap: ")
-    result = invoke(runner, [*args, "259"])
-    assert result.exit_code == 0
-    assert result.stderr == ""
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+    code, out, err = run_cli([*args, "258"])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("resource cap: ")
+    code, out, err = run_cli([*args, "259"])
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
         "8a0b1f3a23877760055e93e02c13db338585eba973830c87e7fb00e7d9e27e69"
     )
     a5 = root_system_from_label("A5")
     got = {
         one_line(element_from_word(a5, [int(s[1:]) for s in label.split()])):
         oracles.roots_in_y(Polynomial.from_json(a5.rank, data), 6)
-        for label, data in json.loads(result.stdout)["coefficients"].items()
+        for label, data in json.loads(out)["coefficients"].items()
     }
     u, v = (one_line(element_from_word(a5, word))
             for word in ((1, 2, 3), (3, 2, 1)))
@@ -452,26 +405,25 @@ def test_mult_cap_counts_the_fixed_points_it_walks(runner):
         assert got.get(w, zero) == expected
 
 
-def test_mult_walks_only_short_elements_of_e6_and_e7(runner):
+def test_mult_walks_only_short_elements_of_e6_and_e7():
     # |W(E6)| = 51,840 is above the default cap; E6 sits in E7 as a
     # parabolic subsystem with the same numbering, so the products agree
     outputs = []
     for label in ("E6", "E7"):
-        result = invoke(runner, ["mult", label, *MULT_123_321])
-        assert result.exit_code == 0
-        assert result.stderr == ""
-        outputs.append(result.stdout)
+        code, out, err = run_cli(["mult", label, *MULT_123_321])
+        assert code == 0
+        assert err == ""
+        outputs.append(out)
     assert outputs[0] == outputs[1] != ""
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
-def test_max_weyl_below_one_is_a_usage_error(runner, cap):
-    result = runner.invoke(
-        main, ["mult", "A2", "--u", "213", "--v", "213", "--max-weyl", cap]
-    )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    errors = [line for line in result.stderr.splitlines()
+def test_max_weyl_below_one_is_a_usage_error(cap):
+    code, out, err = run_cli(
+        ["mult", "A2", "--u", "213", "--v", "213", "--max-weyl", cap])
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines()
               if line.startswith("Error:")]
     assert errors == ["Error: --max-weyl must be at least 1"]
 
@@ -486,18 +438,18 @@ def _b3_longest_word():
     [["pullback", "B3", "--w"], ["restrict", "B3", "--class", "e", "--at"]],
     ids=["pullback", "restrict"],
 )
-def test_billey_sum_counts_its_states_against_the_cap(runner, args):
+def test_billey_sum_counts_its_states_against_the_cap(args):
     # both walk every element below w_0, and B3 has 48 of them
     args = [*args, _b3_longest_word(), "--max-weyl"]
     for cap in ("10", "47"):
-        capped = runner.invoke(main, [*args, cap])
-        assert capped.exit_code == 3
-        assert capped.stdout == ""
-        assert len(capped.stderr.splitlines()) == 1
-        assert capped.stderr.startswith("resource cap: Billey sum at ")
-    result = invoke(runner, [*args, "48"])
-    assert result.exit_code == 0
-    assert result.stderr == ""
+        code, out, err = run_cli([*args, cap])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resource cap: Billey sum at ")
+    code, out, err = run_cli([*args, "48"])
+    assert code == 0
+    assert err == ""
 
 
 class _LoadReached(Exception):
@@ -522,30 +474,29 @@ def _refuse_save(self, rs):
     ],
     ids=["peterson-mult", "pullback", "table-peterson", "mult"],
 )
-def test_peterson_jobs_do_not_load_the_cache(runner, tmp_path, monkeypatch,
-                                             args):
+def test_peterson_jobs_do_not_load_the_cache(tmp_path, monkeypatch, args):
     # mult reads Billey rows, but only on the short fixed points: cheaper
     # to compute than to load from a cache of whole-W rows
     cache = tmp_path / "cache"
-    expected = invoke(runner, args).stdout
+    expected = run_cli(args)[1]
     monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
     monkeypatch.setattr(BilleyDiskCache, "save", _refuse_save)
-    result = invoke(runner, [*args, "--cache", str(cache)])
-    assert result.exit_code == 0
-    assert result.stdout == expected
+    code, out, err = run_cli([*args, "--cache", str(cache)])
+    assert code == 0
+    assert out == expected
     assert not cache.exists()
 
 
-def test_schubert_jobs_still_load_the_cache(runner, tmp_path, monkeypatch):
+def test_schubert_jobs_still_load_the_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
     for args in (RESTRICT_231_AT_321, ["table", "A2", "--kind", "schubert"]):
-        result = runner.invoke(main, [*args, "--cache", str(tmp_path)])
-        assert isinstance(result.exception, _LoadReached)
+        with pytest.raises(_LoadReached):
+            run_cli([*args, "--cache", str(tmp_path)])
 
 
-def test_table_deterministic_across_jobs(runner):
+def test_table_deterministic_across_jobs():
     outputs = [
-        invoke(runner, ["table", "A2", "--out", "csv", "--jobs", str(jobs)]).output
+        run_cli(["table", "A2", "--out", "csv", "--jobs", str(jobs)])[1]
         for jobs in (1, 2, 4)
     ]
     assert outputs[0] == outputs[1] == outputs[2]
@@ -609,16 +560,17 @@ def test_table_deterministic_across_jobs(runner):
          "schubert-b3-json", "verify-a3-text", "verify-a3-csv",
          "verify-a3-json", "verify-g2-json", "verify-b3-billey-json"],
 )
-def test_table_output_bytes_pinned(runner, args, digest):
-    result = invoke(runner, args)
-    assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+def test_table_output_bytes_pinned(args, digest):
+    code, out, err = run_cli(args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
     "system", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "reversed-C3"]
 )
-def test_table_rows_follow_enumeration_rank_and_labels_word_text(runner, tmp_path, system):
+def test_table_rows_follow_enumeration_rank_and_labels_word_text(tmp_path,
+                                                                 system):
     # table order is enumeration rank, and each label, rendered once per
     # element, must match word_text
     if system == "reversed-C3":
@@ -633,66 +585,51 @@ def test_table_rows_follow_enumeration_rank_and_labels_word_text(runner, tmp_pat
     rank = {x: k for k, x in enumerate(weyl_enumerate(rs))}
     ranks = [(rank[u], rank[v], rank[w]) for u, v, w, _ in expected]
     assert ranks == sorted(ranks) and len(expected) == len(table.entries)
-    result = invoke(runner, ["table", *source, "--out", "csv"])
-    assert result.exit_code == 0
-    assert list(csv.reader(io.StringIO(result.output))) == [
+    code, out, err = run_cli(["table", *source, "--out", "csv"])
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
         ["u", "v", "w", "coefficient"],
         *([word_text(u), word_text(v), word_text(w), poly.text()]
           for u, v, w, poly in expected),
     ]
 
 
-def test_peterson_table_csv(runner):
-    result = invoke(
-        runner, ["table", "A2", "--kind", "peterson", "--out", "csv"]
-    )
-    lines = result.output.splitlines()
+def test_peterson_table_csv():
+    _, out, _ = run_cli(["table", "A2", "--kind", "peterson", "--out", "csv"])
+    lines = out.splitlines()
     assert lines[0] == "I,J,K,coefficient"
     assert ',,"",1' not in lines  # empty subsets render as empty fields
     assert '1,2,"1,2",2' in lines
 
 
-def test_cache_identical_bytes(runner, tmp_path):
+def test_cache_identical_bytes(tmp_path):
     cache = tmp_path / "cache"
-    without = invoke(runner, ["table", "A2", "--out", "csv"]).output
-    first = invoke(
-        runner, ["table", "A2", "--out", "csv", "--cache", str(cache)]
-    ).output
-    second = invoke(
-        runner, ["table", "A2", "--out", "csv", "--cache", str(cache)]
-    ).output
+    without = run_cli(["table", "A2", "--out", "csv"])
+    first = run_cli(["table", "A2", "--out", "csv", "--cache", str(cache)])
+    second = run_cli(["table", "A2", "--out", "csv", "--cache", str(cache)])
     assert without == first == second
     assert (cache / "billey-cache.jsonl").exists()
 
 
-def test_corrupt_cache_is_ignored(runner, tmp_path):
+def test_corrupt_cache_is_ignored(tmp_path):
     cache = tmp_path / "cache"
-    baseline = invoke(
-        runner, ["restrict", "A2", "--class", "231", "--at", "321",
-                 "--cache", str(cache)]
-    ).output
+    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    baseline = run_cli(args)
     path = cache / "billey-cache.jsonl"
     content = path.read_text().splitlines()
     content.insert(1, "not json at all")
     content.insert(2, _signed_line({"rs": "A2", "w": [1], "row": [[[99], []]]}))
     content.insert(3, "[1]")
     path.write_text("\n".join(content) + "\n")
-    again = invoke(
-        runner, ["restrict", "A2", "--class", "231", "--at", "321",
-                 "--cache", str(cache)]
-    ).output
-    assert again == baseline
+    assert run_cli(args) == baseline
 
 
-def test_cache_save_survives_a_squatted_temp_name(runner, tmp_path):
+def test_cache_save_survives_a_squatted_temp_name(tmp_path):
     cache = tmp_path / "cache"
     (cache / "billey-cache.tmp").mkdir(parents=True)
-    result = runner.invoke(
-        main, ["restrict", "A2", "--class", "231", "--at", "321",
-               "--cache", str(cache)]
-    )
-    assert result.exit_code == 0
-    assert result.stdout == "a1*a2 + a1^2\n"
+    code, out, _ = run_cli(RESTRICT_231_AT_321 + ["--cache", str(cache)])
+    assert code == 0
+    assert out == "a1*a2 + a1^2\n"
     assert sorted(os.listdir(cache)) == ["billey-cache.jsonl",
                                          "billey-cache.tmp"]
 
@@ -718,30 +655,30 @@ FORMAT_1_A2 = (
 
 @pytest.mark.parametrize("nested", [False, True],
                          ids=["regular-file", "path-under-a-file"])
-def test_cache_path_that_cannot_be_a_directory(runner, tmp_path, nested):
+def test_cache_path_that_cannot_be_a_directory(tmp_path, nested):
     # the job's output stands; the failed save is one line and exit 2
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     cache = blocker / "sub" if nested else blocker
     reason = "Not a directory" if nested else "File exists"
-    result = invoke(runner, ["restrict", "G2", "--class", "1", "--at", "1",
-                             "--cache", str(cache)])
-    assert result.exit_code == 2
-    assert result.stdout == "a1\n"
-    assert result.stderr == f"cache: cannot write {cache}: {reason}\n"
+    code, out, err = run_cli(
+        ["restrict", "G2", "--class", "1", "--at", "1", "--cache", str(cache)])
+    assert code == 2
+    assert out == "a1\n"
+    assert err == f"cache: cannot write {cache}: {reason}\n"
     assert blocker.read_text() == ""
 
 
-def test_positivity_violation_outranks_a_blocked_cache(runner, monkeypatch,
+def test_positivity_violation_outranks_a_blocked_cache(monkeypatch,
                                                        tmp_path):
     # a failed verification is exit 1 even when the cache save fails too
     monkeypatch.setattr(gkm, "is_graham_positive", lambda p: False)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    result = invoke(runner, ["table", "A2", "--cache", str(blocker)])
-    assert result.exit_code == 1
-    assert result.stdout
-    lines = result.stderr.splitlines()
+    code, out, err = run_cli(["table", "A2", "--cache", str(blocker)])
+    assert code == 1
+    assert out
+    lines = err.splitlines()
     assert lines[-1] == f"cache: cannot write {blocker}: File exists"
     assert all(line.startswith("positivity violation: ")
                for line in lines[:-1]) and len(lines) > 1
@@ -751,15 +688,12 @@ def test_positivity_violation_outranks_a_blocked_cache(runner, monkeypatch,
     "stale", ['{"format": 99}\n{"rs": "A2"}\n', FORMAT_1_A2],
     ids=["format-99", "format-1"],
 )
-def test_stale_cache_format_is_ignored(runner, tmp_path, stale):
+def test_stale_cache_format_is_ignored(tmp_path, stale):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "billey-cache.jsonl").write_text(stale)
-    result = invoke(
-        runner, ["restrict", "A2", "--class", "231", "--at", "321",
-                 "--cache", str(cache)]
-    )
-    assert result.output == "a1*a2 + a1^2\n"
+    assert run_cli(RESTRICT_231_AT_321 + ["--cache", str(cache)]) == (
+        0, "a1*a2 + a1^2\n", "")
     assert (cache / "billey-cache.jsonl").read_text().startswith(
         '{"format": 3}\n'
     )
@@ -770,41 +704,37 @@ EMPTY_A2_ROW = '{"rs":"A2","w":[1,2,1],"row":[]}\n'
 
 @pytest.mark.parametrize("header", ['{"format": 3}\n', '{"format": 2}\n'],
                          ids=["unsigned", "format-2"])
-def test_well_formed_but_wrong_cache_row_is_rejected(runner, tmp_path, header):
+def test_well_formed_but_wrong_cache_row_is_rejected(tmp_path, header):
     # parses as a complete row in which every class restricts to zero
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "billey-cache.jsonl").write_text(header + EMPTY_A2_ROW)
     assert BilleyDiskCache(cache).load(root_system_from_label("A2")) == 0
-    result = invoke(
-        runner, ["restrict", "A2", "--class", "231", "--at", "321",
-                 "--cache", str(cache)]
-    )
-    assert result.exit_code == 0
-    assert result.output == "a1*a2 + a1^2\n"
+    code, out, _ = run_cli(RESTRICT_231_AT_321 + ["--cache", str(cache)])
+    assert code == 0
+    assert out == "a1*a2 + a1^2\n"
 
 
 RESTRICT_231_AT_321 = ["restrict", "A2", "--class", "231", "--at", "321"]
 
 
-def test_clean_cache_is_not_rewritten(runner, tmp_path):
+def test_clean_cache_is_not_rewritten(tmp_path):
     cache = tmp_path / "cache"
     args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
-    assert invoke(runner, args).output == "a1*a2 + a1^2\n"
+    assert run_cli(args) == (0, "a1*a2 + a1^2\n", "")
     before = os.stat(cache / "billey-cache.jsonl")
-    assert invoke(runner, args).output == "a1*a2 + a1^2\n"
+    assert run_cli(args) == (0, "a1*a2 + a1^2\n", "")
     after = os.stat(cache / "billey-cache.jsonl")
     assert (after.st_ino, after.st_mtime_ns) == (
         before.st_ino, before.st_mtime_ns
     )
 
 
-def test_cache_parses_only_the_rows_of_its_root_system(runner, tmp_path,
-                                                      monkeypatch):
+def test_cache_parses_only_the_rows_of_its_root_system(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ["--cache", str(cache)]
-    invoke(runner, ["restrict", "B3", "--class", "e", "--at", "e", *args])
-    invoke(runner, [*RESTRICT_231_AT_321, *args])
+    run_cli(["restrict", "B3", "--class", "e", "--at", "e", *args])
+    run_cli([*RESTRICT_231_AT_321, *args])
     lines = (cache / "billey-cache.jsonl").read_text().splitlines()
     own = [line for line in lines if line.startswith('{"rs":"A2",')]
     assert own and len(own) < len(lines) - 1
@@ -860,25 +790,25 @@ def _cached_row_lines(cache):
     return lines, index
 
 
-def test_truncated_cache_row_is_recomputed_whole(runner, tmp_path):
+def test_truncated_cache_row_is_recomputed_whole(tmp_path):
     cache = tmp_path / "cache"
     args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
-    invoke(runner, args)
+    run_cli(args)
     lines, index = _cached_row_lines(cache)
     whole = lines[index]
     # cut the line before the (v = s1 s2) entry that the query reads
     lines[index] = whole[: whole.index("[[1,2],")]
     (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
-    result = invoke(runner, args)
-    assert result.exit_code == 0
-    assert result.output == "a1*a2 + a1^2\n"
+    code, out, err = run_cli(args)
+    assert code == 0
+    assert out == "a1*a2 + a1^2\n"
     assert _cached_row_lines(cache)[0][index] == whole
 
 
-def test_cache_row_with_a_non_reduced_word_is_rejected(runner, tmp_path):
+def test_cache_row_with_a_non_reduced_word_is_rejected(tmp_path):
     cache = tmp_path / "cache"
     args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
-    baseline = invoke(runner, args).output
+    baseline = run_cli(args)
     lines, index = _cached_row_lines(cache)
     whole = lines[index]
     entry = json.loads(whole)
@@ -888,19 +818,17 @@ def test_cache_row_with_a_non_reduced_word_is_rejected(runner, tmp_path):
     (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
     rs = root_system_from_label("A2")
     assert BilleyDiskCache(cache).load(rs) == 0
-    assert invoke(runner, args).output == baseline
+    assert run_cli(args) == baseline
     assert _cached_row_lines(cache)[0][index] == whole
 
 
-def test_verify_reports_failures_loudly(runner, monkeypatch):
+def test_verify_reports_failures_loudly(monkeypatch):
     from petcalc import verify
 
     monkeypatch.setattr(verify, "is_graham_positive", lambda p: False)
-    result = runner.invoke(
-        main, ["verify", "A1", "--suite", "positivity"], catch_exceptions=False
-    )
-    assert result.exit_code == 1
-    assert "restriction-positivity" in result.output
+    code, out, err = run_cli(["verify", "A1", "--suite", "positivity"])
+    assert code == 1
+    assert "restriction-positivity" in out
 
 
 def _negated(solve):
@@ -923,13 +851,13 @@ def _negated(solve):
     ],
     ids=["mult", "table", "peterson-mult"],
 )
-def test_positivity_violation_exits_one(runner, monkeypatch, args, module,
-                                        attr, fake):
+def test_positivity_violation_exits_one(monkeypatch, args, module, attr,
+                                        fake):
     monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
-    result = runner.invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 1
-    assert result.stdout  # the honest value is still printed
-    assert result.stderr.startswith("positivity violation: ")
+    code, out, err = run_cli(args)
+    assert code == 1
+    assert out  # the honest value is still printed
+    assert err.startswith("positivity violation: ")
 
 
 @pytest.mark.parametrize(
@@ -949,21 +877,20 @@ def test_positivity_violation_exits_one(runner, monkeypatch, args, module,
     ],
     ids=["mult", "table", "table-peterson", "peterson-mult", "pullback"],
 )
-def test_a_maths_error_is_one_error_line(runner, monkeypatch, args, attr,
-                                         error):
+def test_a_maths_error_is_one_error_line(monkeypatch, args, attr, error):
     # the handler in run() that expand's non-GKM input reaches, for every
     # command: one line on stderr and exit 1, never a traceback
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(cli_module, attr, fail)
-    result = invoke(runner, args)
-    assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr == f"error: {error}\n"
+    code, out, err = run_cli(args)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
-def test_other_warnings_are_shown(runner, monkeypatch):
+def test_other_warnings_are_shown(monkeypatch):
     restriction = cli_module.billey_restriction
 
     def noisy(*args, **kwargs):
@@ -974,9 +901,6 @@ def test_other_warnings_are_shown(runner, monkeypatch):
     # re-shown through warnings.showwarning, which prints to stderr outside
     # of pytest and records the warning here
     with pytest.warns(RuntimeWarning, match="something odd"):
-        result = runner.invoke(
-            main, ["restrict", "A2", "--class", "231", "--at", "321"],
-            catch_exceptions=False,
-        )
-    assert result.exit_code == 0
-    assert result.stdout == "a1*a2 + a1^2\n"
+        code, out, _ = run_cli(RESTRICT_231_AT_321)
+    assert code == 0
+    assert out == "a1*a2 + a1^2\n"

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import petcalc
+from conftest import run_cli
 from petcalc import element_from_word, root_system_from_label, schubert_class
 from petcalc.cache import BilleyDiskCache
 from petcalc.cli import UsageError, main, parse_job
@@ -152,14 +152,14 @@ def test_commands_load_only_the_modules_they_use(args, loaded, tmp_path):
          "no-command", "command-not-first"],
 )
 def test_usage_error_contract(args):
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
     assert lines[0].startswith("Usage: ")
     assert sum(line.startswith("Error:") for line in lines) == 1
     assert lines[-1].startswith("Error: ")
-    assert "Traceback" not in result.stderr
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -199,27 +199,25 @@ def test_a_flag_is_never_taken_as_a_value(flag):
                               "after-an-error"])
 def test_short_help_flag_anywhere_prints_the_help(args):
     # -h is --help wherever it stands, and wins over any error
-    runner = CliRunner()
-    short = runner.invoke(main, [*args, "-h"])
-    assert short.exit_code == 0
-    assert short.stderr == ""
-    long = runner.invoke(main, [*args[:1], "--help"])
-    assert short.stdout == long.stdout
-    assert short.stdout.startswith("Usage: petcalc ")
+    code, short, err = run_cli([*args, "-h"])
+    assert code == 0
+    assert err == ""
+    assert short == run_cli([*args[:1], "--help"])[1]
+    assert short.startswith("Usage: petcalc ")
 
 
 def test_group_help_names_every_command():
-    result = CliRunner().invoke(main, ["--help"])
-    assert result.exit_code == 0
+    code, out, _ = run_cli(["--help"])
+    assert code == 0
     for command in OWN_OPTIONS:
-        assert command in result.stdout
+        assert command in out
 
 
 @pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
 def test_command_help_names_every_option(command):
-    result = CliRunner().invoke(main, [command, "--help"])
-    assert result.exit_code == 0
-    named = set(re.findall(r"--[\w-]+", result.stdout))
+    code, out, _ = run_cli([command, "--help"])
+    assert code == 0
+    named = set(re.findall(r"--[\w-]+", out))
     assert set(COMMON_OPTIONS + OWN_OPTIONS[command]) <= named
 
 
@@ -333,26 +331,23 @@ def test_no_job_leaves_work_for_interpreter_teardown(tmp_path):
 
 def test_a_type_label_over_the_root_cap_is_a_resource_cap(tmp_path):
     # A62 has 1,953 positive roots and A63 has 2,016, over the cap of 2,000
-    runner = CliRunner()
-    below = runner.invoke(main, ["restrict", "A62", "--class", "e",
-                                 "--at", "e"])
-    assert below.exit_code == 0
-    assert below.stdout == "1\n"
-    over = runner.invoke(main, ["restrict", "A63", "--class", "e",
-                                "--at", "e"])
-    assert over.exit_code == 3
-    assert over.stdout == ""
-    assert over.stderr.splitlines() == [
+    code, out, _ = run_cli(["restrict", "A62", "--class", "e", "--at", "e"])
+    assert code == 0
+    assert out == "1\n"
+    code, out, err = run_cli(["restrict", "A63", "--class", "e", "--at", "e"])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
         "resource cap: A63 has more than 2000 positive roots"
     ]
     # an affine matrix has infinitely many roots: that is a usage error
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"cartan": [[2, -2], [-2, 2]]}))
-    affine = runner.invoke(main, ["restrict", "--cartan", str(path),
-                                  "--class", "e", "--at", "e"])
-    assert affine.exit_code == 2
-    assert affine.stdout == ""
-    assert affine.stderr.splitlines()[-1] == (
+    code, out, err = run_cli(["restrict", "--cartan", str(path),
+                              "--class", "e", "--at", "e"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         "Error: more than 2000 positive roots; "
         "the Cartan matrix is not of finite type"
     )
@@ -371,9 +366,8 @@ def test_a_large_type_label_fails_before_its_matrix_is_built(label):
     ]
 
 
-def _errors(result):
-    return [line for line in result.stderr.splitlines()
-            if line.startswith("Error:")]
+def _errors(err):
+    return [line for line in err.splitlines() if line.startswith("Error:")]
 
 
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
@@ -384,12 +378,12 @@ def test_an_unreadable_cartan_file_is_a_usage_error(tmp_path, content):
         path.write_text(content)
     elif content is not None:
         path.write_bytes(content)
-    result = CliRunner().invoke(main, ["restrict", "--cartan", str(path),
-                                       "--class", "e", "--at", "e"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    errors = _errors(result)
+    code, out, err = run_cli(["restrict", "--cartan", str(path),
+                              "--class", "e", "--at", "e"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    errors = _errors(err)
     assert len(errors) == 1
     assert errors[0].startswith("Error: cannot read Cartan file: ")
 
@@ -398,16 +392,15 @@ def test_an_unreadable_cartan_file_is_a_usage_error(tmp_path, content):
 def test_an_unreadable_class_file_is_a_usage_error(tmp_path, content):
     path = tmp_path / "class.json"
     path.write_text(content)
-    result = CliRunner().invoke(main, ["expand", "A2", "--values", str(path)])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    errors = _errors(result)
+    code, out, err = run_cli(["expand", "A2", "--values", str(path)])
+    assert code == 2
+    assert out == ""
+    errors = _errors(err)
     assert len(errors) == 1
     assert errors[0].startswith("Error: cannot read class JSON: ")
-    from_stdin = CliRunner().invoke(main, ["expand", "A2", "--values", "-"],
-                                    input=content)
-    assert from_stdin.exit_code == 2
-    assert _errors(from_stdin)[0].startswith("Error: cannot read class JSON: ")
+    code, _, err = run_cli(["expand", "A2", "--values", "-"], input=content)
+    assert code == 2
+    assert _errors(err)[0].startswith("Error: cannot read class JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -430,11 +423,11 @@ def test_every_exit_from_root_system_resolution_keeps_its_code(
     cartan.write_text(json.dumps({"cartan": [[2, 1], [-1, 2]]}))
     paths = {"SHAPE": str(shape), "CARTAN": str(cartan)}
     args = [paths.get(arg, arg) for arg in args]
-    result = CliRunner().invoke(main, ["restrict", *args, "--class", "e",
-                                       "--at", "e"])
-    assert result.exit_code == code, result.stderr
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert not isinstance(result.exception, NameError)
-    last = result.stderr.splitlines()[-1]
+    # an exception such as a NameError would propagate out of run_cli
+    exit_code, out, err = run_cli(["restrict", *args, "--class", "e",
+                                   "--at", "e"])
+    assert exit_code == code, err
+    assert out == ""
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
     assert last.startswith(message.replace("SHAPE", str(shape)))

@@ -7,10 +7,9 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from petcalc import element_from_word, root_system_from_label, schubert_class
-from petcalc.cli import main
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "golden.json")
@@ -51,9 +50,9 @@ def test_the_golden_pool_has_expand_and_mult_jobs():
 def test_golden_job_replays_in_process(key, classes_dir):
     entry = GOLDEN["jobs"][key]
     argv = [arg.replace("{classes}", str(classes_dir)) for arg in entry["argv"]]
-    result = CliRunner().invoke(main, argv, catch_exceptions=False)
-    assert result.exit_code == entry["exit"]
+    code, out, err = run_cli(argv)
+    assert code == entry["exit"]
     if entry["stderr"] == "empty":
-        assert result.stderr == ""
-    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == entry["stdout_sha256"]

@@ -10,9 +10,9 @@ resource-cap threshold must agree with it.
 """
 
 import pytest
-from click.testing import CliRunner
 
 import oracles
+from conftest import run_cli
 from petcalc import (
     PetersonClass,
     ResourceCapError,
@@ -26,7 +26,6 @@ from petcalc import (
     root_system_from_label,
     weyl_enumerate,
 )
-from petcalc.cli import main
 from petcalc.peterson import _fixed_point_values
 
 _SYSTEMS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3",
@@ -86,7 +85,6 @@ def _threshold(succeeds):
 @pytest.mark.parametrize("label", ["B3", "A4"])
 def test_cap_threshold_matches_the_oracle(label):
     # each attempt takes a fresh root system, so no memo skips the cap
-    runner = CliRunner()
     for members in all_subsets(_root_system(label)):
         ours = _threshold(
             lambda cap: peterson_class(_root_system(label, cap), members)
@@ -99,15 +97,15 @@ def test_cap_threshold_matches_the_oracle(label):
         # of the empty set, and reads the column of K alone
         args = ["peterson-mult", label, "--I",
                 ",".join(str(i) for i in sorted(members)), "--J", ""]
-        result = runner.invoke(main, [*args, "--max-weyl", str(ours)])
-        assert result.exit_code == 0, result.stderr
+        code, out, err = run_cli([*args, "--max-weyl", str(ours)])
+        assert code == 0, err
         if ours == 1:
             continue  # no cap lies below 1
-        capped = runner.invoke(main, [*args, "--max-weyl", str(ours - 1)])
-        assert capped.exit_code == 3
-        assert capped.stdout == ""
-        assert len(capped.stderr.splitlines()) == 1
-        assert capped.stderr.startswith("resource cap: Billey sum at ")
+        code, out, err = run_cli([*args, "--max-weyl", str(ours - 1)])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resource cap: Billey sum at ")
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xG2"])

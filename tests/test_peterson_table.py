@@ -13,8 +13,8 @@ solve never reads.
 import warnings
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from petcalc import (
     NotInSpan,
     PositivityViolation,
@@ -30,7 +30,6 @@ from petcalc import (
     specialize_to_t,
     structure_constants,
 )
-from petcalc.cli import main
 
 _REDUCIBLE = {
     "B2xA1": [[2, -1, 0], [-2, 2, 0], [0, 0, 2]],
@@ -189,13 +188,11 @@ def test_negative_table_coefficient_exits_one(monkeypatch):
     monkeypatch.setattr(
         peterson, "back_substitute", _negating(peterson.back_substitute)
     )
-    result = CliRunner().invoke(
-        main, ["table", "A2", "--kind", "peterson", "--out", "csv"],
-        catch_exceptions=False,
-    )
-    assert result.exit_code == 1
-    assert result.stdout == _A2_NEGATED_CSV  # the honest value is printed
-    lines = result.stderr.splitlines()
+    code, out, err = run_cli(
+        ["table", "A2", "--kind", "peterson", "--out", "csv"])
+    assert code == 1
+    assert out == _A2_NEGATED_CSV  # the honest value is printed
+    lines = err.splitlines()
     assert lines == [f"positivity violation: {m}" for m in _A2_NEGATIVE]
 
 

@@ -2,9 +2,9 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
-from click.testing import CliRunner
 
 import oracles
+from conftest import run_cli
 from petcalc import (
     CartanError,
     NotFiniteTypeError,
@@ -24,7 +24,6 @@ from petcalc import (
     weyl_enumerate,
     word_text,
 )
-from petcalc.cli import main
 from petcalc.rootsys import (
     DEFAULT_MAX_ROOTS,
     RootSystem,
@@ -533,9 +532,9 @@ def test_restrict_leaves_the_reflections_unbuilt(monkeypatch):
     build = RootSystem._build_reflections
     monkeypatch.setattr(RootSystem, "_build_reflections",
                         lambda rs: built.append(rs) or build(rs))
-    result = CliRunner().invoke(
-        main, ["restrict", "D5", "--class", "1 2 3", "--at", "3 2 1 4 3 2"])
-    assert result.exit_code == 0, result.output
+    code, out, err = run_cli(
+        ["restrict", "D5", "--class", "1 2 3", "--at", "3 2 1 4 3 2"])
+    assert code == 0, out + err
     assert built == []
     rs = root_system_from_label("D5")
     rs.reflection(3)

@@ -1,8 +1,8 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from petcalc import (
     build_root_system,
     element_from_word,
@@ -10,19 +10,16 @@ from petcalc import (
     root_system_from_label,
 )
 from petcalc import verify
-from petcalc.cli import main
 from petcalc.verify import Check, Unsupported, run_suite
 
 B2 = [[2, -1], [-2, 2]]
 
 
 def test_run_suite_matches_verify_json():
-    result = CliRunner().invoke(
-        main, ["verify", "A2", "--suite", "all", "--out", "json"]
-    )
+    _, out, _ = run_cli(["verify", "A2", "--suite", "all", "--out", "json"])
     checks = run_suite(root_system_from_label("A2"), "all")
     assert [check.to_json() for check in checks] == (
-        json.loads(result.stdout)["checks"]
+        json.loads(out)["checks"]
     )
 
 
