@@ -1,9 +1,11 @@
-"""Every pool ``expand`` and ``mult`` job of the benchmark's golden file,
-replayed in-process through the CLI: the recorded exit code, stderr kind
-and stdout digest must hold. The golden file is only read."""
+"""Jobs of the benchmark's golden file, replayed in-process through the
+CLI: every pool ``expand``, ``mult``, ``peterson-mult`` and ``pullback``
+job, and every ``table --kind peterson`` job. The recorded exit code,
+stderr kind and stdout digest must hold. The golden file is only read."""
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,9 @@ GOLDEN = json.loads(
 )
 JOBS = sorted(
     key for key, entry in GOLDEN["jobs"].items()
-    if entry.get("pool") and entry["argv"][0] in ("expand", "mult")
+    if entry.get("pool")
+    and entry["argv"][0] in ("expand", "mult", "peterson-mult", "pullback")
+    or entry["argv"][:1] == ["table"] and "peterson" in entry["argv"]
 )
 
 
@@ -41,9 +45,12 @@ def classes_dir(tmp_path_factory):
 
 
 def test_the_golden_pool_has_expand_and_mult_jobs():
-    kinds = {GOLDEN["jobs"][key]["argv"][0] for key in JOBS}
-    assert kinds == {"expand", "mult"}
-    assert len(JOBS) >= 30
+    kinds = Counter(GOLDEN["jobs"][key]["argv"][0] for key in JOBS)
+    assert set(kinds) == {"expand", "mult", "peterson-mult", "pullback",
+                          "table"}
+    assert kinds["expand"] + kinds["mult"] >= 30
+    assert kinds["peterson-mult"] + kinds["pullback"] >= 48
+    assert kinds["table"] == 2
 
 
 @pytest.mark.parametrize("key", JOBS)

@@ -9,7 +9,7 @@ from petcalc import (
     gkm,
     root_system_from_label,
 )
-from petcalc import verify
+from petcalc import peterson, verify
 from petcalc.verify import Check, Unsupported, run_suite
 
 B2 = [[2, -1], [-2, 2]]
@@ -56,3 +56,28 @@ def test_structure_sweep_labels_only_failing_rows(monkeypatch):
     structure = run_suite(a2, "positivity")[1]
     assert structure.checked == len(table.entries)
     assert structure.failures == ["(s1, s1, s1): negative coefficient -a1"]
+
+
+def test_closed_form_failure_names_the_triple(monkeypatch):
+    formula = peterson.closed_form_coefficient
+
+    def wrong_at_one(i, j, k):
+        value = formula(i, j, k)
+        return value + value if i == j == k == {1} else value
+
+    monkeypatch.setattr(peterson, "closed_form_coefficient", wrong_at_one)
+    (check,) = run_suite(root_system_from_label("A2"), "closed-form")
+    assert check.failures == [
+        "I={1} J={1} K={1}: computed t^1, formula 2*t^1"
+    ]
+
+
+def test_consistency_failure_names_the_pair():
+    a2 = root_system_from_label("A2")  # fresh: its memo is changed below
+    peterson.peterson_class(a2, {1, 2}).values[frozenset({1, 2})] += 1
+    (check,) = run_suite(a2, "consistency")
+    assert check.checked == 16
+    assert check.failures == [
+        "I={} J={1,2}", "I={1} J={1,2}", "I={2} J={1,2}", "I={1,2} J={}",
+        "I={1,2} J={1}", "I={1,2} J={2}", "I={1,2} J={1,2}",
+    ]
