@@ -181,7 +181,7 @@ def _closed_form(rs, elements, coxeter_order):
         raise Unsupported("closed-form-cross-validation",
                           "the closed form applies to type A only",
                           "the closed-form suite needs a type A system")
-    report = cross_validate(rs, bound=rs.rank)
+    report = cross_validate(rs, bound=rs.rank, order=coxeter_order)
     failures = [
         f"I={{{subset_text(e.members_i)}}} J={{{subset_text(e.members_j)}}} "
         f"K={{{subset_text(e.members_k)}}}: computed {e.computed.text()}, "

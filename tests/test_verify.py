@@ -81,3 +81,18 @@ def test_consistency_failure_names_the_pair():
         "I={} J={1,2}", "I={1} J={1,2}", "I={2} J={1,2}", "I={1,2} J={}",
         "I={1,2} J={1}", "I={1,2} J={2}", "I={1,2} J={1,2}",
     ]
+
+
+def test_closed_form_sweep_follows_the_coxeter_order(monkeypatch):
+    orders = set()
+    constants = peterson.peterson_structure_constants
+
+    def recording(rs, members_i, members_j, order="increasing"):
+        orders.add(order)
+        return constants(rs, members_i, members_j, order)
+
+    monkeypatch.setattr(peterson, "peterson_structure_constants", recording)
+    (check,) = run_suite(root_system_from_label("A3"), "closed-form",
+                         "decreasing")
+    assert orders == {"decreasing"}
+    assert check.status == "pass"
