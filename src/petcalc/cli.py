@@ -389,13 +389,12 @@ def _cmd_peterson_mult(config, rs):
     """Structure constants of a product of Peterson basis classes."""
     members_i = parse_subset(rs, config.params["i_spec"])
     members_j = parse_subset(rs, config.params["j_spec"])
-    expansion = peterson_structure_constants(
+    coeffs = peterson_structure_constants(
         rs, members_i, members_j, config.params["coxeter_order"]
     )
     _emit_expansion(
         config, {"I": subset_text(members_i), "J": subset_text(members_j)},
-        "K", subset_text,
-        [(k, expansion.coeff(k)) for k in expansion.support()],
+        "K", subset_text, coeffs.items(),
     )
     return 0
 
@@ -409,9 +408,9 @@ def _cmd_peterson_mult(config, rs):
 def _cmd_pullback(config, rs):
     """Expand the pullback of a Schubert class in the Peterson basis."""
     w = parse_element(rs, config.params["w_spec"])
-    expansion = pullback_expansion(rs, w, config.params["coxeter_order"])
+    coeffs = pullback_expansion(rs, w, config.params["coxeter_order"])
     _emit_expansion(config, {"w": word_text(w)}, "K", subset_text,
-                    [(k, expansion.coeff(k)) for k in expansion.support()])
+                    coeffs.items())
     return 0
 
 

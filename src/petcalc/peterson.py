@@ -132,27 +132,6 @@ class PetersonClass:
         )
 
 
-class PetersonExpansion:
-    """Coefficients of an expansion in the Peterson basis."""
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-
-    def coeff(self, members):
-        poly = self.coeffs.get(frozenset(members))
-        if poly is None:
-            return PolyT.zero()
-        return poly
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda m: (len(m), sorted(m)))
-
-    def __eq__(self, other):
-        if not isinstance(other, PetersonExpansion):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-
 def _order_key(order):
     return order if isinstance(order, str) else tuple(order)
 
@@ -269,7 +248,7 @@ def _basis_column(rs, order):
 
 def expand_in_peterson_basis(f, order="increasing"):
     """Coefficients d_K with f equal to the sum of d_K times the basis
-    class for K.
+    class for K, as {K: PolyT} over the nonzero d_K in subset order.
 
     Back-substitution over the rationals, by increasing subset size:
     basis classes vanish outside the subsets containing their index, so
@@ -283,9 +262,7 @@ def expand_in_peterson_basis(f, order="increasing"):
     coeffs = back_substitute(
         f.values, subsets, _basis_column(rs, order), _label
     )
-    return PetersonExpansion(
-        {m: PolyT.monomial(c, f.degree - len(m)) for m, c in coeffs.items()}
-    )
+    return {m: PolyT.monomial(c, f.degree - len(m)) for m, c in coeffs.items()}
 
 
 def _pair_constants(members_i, members_j, values_i, values_j, subsets,
@@ -317,7 +294,8 @@ def _pair_constants(members_i, members_j, values_i, values_j, subsets,
 
 
 def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
-    """Structure constants of the product of two basis classes.
+    """Structure constants of the product of two basis classes, as
+    {K: PolyT} over the nonzero coefficients in subset order.
 
     Each coefficient should be a nonnegative monomial in t, homogeneous
     of degree |I| + |J| - |K|; a negative coefficient is diagnosed with a
@@ -327,25 +305,25 @@ def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
     members_i = frozenset(int(i) for i in members_i)
     members_j = frozenset(int(i) for i in members_j)
     degree = len(members_i) + len(members_j)
-    return PetersonExpansion(
-        _pair_constants(
-            members_i,
-            members_j,
-            peterson_class(rs, members_i, order).values,
-            peterson_class(rs, members_j, order).values,
-            [m for m in all_subsets(rs) if len(m) <= degree],
-            _basis_column(rs, order),
-        )
+    return _pair_constants(
+        members_i,
+        members_j,
+        peterson_class(rs, members_i, order).values,
+        peterson_class(rs, members_j, order).values,
+        [m for m in all_subsets(rs) if len(m) <= degree],
+        _basis_column(rs, order),
     )
 
 
 def pullback_expansion(rs, w, order="increasing"):
-    """Expansion of the pullback of the Schubert class of w.
+    """Expansion of the pullback of the Schubert class of w, as {K: PolyT}
+    in subset order, as ``expand_in_peterson_basis`` returns it.
 
     Restricts the class at every Peterson fixed point by the
     height-weighted Billey sum, kept to the weak-order prefixes of w, and
     expands in the basis. Each coefficient is a single monomial in t of
-    degree length(w) - |K| with nonnegative coefficient.
+    degree length(w) - |K| with nonnegative coefficient. The dict is
+    memoised with the root system: read it, do not change it.
     """
     memo = _memo.setdefault(rs, {})
     key = ("pullback", w, _order_key(order))
@@ -422,75 +400,21 @@ def _consecutive_intervals(rank):
     ]
 
 
-class CrossValidationEntry:
-    """One triple (I, J, K): the computed constant and the closed form."""
-
-    def __init__(self, members_i, members_j, members_k, computed, formula):
-        self.members_i = members_i
-        self.members_j = members_j
-        self.members_k = members_k
-        self.computed = computed
-        self.formula = formula
-
-    @property
-    def matches(self):
-        return self.computed == self.formula
-
-    def to_json(self):
-        return {
-            "I": subset_text(self.members_i),
-            "J": subset_text(self.members_j),
-            "K": subset_text(self.members_k),
-            "computed": self.computed.to_json(),
-            "formula": self.formula.to_json(),
-            "match": self.matches,
-        }
-
-
-class CrossValidationReport:
-    """The closed-form check of every consecutive-interval triple of one
-    rank; ``failures`` are the entries that do not match."""
-
-    def __init__(self, rank, entries):
-        self.rank = rank
-        self.entries = entries
-
-    @property
-    def failures(self):
-        return [e for e in self.entries if not e.matches]
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "checked": len(self.entries),
-            "failed": len(self.failures),
-            "ok": self.ok,
-            "entries": [e.to_json() for e in self.entries],
-        }
-
-
-def cross_validate(rs, bound=4, order="increasing"):
+def cross_validate(rs, order="increasing"):
     """Compare localization-computed structure constants against the
     closed form on every admissible consecutive triple (I, J, K).
 
-    Type A only; the rank must not exceed ``bound``. Mismatches become
-    report entries rather than exceptions.
+    Type A only. Returns the number of triples checked and one line per
+    mismatch, ``I={..} J={..} K={..}: computed .., formula ..``.
     """
     if not is_type_a(rs):
         raise ValueError("the closed form applies to type A root systems")
-    if rs.rank > bound:
-        raise ValueError(
-            f"rank {rs.rank} exceeds the cross-validation bound {bound}"
-        )
     intervals = _consecutive_intervals(rs.rank)
-    entries = []
+    checked = 0
+    failures = []
     for members_i in intervals:
         for members_j in intervals:
-            expansion = peterson_structure_constants(
+            coeffs = peterson_structure_constants(
                 rs, members_i, members_j, order
             )
             union = members_i | members_j
@@ -499,19 +423,18 @@ def cross_validate(rs, bound=4, order="increasing"):
                     continue
                 if len(members_k) > len(members_i) + len(members_j):
                     continue
+                checked += 1
+                computed = coeffs.get(members_k, PolyT.zero())
                 formula = closed_form_coefficient(
                     members_i, members_j, members_k
                 )
-                entries.append(
-                    CrossValidationEntry(
-                        members_i,
-                        members_j,
-                        members_k,
-                        expansion.coeff(members_k),
-                        formula,
+                if computed != formula:
+                    failures.append(
+                        f"I={_label(members_i)} J={_label(members_j)} "
+                        f"K={_label(members_k)}: computed {computed.text()}, "
+                        f"formula {formula.text()}"
                     )
-                )
-    return CrossValidationReport(rs.rank, entries)
+    return checked, failures
 
 
 def peterson_table(rs, order="increasing"):
@@ -549,22 +472,13 @@ def peterson_table(rs, order="increasing"):
     return rows
 
 
-class ConsistencyReport:
-    """Result of replaying Peterson products through the flag variety."""
-
-    def __init__(self, checked, failures):
-        self.checked = checked
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
 def flag_consistency_report(rs, order="increasing"):
     """Check that Peterson structure constants agree with the route
     through the ambient flag variety: multiply the two Schubert classes
     there, expand, pull every term back, and collect coefficients.
+
+    Returns the number of pairs (I, J) checked and one line
+    ``I={..} J={..}`` per pair whose two routes disagree.
     """
     checked = 0
     failures = []
@@ -582,15 +496,12 @@ def flag_consistency_report(rs, order="increasing"):
             pair = coxeter[members_i], coxeter[members_j]
             for w, c in structure_constants(rs, *pair).items():
                 ct = specialize_to_t(c)
-                for members_k, b in pullback_expansion(rs, w, order).coeffs.items():
+                for members_k, b in pullback_expansion(rs, w, order).items():
                     cur = via.get(members_k)
                     term = ct * b
                     via[members_k] = term if cur is None else cur + term
             via = {k: p for k, p in via.items() if not p.is_zero()}
             checked += 1
-            if via != direct.coeffs:
-                failures.append(
-                    f"I={{{subset_text(members_i)}}} "
-                    f"J={{{subset_text(members_j)}}}"
-                )
-    return ConsistencyReport(checked, failures)
+            if via != direct:
+                failures.append(f"I={_label(members_i)} J={_label(members_j)}")
+    return checked, failures

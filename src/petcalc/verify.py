@@ -112,13 +112,12 @@ def _peterson(rs, elements, coxeter_order):
     expansions = {}
     for members_i in subsets:
         for members_j in subsets:
-            expansion = peterson_structure_constants(
+            coeffs = peterson_structure_constants(
                 rs, members_i, members_j, coxeter_order
             )
-            expansions[(members_i, members_j)] = expansion
+            expansions[(members_i, members_j)] = coeffs
             label_ij = f"({{{subset_text(members_i)}}}, {{{subset_text(members_j)}}})"
-            for members_k in expansion.support():
-                poly = expansion.coeff(members_k)
+            for members_k, poly in coeffs.items():
                 check.checked += 1
                 label = f"{label_ij} -> {{{subset_text(members_k)}}}"
                 if any(c < 0 for c in poly.coeffs):
@@ -130,16 +129,14 @@ def _peterson(rs, elements, coxeter_order):
                     failures.append(f"{label}: support misses the union")
                 if len(members_k) > len(members_i) + len(members_j):
                     failures.append(f"{label}: index larger than the degrees allow")
-    for (members_i, members_j), expansion in expansions.items():
-        if expansion.coeffs != expansions[(members_j, members_i)].coeffs:
+    for (members_i, members_j), coeffs in expansions.items():
+        if coeffs != expansions[(members_j, members_i)]:
             failures.append(
                 f"asymmetric constants for {{{subset_text(members_i)}}}, "
                 f"{{{subset_text(members_j)}}}"
             )
     for w in elements:
-        expansion = pullback_expansion(rs, w, coxeter_order)
-        for members_k in expansion.support():
-            poly = expansion.coeff(members_k)
+        for members_k, poly in pullback_expansion(rs, w, coxeter_order).items():
             check.checked += 1
             if not poly.is_monomial() or any(c < 0 for c in poly.coeffs):
                 failures.append(
@@ -181,14 +178,8 @@ def _closed_form(rs, elements, coxeter_order):
         raise Unsupported("closed-form-cross-validation",
                           "the closed form applies to type A only",
                           "the closed-form suite needs a type A system")
-    report = cross_validate(rs, bound=rs.rank, order=coxeter_order)
-    failures = [
-        f"I={{{subset_text(e.members_i)}}} J={{{subset_text(e.members_j)}}} "
-        f"K={{{subset_text(e.members_k)}}}: computed {e.computed.text()}, "
-        f"formula {e.formula.text()}"
-        for e in report.failures
-    ]
-    return Check("closed-form-cross-validation", len(report.entries), failures)
+    return Check("closed-form-cross-validation",
+                 *cross_validate(rs, coxeter_order))
 
 
 def _consistency(rs, elements, coxeter_order):
@@ -199,9 +190,8 @@ def _consistency(rs, elements, coxeter_order):
             f"the consistency sweep multiplies Schubert classes over all "
             f"of W; {len(elements)} elements is beyond the supported size",
         )
-    report = flag_consistency_report(rs, coxeter_order)
-    return Check("flag-variety-consistency", report.checked,
-                 list(report.failures))
+    return Check("flag-variety-consistency",
+                 *flag_consistency_report(rs, coxeter_order))
 
 
 SUITES = {

@@ -147,13 +147,13 @@ def test_expand_round_trip(a2, a3):
     for rs in (a2, a3):
         for members in all_subsets(rs):
             expansion = expand_in_peterson_basis(peterson_class(rs, members))
-            assert expansion.coeffs == {frozenset(members): PolyT.one()}
+            assert expansion == {frozenset(members): PolyT.one()}
 
 
 def test_expansion_golden_p1_squared(a2):
     p1 = peterson_class(a2, {1})
     expansion = expand_in_peterson_basis(p1 * p1)
-    assert expansion.coeffs == {
+    assert expansion == {
         frozenset({1}): t_mono(1, 1),
         frozenset({1, 2}): PolyT.one(),
     }
@@ -163,18 +163,18 @@ def test_expansion_golden_p1_p2(a2):
     p1 = peterson_class(a2, {1})
     p2 = peterson_class(a2, {2})
     expansion = expand_in_peterson_basis(p1 * p2)
-    assert expansion.coeffs == {frozenset({1, 2}): t_mono(2, 0)}
+    assert expansion == {frozenset({1, 2}): t_mono(2, 0)}
 
 
 def test_structure_constants_a1(a1):
     expansion = peterson_structure_constants(a1, {1}, {1})
-    assert expansion.coeff({1}) == t_mono(1, 1)
+    assert expansion[frozenset({1})] == t_mono(1, 1)
 
 
 def test_structure_constants_identity(a2):
     for members in all_subsets(a2):
         expansion = peterson_structure_constants(a2, frozenset(), members)
-        assert expansion.coeffs == {frozenset(members): PolyT.one()}
+        assert expansion == {frozenset(members): PolyT.one()}
 
 
 def test_structure_constants_properties():
@@ -187,8 +187,11 @@ def test_structure_constants_properties():
                 expansion = peterson_structure_constants(
                     rs, members_i, members_j
                 )
-                seen[(members_i, members_j)] = expansion.coeffs
-                for members_k, poly in expansion.coeffs.items():
+                seen[(members_i, members_j)] = expansion
+                assert list(expansion) == [
+                    m for m in subsets if m in expansion
+                ]  # subset order
+                for members_k, poly in expansion.items():
                     assert all(c >= 0 for c in poly.coeffs)
                     expected = len(members_i) + len(members_j) - len(members_k)
                     assert poly.is_homogeneous(expected)
@@ -204,7 +207,7 @@ def test_ordinary_part_needs_full_degree(a3):
     for members_i in subsets:
         for members_j in subsets:
             expansion = peterson_structure_constants(a3, members_i, members_j)
-            for members_k, poly in expansion.coeffs.items():
+            for members_k, poly in expansion.items():
                 constant = poly.coeffs[0] if poly.coeffs else 0
                 if len(members_k) != len(members_i) + len(members_j):
                     assert constant == 0
@@ -219,25 +222,25 @@ def test_pullback_of_coxeter_element_is_indicator(a2, a3):
                 continue
             v = coxeter_element(rs, members)
             expansion = pullback_expansion(rs, v)
-            assert expansion.coeffs == {frozenset(members): PolyT.one()}
+            assert expansion == {frozenset(members): PolyT.one()}
 
 
 def test_pullback_of_identity(a2):
     expansion = pullback_expansion(a2, a2.identity())
-    assert expansion.coeffs == {frozenset(): PolyT.one()}
+    assert expansion == {frozenset(): PolyT.one()}
 
 
 def test_pullback_golden_w0(a2):
     w0 = weyl_enumerate(a2)[-1]
     expansion = pullback_expansion(a2, w0)
-    assert expansion.coeffs == {frozenset({1, 2}): t_mono(1, 1)}
+    assert expansion == {frozenset({1, 2}): t_mono(1, 1)}
 
 
 def test_pullback_coefficients_are_monomials(a2, a3):
     for rs in (a2, a3):
         for w in weyl_enumerate(rs):
             expansion = pullback_expansion(rs, w)
-            for members_k, poly in expansion.coeffs.items():
+            for members_k, poly in expansion.items():
                 assert poly.is_monomial()
                 assert all(c >= 0 for c in poly.coeffs)
                 assert poly.is_homogeneous(w.length - len(members_k))
@@ -263,34 +266,22 @@ def test_closed_form_preconditions():
 
 
 def test_cross_validate_a1(a1):
-    report = cross_validate(a1)
-    assert report.ok
-    assert len(report.entries) == 1
+    assert cross_validate(a1) == (1, [])
 
 
 def test_cross_validate_small_ranks(a2, a3):
     for rs in (a2, a3):
-        report = cross_validate(rs)
-        assert report.ok, [e.to_json() for e in report.failures]
+        _, failures = cross_validate(rs)
+        assert not failures, failures
 
 
-def test_cross_validate_gating(b2, a4):
+def test_cross_validate_gating(b2):
     with pytest.raises(ValueError):
         cross_validate(b2)
-    with pytest.raises(ValueError):
-        cross_validate(a4, bound=3)
-
-
-def test_cross_validate_report_json(a2):
-    payload = cross_validate(a2).to_json()
-    assert payload["ok"] is True
-    assert payload["checked"] == len(payload["entries"])
 
 
 def test_flag_consistency(a2):
-    report = flag_consistency_report(a2)
-    assert report.ok
-    assert report.checked == 16
+    assert flag_consistency_report(a2) == (16, [])
 
 
 def test_peterson_class_runs_for_other_types(b2):
@@ -301,7 +292,7 @@ def test_peterson_class_runs_for_other_types(b2):
         cls = peterson_class(b2, members)
         assert cls.value(members) > 0
     expansion = peterson_structure_constants(b2, {1}, {2})
-    for poly in expansion.coeffs.values():
+    for poly in expansion.values():
         assert all(c >= 0 for c in poly.coeffs)
 
 
@@ -311,7 +302,7 @@ def test_alternate_coxeter_order_round_trips(a3):
             continue
         cls = peterson_class(a3, members, order="decreasing")
         expansion = expand_in_peterson_basis(cls, order="decreasing")
-        assert expansion.coeffs == {frozenset(members): PolyT.one()}
+        assert expansion == {frozenset(members): PolyT.one()}
 
 
 def test_peterson_table_rows_sorted(a2):
@@ -370,8 +361,8 @@ def test_division_in_expansion_can_be_fractional(a2):
     p1 = peterson_class(a2, {1})
     tripled = p1 * 3
     expansion = expand_in_peterson_basis(tripled)
-    assert expansion.coeff({1}) == PolyT((3,))
+    assert expansion[frozenset({1})] == PolyT((3,))
     halved_values = {k: v * Fraction(1, 2) for k, v in p1.values.items()}
     halved = PetersonClass(a2, halved_values, 1)
     expansion = expand_in_peterson_basis(halved)
-    assert expansion.coeff({1}) == PolyT((Fraction(1, 2),))
+    assert expansion[frozenset({1})] == PolyT((Fraction(1, 2),))
