@@ -517,6 +517,8 @@ def test_table_deterministic_across_jobs():
          "668af9ecd9242629d257f0dc53a2057e1389da789252f310d4bf1495f10813cd"),
         (["table", "A3", "--out", "csv"],
          "47000225a9c33153b1526366f316fe0121f2e11bb40ab5ae989ed43eb3adfa5e"),
+        (["table", "A4", "--out", "csv"],
+         "d84a61e8ee24fa8706dd0fc850e8fe265a86ee6270c623239b12a597c43f658e"),
         (["table", "G2", "--out", "json"],
          "1a728da6c4164239a2cc322d5e22f1c32774e9c8887acc9410fe5b4242be75aa"),
         (["table", "B2"],
@@ -553,7 +555,8 @@ def test_table_deterministic_across_jobs():
          "47cf0d3f3df43e39a0a05c68911f6b8dfb655a77e05fb85e647cd649a9255a9c"),
     ],
     ids=["schubert-json", "schubert-b3-csv", "schubert-c3-csv",
-         "schubert-a3-csv", "schubert-g2-json", "schubert-b2-text",
+         "schubert-a3-csv", "schubert-a4-csv", "schubert-g2-json",
+         "schubert-b2-text",
          "peterson-json", "peterson-text", "peterson-f4-csv",
          "peterson-a5-csv", "peterson-b3-csv", "peterson-c4-csv",
          "peterson-d5-csv", "peterson-g2-json", "pullback-e6-json",

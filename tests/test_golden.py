@@ -1,7 +1,8 @@
 """Jobs of the benchmark's golden file, replayed in-process through the
 CLI: every pool ``expand``, ``mult``, ``peterson-mult`` and ``pullback``
-job, and every ``table --kind peterson`` job. The recorded exit code,
-stderr kind and stdout digest must hold. The golden file is only read."""
+job, and every ``table`` job, the resource-cap one included. The
+recorded exit code, stderr kind and stdout digest must hold. The golden
+file is only read."""
 
 import hashlib
 import json
@@ -21,7 +22,7 @@ JOBS = sorted(
     key for key, entry in GOLDEN["jobs"].items()
     if entry.get("pool")
     and entry["argv"][0] in ("expand", "mult", "peterson-mult", "pullback")
-    or entry["argv"][:1] == ["table"] and "peterson" in entry["argv"]
+    or entry["argv"][0] == "table"
 )
 
 
@@ -50,7 +51,7 @@ def test_the_golden_pool_has_expand_and_mult_jobs():
                           "table"}
     assert kinds["expand"] + kinds["mult"] >= 30
     assert kinds["peterson-mult"] + kinds["pullback"] >= 48
-    assert kinds["table"] == 2
+    assert kinds["table"] == 4
 
 
 @pytest.mark.parametrize("key", JOBS)
@@ -61,5 +62,7 @@ def test_golden_job_replays_in_process(key, classes_dir):
     assert code == entry["exit"]
     if entry["stderr"] == "empty":
         assert err == ""
+    elif entry["stderr"] == "resource-cap":
+        assert err.startswith("resource cap: ") and err.count("\n") == 1
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == entry["stdout_sha256"]
