@@ -162,7 +162,10 @@ def _emit_csv(header, rows):
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
+    rows = iter(rows)
+    # the header waits for the first row: a stream that fails before it
+    # writes nothing
+    writer.writerows([header, *islice(rows, 1)])
     writer.writerows(rows)
 
 
@@ -426,24 +429,22 @@ def _cmd_table(config, rs):
     # each key is rendered once, however many rows name it
     if kind == "schubert":
         columns = ("u", "v", "w")
-        table = structure_table(rs).rows()
+        table = structure_table(rs)
         label = {x: word_text(x) for x in weyl_enumerate(rs)}
     else:
         columns = ("I", "J", "K")
         label = {m: subset_text(m) for m in all_subsets(rs)}
         table = peterson_table(rs, config.params["coxeter_order"])
-    as_json = config.out_format == "json"
-    rows, entries = [], []
-    for a, b, c, poly in table:
-        if as_json:
-            entries.append({
-                **dict(zip(columns, (label[a], label[b], label[c]))),
-                "coefficient": poly.to_json(),
-            })
-        else:
-            rows.append([label[a], label[b], label[c], poly.text()])
-    payload = {"kind": kind, "entries": entries}
-    _emit_rows(config, [*columns, "coefficient"], rows, payload)
+    if config.out_format == "json":
+        _emit_json({"kind": kind, "entries": [
+            {**dict(zip(columns, (label[a], label[b], label[c]))),
+             "coefficient": poly.to_json()}
+            for a, b, c, poly in table
+        ]})
+    else:  # text and csv rows are written as the table yields them
+        _emit_rows(config, [*columns, "coefficient"],
+                   ([label[a], label[b], label[c], poly.text()]
+                    for a, b, c, poly in table), None)
     return 0
 
 

@@ -518,37 +518,10 @@ def structure_constants(rs, u, v):
     return coeffs
 
 
-class StructTable:
-    """Structure constants for all pairs of Schubert classes.
-
-    ``entries`` maps (u, v, w) to the (nonzero) polynomial coefficient;
-    absent triples are zero.
-    """
-
-    def __init__(self, rs, entries):
-        self.rs = rs
-        self.entries = entries
-
-    def coefficient(self, u, v, w):
-        poly = self.entries.get((u, v, w))
-        if poly is None:
-            return Polynomial.zero(self.rs.rank)
-        return poly
-
-    def rows(self):
-        """The entries as (u, v, w, coefficient), in table order: by the
-        sort key of u, then of v, then of w. ``weyl_enumerate`` is sorted
-        by ``WeylElt.sort_key``, so this is also the order of the
-        elements' enumeration ranks (their positions in that list)."""
-        keys = sorted(
-            self.entries,
-            key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key()),
-        )
-        return [(u, v, w, self.entries[(u, v, w)]) for u, v, w in keys]
-
-
 def structure_table(rs):
-    """The full structure-constant table, one entry per (u, v, w).
+    """The full structure-constant table, as rows (u, v, w, coefficient)
+    over the nonzero coefficients, in table order: by the enumeration
+    rank of u, then of v, then of w.
 
     Built by the equivariant Chevalley recurrence (Kostant-Kumar 1986;
     Mihalcea 2007), with no class products and no triangular solve. Let
@@ -564,13 +537,18 @@ def structure_table(rs):
     x are the x r_b one longer than x, and the Chevalley multiplicity m
     of such a cover is <rho, b^vee>, the integer D|_(r_b) / b.
 
-    For each u in enumeration order, the v at or after u are taken in
-    decreasing length, and for each the w above v with u <= w by cover
-    distance 1..length(u) (a nonzero c(u,v,w) has length(w) at most
-    length(u) + length(v)). The v at or after u are closed upwards
-    under covers, so every value read is already known. Each entry is
-    one exact division by a linear form, and carries the same
-    positivity certificate as ``structure_constants``.
+    The set-up (W, the Billey rows, D|_x, the multiplicities and the
+    covers) runs at the call, so a cap raises before any row; the rows
+    then come from a generator, one u at a time in enumeration order.
+    For each u, the v at or after u are taken in decreasing length, and
+    for each the w above v with u <= w by cover distance 1..length(u) (a
+    nonzero c(u,v,w) has length(w) at most length(u) + length(v)). The
+    v at or after u are closed upwards under covers, so every value read
+    is already known, and it is one of u's own entries: those are kept
+    only while u runs. Each mirrored row (v, u, w) waits for v; when u is
+    done its rows, its own and those that waited for it, are sorted and
+    yielded. Each entry is one exact division by a linear form, and
+    carries the same positivity certificate as ``structure_constants``.
     """
     order = weyl_enumerate(rs)
     rank = rs.rank
@@ -599,44 +577,56 @@ def structure_table(rs):
                 up[x].append((y, m))
                 down[y].append((x, m))
 
-    entries = {}
-    for index, u in enumerate(order):
-        for v in reversed(order[index:]):
-            base = rows[v].get(u)
-            if base is not None:
-                _certify(u, v, v, base)
-                entries[(u, v, v)] = entries[(v, u, v)] = base
-            at_v = chevalley[v]
-            level = [v]
-            for _ in range(u.length):
-                level = list(dict.fromkeys(y for x in level for y, _ in up[x]))
-                for w in level:
-                    if not bruhat_leq(u, w):
-                        continue
-                    rhs = zero
-                    for v2, m in up[v]:
-                        c = entries.get((u, v2, w))
-                        if c is not None:
-                            rhs = rhs + c * m
-                    for w2, m in down[w]:
-                        c = entries.get((u, v, w2))
-                        if c is not None:
-                            rhs = rhs - c * m
-                    if not rhs:
-                        continue
-                    try:
-                        c = divide_exact(rhs, chevalley[w] - at_v)
-                    except NotDivisible as exc:
-                        raise NotInSpan(
-                            f"Chevalley recurrence at {word_text(w)} for "
-                            f"{word_text(u)} and {word_text(v)} is not a "
-                            "multiple of D|_w - D|_v",
-                            element=w,
-                            remainder=exc.remainder,
-                        ) from exc
-                    _certify(u, v, w, c)
-                    entries[(u, v, w)] = entries[(v, u, w)] = c
-    return StructTable(rs, entries)
+    def table_rows():
+        position = {x: k for k, x in enumerate(order)}
+        waiting = {x: [] for x in order}  # v -> rows (v, u, w, c), u before v
+        for index, u in enumerate(order):
+            known = {}  # (v, w) -> c(u, v, w)
+            for v in reversed(order[index:]):
+                base = rows[v].get(u)
+                if base is not None:
+                    _certify(u, v, v, base)
+                    known[(v, v)] = base
+                at_v = chevalley[v]
+                level = [v]
+                for _ in range(u.length):
+                    level = list(dict.fromkeys(
+                        y for x in level for y, _ in up[x]))
+                    for w in level:
+                        if not bruhat_leq(u, w):
+                            continue
+                        rhs = zero
+                        for v2, m in up[v]:
+                            c = known.get((v2, w))
+                            if c is not None:
+                                rhs = rhs + c * m
+                        for w2, m in down[w]:
+                            c = known.get((v, w2))
+                            if c is not None:
+                                rhs = rhs - c * m
+                        if not rhs:
+                            continue
+                        try:
+                            c = divide_exact(rhs, chevalley[w] - at_v)
+                        except NotDivisible as exc:
+                            raise NotInSpan(
+                                f"Chevalley recurrence at {word_text(w)} for "
+                                f"{word_text(u)} and {word_text(v)} is not a "
+                                "multiple of D|_w - D|_v",
+                                element=w,
+                                remainder=exc.remainder,
+                            ) from exc
+                        _certify(u, v, w, c)
+                        known[(v, w)] = c
+            out = waiting.pop(u)
+            for (v, w), c in known.items():
+                out.append((u, v, w, c))
+                if v is not u:
+                    waiting[v].append((v, u, w, c))
+            out.sort(key=lambda row: (position[row[1]], position[row[2]]))
+            yield from out
+
+    return table_rows()
 
 
 def integrate(f):
@@ -676,15 +666,16 @@ def integrate(f):
     return quotient
 
 
-def forget_to_ordinary(table):
-    """Degree-zero part of a structure table: the ordinary-cohomology
-    structure constants, as nonnegative integers."""
-    rank = table.rs.rank
-    origin = (0,) * rank
+def forget_to_ordinary(rows):
+    """Degree-zero part of the structure table given by its ``rows``
+    (u, v, w, coefficient), as ``structure_table`` yields them: the
+    ordinary-cohomology structure constants, as nonnegative integers
+    keyed by (u, v, w)."""
     out = {}
-    for (u, v, w), poly in table.entries.items():
+    for u, v, w, poly in rows:
         if u.length + v.length != w.length:
             continue
+        origin = (0,) * poly.rank
         extra = [e for e in poly.terms if e != origin]
         if extra:
             raise ValueError(

@@ -217,18 +217,17 @@ def peterson_class(rs, members, order="increasing"):
     Coxeter element v_K restricted there: the height-weighted Billey sum
     along a reduced word of w_J, kept to the weak-order prefixes of v_K,
     times t^|K|. Values vanish unless K is contained in J (support
-    triangularity), and the value at K itself is positive.
+    triangularity), and the value at K itself is positive. The values
+    are memoised with the root system; each call returns a new class.
     """
     members = frozenset(int(i) for i in members)
     memo = _memo.setdefault(rs, {})
     key = ("class", _order_key(order), members)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    v = coxeter_element(rs, members, order) if members else rs.identity()
-    result = PetersonClass(rs, _fixed_point_values(rs, v), len(members))
-    memo[key] = result
-    return result
+    values = memo.get(key)
+    if values is None:
+        v = coxeter_element(rs, members, order) if members else rs.identity()
+        values = memo[key] = _fixed_point_values(rs, v)
+    return PetersonClass(rs, values, len(members))
 
 
 def _label(members):
@@ -322,18 +321,16 @@ def pullback_expansion(rs, w, order="increasing"):
     Restricts the class at every Peterson fixed point by the
     height-weighted Billey sum, kept to the weak-order prefixes of w, and
     expands in the basis. Each coefficient is a single monomial in t of
-    degree length(w) - |K| with nonnegative coefficient. The dict is
-    memoised with the root system: read it, do not change it.
+    degree length(w) - |K| with nonnegative coefficient. The expansion
+    is memoised with the root system; each call returns a new dict.
     """
     memo = _memo.setdefault(rs, {})
     key = ("pullback", w, _order_key(order))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    cls = PetersonClass(rs, _fixed_point_values(rs, w), w.length)
-    expansion = expand_in_peterson_basis(cls, order)
-    memo[key] = expansion
-    return expansion
+    expansion = memo.get(key)
+    if expansion is None:
+        cls = PetersonClass(rs, _fixed_point_values(rs, w), w.length)
+        expansion = memo[key] = expand_in_peterson_basis(cls, order)
+    return dict(expansion)
 
 
 def _is_interval(members):

@@ -513,7 +513,7 @@ def weyl_enumerate(rs, max_length=None):
     """The Weyl group elements of length at most ``max_length`` (all of
     W when None), graded by length then canonical word: sorted by
     ``WeylElt.sort_key``. An element's position in the full list is its
-    enumeration rank; ``StructTable.rows`` lists the table in the order
+    enumeration rank; ``structure_table`` yields the table in the order
     of those ranks, and the ``table`` command labels each element once
     from this list.
 

@@ -82,10 +82,10 @@ def _structure(rs, elements, coxeter_order):
             f"Weyl group has {len(elements)} elements; run 'table' "
             "directly for the full sweep",
         )
-    table = structure_table(rs)
+    rows = list(structure_table(rs))
     check = Check("structure-constant-positivity")
     failures = check.failures
-    for u, v, w, poly in table.rows():
+    for u, v, w, poly in rows:
         check.checked += 1
         problems = []
         if not is_graham_positive(poly):
@@ -98,7 +98,7 @@ def _structure(rs, elements, coxeter_order):
             label = f"({word_text(u)}, {word_text(v)}, {word_text(w)})"
             failures.extend(f"{label}: {problem}" for problem in problems)
     try:
-        if any(c < 0 for c in forget_to_ordinary(table).values()):
+        if any(c < 0 for c in forget_to_ordinary(rows).values()):
             failures.append("a degree-zero constant is negative")
     except ValueError as exc:
         failures.append(str(exc))

@@ -416,3 +416,68 @@ def peterson_values(rs, v):
         if n:
             values[subset] = n
     return values
+
+
+def _reflect_variables(poly, images):
+    """``poly`` with each variable a_j replaced by the polynomial
+    ``images[j - 1]``."""
+    total = Polynomial.zero(poly.rank)
+    for exps, c in poly.terms.items():
+        term = Polynomial.constant(poly.rank, c)
+        for image, e in zip(images, exps):
+            if e:
+                term = term * image ** e
+        total = total + term
+    return total
+
+
+def _lower_variable(poly, i):
+    """``poly / a_i``, one exponent lowered per term; a term without a_i
+    raises ``NotDivisible``."""
+    terms = {}
+    for exps, c in poly.terms.items():
+        if not exps[i - 1]:
+            raise NotDivisible(poly)
+        terms[exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]] = c
+    return Polynomial(poly.rank, terms)
+
+
+def kostant_kumar_classes(rs):
+    """Every Schubert class of ``rs`` as {v: {w: restriction}}, zeros
+    left out, by the Kostant-Kumar left divided differences (Kostant and
+    Kumar 1986) from the class of the longest element w_0.
+
+    The class of w_0 is the product of all positive roots at w_0 and zero
+    elsewhere. For s_i v < v the class of v is ``delta_i`` of the class
+    f of s_i v: (delta_i f)(w) = (f(w) - s_i.f(s_i w)) / a_i, where s_i
+    acts on the variables by a_j -> a_j - C[i][j] a_i, its action on
+    the simple root alpha_j. There is no Billey formula and no division
+    but the lowering of one exponent by ``_lower_variable``.
+    """
+    rank = rs.rank
+    order = weyl_enumerate(rs)
+    top = Polynomial.one(rank)
+    for root in rs.positive_roots:
+        top = top * Polynomial.linear_form(rank, root.coeffs)
+    classes = {order[-1]: {order[-1]: top}}
+    images = {
+        i: [Polynomial.linear_form(rank, [
+            (j == k) - (k == i - 1) * rs.cartan[i - 1][j]
+            for k in range(rank)
+        ]) for j in range(rank)]
+        for i in range(1, rank + 1)
+    }
+    for v in reversed(order[:-1]):
+        i = next(i for i in range(1, rank + 1)
+                 if (rs.simple_reflection(i) * v).length > v.length)
+        s = rs.simple_reflection(i)
+        f = classes[s * v]
+        zero = Polynomial.zero(rank)
+        values = {}
+        for w in set(f) | {s * x for x in f}:
+            diff = f.get(w, zero) - _reflect_variables(
+                f.get(s * w, zero), images[i])
+            if diff:
+                values[w] = _lower_variable(diff, i)
+        classes[v] = values
+    return classes

@@ -123,7 +123,7 @@ def test_criterion_6a_restriction_positivity():
 def test_criterion_6b_structure_constant_positivity():
     for label in ("A2", "A3"):
         rs = root_system_from_label(label)
-        for _, _, _, poly in structure_table(rs).rows():
+        for _, _, _, poly in structure_table(rs):
             assert is_graham_positive(poly)
     _report("6b", "structure constant positivity")
 
@@ -196,10 +196,10 @@ def test_criterion_8_consistency_with_flag_variety():
 def test_criterion_9_performance_and_determinism():
     start = time.monotonic()
     rs = root_system_from_label("A3")
-    table = structure_table(rs)
+    table = list(structure_table(rs))
     elapsed_table = time.monotonic() - start
     assert elapsed_table < 10.0, f"A3 table took {elapsed_table:.1f}s"
-    pair_count = len({(u, v) for (u, v, _) in table.entries})
+    pair_count = len({(u, v) for (u, v, _, _) in table})
     assert pair_count == 24 * 24
 
     start = time.monotonic()

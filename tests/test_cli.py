@@ -583,11 +583,15 @@ def test_table_rows_follow_enumeration_rank_and_labels_word_text(tmp_path,
         rs, source = build_root_system(cartan), ["--cartan", str(path)]
     else:
         rs, source = root_system_from_label(system), [system]
-    table = gkm.structure_table(rs)
-    expected = table.rows()
+    expected = list(gkm.structure_table(rs))
     rank = {x: k for k, x in enumerate(weyl_enumerate(rs))}
     ranks = [(rank[u], rank[v], rank[w]) for u, v, w, _ in expected]
-    assert ranks == sorted(ranks) and len(expected) == len(table.entries)
+    # strictly increasing, so each triple once, and every mirrored
+    # entry (v, u, w) is a row with the same coefficient
+    assert ranks == sorted(set(ranks))
+    entries = {(u, v, w): poly for u, v, w, poly in expected}
+    assert all(entries.get((v, u, w)) == poly
+               for (u, v, w), poly in entries.items())
     code, out, err = run_cli(["table", *source, "--out", "csv"])
     assert code == 0
     assert list(csv.reader(io.StringIO(out))) == [
@@ -890,6 +894,34 @@ def test_a_maths_error_is_one_error_line(monkeypatch, args, attr, error):
     code, out, err = run_cli(args)
     assert code == 1
     assert out == ""
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "out, written",
+    [("text", ["s1 s1 s1 a1\n"]),
+     ("csv", ["u,v,w,coefficient\n", "s1,s1,s1,a1\n"]),
+     ("json", [])],
+)
+@pytest.mark.parametrize("rows_before", [0, 1])
+def test_a_maths_error_while_the_table_streams(monkeypatch, out, written,
+                                               rows_before):
+    # text and csv rows are written as the table yields them, the csv
+    # header with the first row: a failure in the stream leaves the rows
+    # written before it, then one error line and exit 1; json writes
+    # nothing until its list is whole
+    error = NotInSpan("injected: not in the span")
+
+    def failing_stream(rs):
+        s1 = rs.simple_reflection(1)
+        for _ in range(rows_before):
+            yield s1, s1, s1, Polynomial.variable(rs.rank, 1)
+        raise error
+
+    monkeypatch.setattr(cli_module, "structure_table", failing_stream)
+    code, stdout, err = run_cli(["table", "A2", "--out", out])
+    assert code == 1
+    assert stdout == ("".join(written) if rows_before else "")
     assert err == f"error: {error}\n"
 
 

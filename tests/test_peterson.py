@@ -132,6 +132,20 @@ def test_pullbacks_match_polynomial_route(label):
         assert pullback_expansion(rs, w) == expand_in_peterson_basis(oracle)
 
 
+def test_changing_a_result_leaves_the_memo_alone():
+    # the basis classes and the pullbacks are memoised with the root
+    # system; a caller that changes what it got must not change the
+    # next call's result
+    rs = root_system_from_label("A3")
+    w = element_from_word(rs, (1, 2, 1, 3))
+    expansion = pullback_expansion(rs, w)
+    pullback_expansion(rs, w).clear()
+    assert pullback_expansion(rs, w) == expansion != {}
+    values = dict(peterson_class(rs, {1, 2}).values)
+    peterson_class(rs, {1, 2}).values.clear()
+    assert peterson_class(rs, {1, 2}).values == values != {}
+
+
 def test_peterson_path_needs_no_weyl_group_or_billey_rows():
     f4 = root_system_from_label("F4")
     peterson_table(f4)

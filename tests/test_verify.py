@@ -49,12 +49,12 @@ def test_failed_check_status():
 
 def test_structure_sweep_labels_only_failing_rows(monkeypatch):
     a2 = root_system_from_label("A2")
-    table = gkm.structure_table(a2)
     s1 = element_from_word(a2, (1,))
-    table.entries[s1, s1, s1] = -table.entries[s1, s1, s1]
-    monkeypatch.setattr(verify, "structure_table", lambda rs: table)
+    rows = [(u, v, w, -c if u == v == w == s1 else c)
+            for u, v, w, c in gkm.structure_table(a2)]
+    monkeypatch.setattr(verify, "structure_table", lambda rs: iter(rows))
     structure = run_suite(a2, "positivity")[1]
-    assert structure.checked == len(table.entries)
+    assert structure.checked == len(rows)
     assert structure.failures == ["(s1, s1, s1): negative coefficient -a1"]
 
 
@@ -72,9 +72,17 @@ def test_closed_form_failure_names_the_triple(monkeypatch):
     ]
 
 
-def test_consistency_failure_names_the_pair():
-    a2 = root_system_from_label("A2")  # fresh: its memo is changed below
-    peterson.peterson_class(a2, {1, 2}).values[frozenset({1, 2})] += 1
+def test_consistency_failure_names_the_pair(monkeypatch):
+    a2 = root_system_from_label("A2")  # fresh: no pullback memoised yet
+    build = peterson.peterson_class
+
+    def broken(rs, members, order="increasing"):
+        cls = build(rs, members, order)
+        if frozenset(members) == {1, 2}:
+            cls.values[frozenset({1, 2})] += 1
+        return cls
+
+    monkeypatch.setattr(peterson, "peterson_class", broken)
     (check,) = run_suite(a2, "consistency")
     assert check.checked == 16
     assert check.failures == [
