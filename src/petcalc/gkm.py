@@ -546,8 +546,8 @@ def structure_table(rs):
     v at or after u are closed upwards under covers, so every value read
     is already known, and it is one of u's own entries: those are kept
     only while u runs. Each mirrored row (v, u, w) waits for v; when u is
-    done its rows, its own and those that waited for it, are sorted and
-    yielded. Each entry is one exact division by a linear form, and
+    done its rows, its own and those that waited for it, are sorted by
+    the ranks of v and w, yielded and dropped. Each entry is one exact division by a linear form, and
     carries the same positivity certificate as ``structure_constants``.
     """
     order = weyl_enumerate(rs)

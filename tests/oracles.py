@@ -7,10 +7,11 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
 
-Three references for any root system close the file: the polynomial
+Four references for any root system close the file: the polynomial
 division that takes every quotient term through ``Fraction``, the
-reflections over all positive roots built at once by conjugation, and
-the height-weighted subword sum at one Peterson fixed point.
+reflections over all positive roots built at once by conjugation, the
+height-weighted subword sum at one Peterson fixed point, and every
+Schubert class by divided differences from the top class.
 """
 
 from fractions import Fraction
@@ -460,6 +461,7 @@ def kostant_kumar_classes(rs):
     for root in rs.positive_roots:
         top = top * Polynomial.linear_form(rank, root.coeffs)
     classes = {order[-1]: {order[-1]: top}}
+    zero = Polynomial.zero(rank)
     images = {
         i: [Polynomial.linear_form(rank, [
             (j == k) - (k == i - 1) * rs.cartan[i - 1][j]
@@ -472,7 +474,6 @@ def kostant_kumar_classes(rs):
                  if (rs.simple_reflection(i) * v).length > v.length)
         s = rs.simple_reflection(i)
         f = classes[s * v]
-        zero = Polynomial.zero(rank)
         values = {}
         for w in set(f) | {s * x for x in f}:
             diff = f.get(w, zero) - _reflect_variables(
