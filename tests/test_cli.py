@@ -539,6 +539,12 @@ def test_table_deterministic_across_jobs():
          "a5909be6b32ba22b7f4eda5678acf0fe3a4aac98bf8aae3f8a0599b832abdbf4"),
         (["table", "G2", "--kind", "peterson", "--out", "json"],
          "b1436a61d0e8c19885115497a68c4c3870d726ff9c5b5f597d21c5c92dc7c994"),
+        (["table", "E7", "--kind", "peterson", "--out", "csv"],
+         "75aba14ff4647340dc9c940b86c3922fe33a4c2a9d020e10c0fd03f945679ad5"),
+        (["table", "E6", "--kind", "peterson", "--out", "json"],
+         "9156a63ebbe03c6d9c2836b5e5122941c63524b43b24f971cdaf41a05cdd00b0"),
+        (["table", "D5", "--kind", "peterson"],
+         "ce7802166ec19f1e4565ca0c9c2ed055bd089f0001888e87a6511b9dc9133bb5"),
         (["pullback", "E6", "--w", "1,3,4,2,5,4,6", "--out", "json"],
          "3c976c50a16ef6fc68c11e50f4001cbc594b8c80a7761a4be557985d9201cff4"),
         (["table", "B3", "--out", "json"],
@@ -559,7 +565,8 @@ def test_table_deterministic_across_jobs():
          "schubert-b2-text",
          "peterson-json", "peterson-text", "peterson-f4-csv",
          "peterson-a5-csv", "peterson-b3-csv", "peterson-c4-csv",
-         "peterson-d5-csv", "peterson-g2-json", "pullback-e6-json",
+         "peterson-d5-csv", "peterson-g2-json", "peterson-e7-csv",
+         "peterson-e6-json", "peterson-d5-text", "pullback-e6-json",
          "schubert-b3-json", "verify-a3-text", "verify-a3-csv",
          "verify-a3-json", "verify-g2-json", "verify-b3-billey-json"],
 )
