@@ -129,6 +129,32 @@ def test_billey_rows_match_the_kostant_kumar_oracle(name):
         }
 
 
+@pytest.mark.parametrize(
+    "name", ["G2", "B2", "B3", "C3", "A4", "D4", "A1xG2", "reversed-C3"]
+)
+def test_diagonal_and_chevalley_restrictions_have_closed_forms(name):
+    # billey_row(rs, w)[w] is the product of the positive roots that w
+    # sends a positive root to minus, read off w.perm; the row values at
+    # the simple reflections sum to the roots that x^-1 sends negative
+    rs = _system(name)
+    rank = rs.rank
+    zero = Polynomial.zero(rank)
+    roots = [Polynomial.linear_form(rank, r.coeffs) for r in rs.positive_roots]
+    simples = [rs.simple_reflection(i) for i in range(1, rank + 1)]
+    for x in weyl_enumerate(rs):
+        row = gkm.billey_row(rs, x)
+        diagonal = Polynomial.one(rank)
+        for image in x.perm:
+            if image < 0:
+                diagonal = diagonal * roots[-image - 1]
+        assert row[x] == diagonal
+        sent_negative = [roots[m] for m, image in enumerate(x.inverse().perm)
+                         if image < 0]
+        assert sum((row.get(s, zero) for s in simples), zero) == sum(
+            sent_negative, zero
+        )
+
+
 def test_support_iff_bruhat(a2, a3):
     for rs in (a2, a3):
         for v in weyl_enumerate(rs):

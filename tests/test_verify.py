@@ -4,6 +4,7 @@ import pytest
 
 from conftest import run_cli
 from petcalc import (
+    PolyT,
     build_root_system,
     element_from_word,
     gkm,
@@ -89,6 +90,29 @@ def test_consistency_failure_names_the_pair(monkeypatch):
         "I={} J={1,2}", "I={1} J={1,2}", "I={2} J={1,2}", "I={1,2} J={}",
         "I={1,2} J={1}", "I={1,2} J={2}", "I={1,2} J={1,2}",
     ]
+
+
+def test_consistency_sweep_reports_a_pullback_of_the_wrong_power(monkeypatch):
+    pullback = peterson.pullback_expansion
+
+    def one_power_too_many(rs, w, order="increasing"):
+        expansion = pullback(rs, w, order)
+        if w.length == 2:
+            t = PolyT.monomial(1, 1)
+            return {members: poly * t for members, poly in expansion.items()}
+        return expansion
+
+    monkeypatch.setattr(peterson, "pullback_expansion", one_power_too_many)
+    a2 = root_system_from_label("A2")
+    assert peterson.flag_consistency_report(a2) == (16, [
+        "I={} J={1,2}", "I={1} J={1}", "I={1} J={2}", "I={1} J={1,2}",
+        "I={2} J={1}", "I={2} J={2}", "I={2} J={1,2}", "I={1,2} J={}",
+        "I={1,2} J={1}", "I={1,2} J={2}", "I={1,2} J={1,2}",
+    ])
+    code, out, err = run_cli(["verify", "A2", "--suite", "consistency"])
+    assert (code, out) == (1, "FAIL flag-variety-consistency: 11 of 16 "
+                               "checks failed\nFAIL A2 suite=consistency\n")
+    assert "Traceback" not in err
 
 
 def test_closed_form_sweep_follows_the_coxeter_order(monkeypatch):
