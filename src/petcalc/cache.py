@@ -114,8 +114,7 @@ class BilleyDiskCache:
                 }
                 if len(row) != len(entry["row"]):
                     raise ValueError("repeated class in a row")
-            except (ValueError, KeyError, TypeError, AttributeError,
-                    ZeroDivisionError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 continue  # corrupt line: recompute the row, never trust it
             adopt_billey_row(rs, w, row)
             self._adopted.add((key, w))

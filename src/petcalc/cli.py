@@ -229,7 +229,7 @@ def localized_class_from_json(rs, payload):
                 )
             values[w] = Polynomial.from_json(rs.rank, data)
         return LocalizedClass(rs, values, whole_number(payload["degree"]))
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed class JSON: {exc}") from exc
 
 

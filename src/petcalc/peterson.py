@@ -489,16 +489,17 @@ def flag_consistency_report(rs, order="increasing"):
             direct = peterson_structure_constants(
                 rs, members_i, members_j, order
             )
-            via = {}
+            via = {}  # (K, power) -> coefficient: a stray power stays apart
             pair = coxeter[members_i], coxeter[members_j]
             for w, c in structure_constants(rs, *pair).items():
                 ct = specialize_to_t(c)
                 for members_k, b in pullback_expansion(rs, w, order).items():
-                    cur = via.get(members_k)
                     term = ct * b
-                    via[members_k] = term if cur is None else cur + term
-            via = {k: p for k, p in via.items() if not p.is_zero()}
+                    key = members_k, term.k
+                    via[key] = term + via.get(key, 0)
             checked += 1
-            if via != direct:
+            if {key: p for key, p in via.items() if p} != {
+                (members_k, p.k): p for members_k, p in direct.items()
+            }:
                 failures.append(f"I={_label(members_i)} J={_label(members_j)}")
     return checked, failures

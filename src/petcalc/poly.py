@@ -1,10 +1,11 @@
 """Exact sparse polynomial arithmetic for root-system calculations.
 
-Two coefficient rings appear throughout: multivariate polynomials in the
-simple-root symbols a1..ad with rational coefficients, and univariate
-polynomials in t, the common restriction of every simple root to the
-one-dimensional subtorus used in Peterson calculus. All arithmetic is
-exact; no floating point enters anywhere.
+Two kinds of coefficient appear throughout: multivariate polynomials in
+the simple-root symbols a1..ad with rational coefficients, and monomials
+c*t^k in t, the common restriction of every simple root to the
+one-dimensional subtorus used in Peterson calculus (every Peterson
+coefficient is homogeneous, so one monomial is all it takes). All
+arithmetic is exact; no floating point enters anywhere.
 
 ``Polynomial.times_linear`` multiplies by a linear form in one pass over
 the terms. It raises exponent slots through a table kept per rank, so
@@ -84,6 +85,8 @@ def _coeff_from_pair(num, den):
     num, den = whole_number(num), whole_number(den)
     if den == 1:
         return num
+    if not den:
+        raise ValueError(f"zero denominator under {num}")
     from fractions import Fraction
 
     return Fraction(num, den)
@@ -347,98 +350,81 @@ class Polynomial:
 
 
 class PolyT:
-    """Univariate polynomial in the Peterson parameter t.
+    """A monomial c*t^k in the Peterson parameter t.
 
-    ``coeffs[k]`` is the rational coefficient of t^k; trailing zeros are
-    trimmed, so the zero polynomial has an empty coefficient tuple.
+    Every Peterson structure constant, pullback coefficient and
+    specialised Schubert structure constant is one: they are homogeneous,
+    of a degree fixed by the grading. ``c`` is rational and ``k`` a
+    nonnegative power; zero has ``c == 0`` and ``k == 0``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("c", "k")
 
-    def __init__(self, coeffs=()):
-        coeffs = [_norm(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+    def __init__(self, c, k):
+        self.c = c = _norm(c)
+        self.k = k if c else 0
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls(0, 0)
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls(1, 0)
 
     @classmethod
-    def monomial(cls, c, power):
-        poly = cls.__new__(cls)
-        c = _norm(c)
-        poly.coeffs = (0,) * power + (c,) if c else ()
-        return poly
+    def monomial(cls, c, k):
+        return cls(c, k)
+
+    @property
+    def coeffs(self):
+        """``(0,) * k + (c,)``, empty for zero; ``bench/tracing.py`` reads it."""
+        return (0,) * self.k + (self.c,) if self.c else ()
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.c
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.c)
 
     def degree(self):
-        """Degree in t; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_homogeneous(self, degree=None):
-        nonzero = [k for k, c in enumerate(self.coeffs) if c]
-        if not nonzero:
-            return True
-        if len(nonzero) > 1:
-            return False
-        return degree is None or nonzero[0] == degree
-
-    def is_monomial(self):
-        """True for c*t^k (zero counts as a monomial)."""
-        return self.is_homogeneous()
+        """The power k; -1 for zero."""
+        return self.k if self.c else -1
 
     def __add__(self, other):
+        """The sum of two monomials of one power, or with zero; two
+        nonzero monomials of different powers raise ValueError."""
         if not isinstance(other, PolyT):
             if not _is_rational(other):
                 return NotImplemented
-            other = PolyT((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] = a[k] + c
-        return PolyT(a)
+            other = PolyT(other, 0)
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        if self.k != other.k:
+            raise ValueError(f"{self.text()} and {other.text()} do not add")
+        return PolyT(self.c + other.c, self.k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyT(tuple(-c for c in self.coeffs))
+        return PolyT(-self.c, self.k)
 
     def __sub__(self, other):
-        if not isinstance(other, PolyT):
-            if not _is_rational(other):
-                return NotImplemented
-            other = PolyT((other,))
+        if not isinstance(other, PolyT) and not _is_rational(other):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, PolyT):
-            if not _is_rational(other):
-                return NotImplemented
-            return PolyT(tuple(c * other for c in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return PolyT()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return PolyT(out)
+        if isinstance(other, PolyT):
+            return PolyT(self.c * other.c, self.k + other.k)
+        if not _is_rational(other):
+            return NotImplemented
+        return PolyT(self.c * other, self.k)
 
     __rmul__ = __mul__
 
@@ -446,58 +432,38 @@ class PolyT:
         if not isinstance(other, PolyT):
             if not _is_rational(other):
                 return NotImplemented
-            other = PolyT((other,))
-        return self.coeffs == other.coeffs
+            other = PolyT(other, 0)
+        return self.c == other.c and self.k == other.k
 
     def __repr__(self):
         return f"PolyT({self.text()!r})"
 
     def text(self):
-        """Canonical rendering, e.g. "2*t^1" or "2"; powers ascend."""
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        first = True
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            neg = c < 0
-            mag = -c if neg else c
-            if k == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = f"t^{k}"
-            else:
-                body = f"{mag}*t^{k}"
-            if first:
-                pieces.append(f"-{body}" if neg else body)
-                first = False
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
+        """Canonical rendering, e.g. "2*t^1", "t^2", "-1/2" or "0"."""
+        c, k = self.c, self.k
+        if not k:
+            return str(c)
+        body = f"t^{k}" if abs(c) == 1 else f"{abs(c)}*t^{k}"
+        return f"-{body}" if c < 0 else body
 
     def to_json(self):
-        """JSON form: [[power, numerator, denominator], ...]."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                num, den = _num_den(c)
-                out.append([k, num, den])
-        return out
+        """JSON form: [[power, numerator, denominator]], or [] for zero."""
+        if not self.c:
+            return []
+        num, den = _num_den(self.c)
+        return [[self.k, num, den]]
 
     @classmethod
     def from_json(cls, data):
-        coeffs = {}
-        for entry in data:
-            k, num, den = entry
-            k = whole_number(k)
-            if k in coeffs:
-                raise ValueError(f"power {k} appears twice")
-            coeffs[k] = _coeff_from_pair(num, den)
-        if not coeffs:
-            return cls()
-        top = max(coeffs)
-        return cls(tuple(coeffs.get(k, 0) for k in range(top + 1)))
+        if not data:
+            return cls.zero()
+        if len(data) > 1:
+            raise ValueError(f"{len(data)} terms are not a monomial")
+        ((k, num, den),) = data
+        k = whole_number(k)
+        if k < 0:
+            raise ValueError(f"negative power {k}")
+        return cls(_coeff_from_pair(num, den), k)
 
 
 def _leading(poly):
@@ -564,16 +530,14 @@ def specialize_to_t(poly):
     """Substitute every simple-root symbol by t.
 
     This is the ring map induced by restricting the torus action to the
-    one-dimensional subtorus on which all simple roots agree.
+    one-dimensional subtorus on which all simple roots agree. ``poly``
+    must be homogeneous, as every restriction and structure constant is,
+    so its image is a monomial; an inhomogeneous one raises ValueError.
     """
-    acc = {}
-    for exps, c in poly.terms.items():
-        k = sum(exps)
-        acc[k] = acc.get(k, 0) + c
-    if not acc:
-        return PolyT()
-    top = max(acc)
-    return PolyT(tuple(acc.get(k, 0) for k in range(top + 1)))
+    degrees = {sum(exps) for exps in poly.terms}
+    if len(degrees) > 1:
+        raise ValueError(f"{poly.text()} is not homogeneous")
+    return PolyT(sum(poly.terms.values()), degrees.pop() if degrees else 0)
 
 
 def is_graham_positive(poly):
@@ -584,5 +548,5 @@ def is_graham_positive(poly):
     positive root is a nonnegative combination of them.
     """
     if isinstance(poly, PolyT):
-        return all(c >= 0 for c in poly.coeffs)
+        return poly.c >= 0
     return all(c >= 0 for c in poly.terms.values())

@@ -638,6 +638,15 @@ def test_corrupt_cache_is_ignored(tmp_path):
     assert run_cli(args) == baseline
 
 
+def test_cache_row_with_a_zero_denominator_is_skipped(tmp_path):
+    # the digest holds, so only the coefficient's parse can reject it
+    row = {"rs": "A2", "w": [1], "row": [[[1], [[[1, 0], 1, 0]]]]}
+    (tmp_path / "billey-cache.jsonl").write_text(
+        '{"format": 3}\n' + _signed_line(row) + "\n"
+    )
+    assert BilleyDiskCache(tmp_path).load(root_system_from_label("A2")) == 0
+
+
 def test_cache_save_survives_a_squatted_temp_name(tmp_path):
     cache = tmp_path / "cache"
     (cache / "billey-cache.tmp").mkdir(parents=True)
