@@ -20,7 +20,6 @@ from .poly import (
 )
 from .rootsys import (
     ResourceCapError,
-    bruhat_leq,
     element_from_word,
     weyl_enumerate,
     word_text,
@@ -121,6 +120,8 @@ class LocalizedClass:
     def __add__(self, other):
         if not isinstance(other, LocalizedClass):
             return NotImplemented
+        if self.rs.cartan != other.rs.cartan:
+            raise ValueError("classes live on different flag varieties")
         if self.is_zero():
             return other
         if other.is_zero():
@@ -542,13 +543,16 @@ def structure_table(rs):
     then come from a generator, one u at a time in enumeration order.
     For each u, the v at or after u are taken in decreasing length, and
     for each the w above v with u <= w by cover distance 1..length(u) (a
-    nonzero c(u,v,w) has length(w) at most length(u) + length(v)). The
-    v at or after u are closed upwards under covers, so every value read
-    is already known, and it is one of u's own entries: those are kept
-    only while u runs. Each mirrored row (v, u, w) waits for v; when u is
-    done its rows, its own and those that waited for it, are sorted by
-    the ranks of v and w, yielded and dropped. Each entry is one exact division by a linear form, and
-    carries the same positivity certificate as ``structure_constants``.
+    nonzero c(u,v,w) has length(w) at most length(u) + length(v)).
+    Whether u <= w is read from the Billey row of w, which holds u
+    exactly then (Kostant-Kumar 1986; Billey 1999). The v at or after u
+    are closed upwards under covers, so every value read is already
+    known, and it is one of u's own entries: those are kept only while
+    u runs. Each mirrored row (v, u, w) waits for v; when u is done its
+    rows, its own and those that waited for it, are sorted by the ranks
+    of v and w, yielded and dropped. Each entry is one exact division by
+    a linear form, and carries the same positivity certificate as
+    ``structure_constants``.
     """
     order = weyl_enumerate(rs)
     rank = rs.rank
@@ -593,7 +597,7 @@ def structure_table(rs):
                     level = list(dict.fromkeys(
                         y for x in level for y, _ in up[x]))
                     for w in level:
-                        if not bruhat_leq(u, w):
+                        if u not in rows[w]:
                             continue
                         rhs = zero
                         for v2, m in up[v]:

@@ -16,7 +16,8 @@ a step between them, and each fixed point's height sequence, computed
 once per root system, runs over those steps.
 
 A class of degree d takes the value c t^d at every fixed point, so it
-is stored by the rationals c alone. Everything else (expansions,
+is stored by the rationals c alone, as a dict {J: c} over the fixed
+points where it is nonzero. Everything else (expansions,
 structure constants, pullbacks of general Schubert classes) is
 inclusion-triangular back-substitution over those rationals, and the
 grading fixes the power of t: the coefficient at K is c_K t^(d - |K|).
@@ -77,59 +78,6 @@ def _product(values_i, values_j):
         if q is not None:
             out[members] = c * q
     return out
-
-
-class PetersonClass:
-    """A class presented by its values at the Peterson fixed points.
-
-    ``values`` maps subsets of simple indices (frozensets) to rationals:
-    c at J stands for the value c t^degree there, the one power of t a
-    homogeneous class takes. Absent entries are zero.
-    """
-
-    __slots__ = ("rs", "degree", "values")
-
-    def __init__(self, rs, values, degree):
-        self.rs = rs
-        self.degree = degree
-        self.values = {frozenset(m): c for m, c in values.items() if c}
-
-    def value(self, members):
-        return self.values.get(frozenset(members), 0)
-
-    def is_zero(self):
-        return not self.values
-
-    def __mul__(self, other):
-        if isinstance(other, PetersonClass):
-            if self.rs.cartan != other.rs.cartan:
-                raise ValueError("classes live on different varieties")
-            return PetersonClass(
-                self.rs, _product(self.values, other.values),
-                self.degree + other.degree,
-            )
-        if isinstance(other, int):
-            if other == 0:
-                return PetersonClass(self.rs, {}, self.degree)
-            values = {m: c * other for m, c in self.values.items()}
-            return PetersonClass(self.rs, values, self.degree)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PetersonClass):
-            return NotImplemented
-        return (
-            self.rs.cartan == other.rs.cartan
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        return (
-            f"PetersonClass(degree={self.degree}, "
-            f"support={len(self.values)})"
-        )
 
 
 def _order_key(order):
@@ -217,8 +165,10 @@ def peterson_class(rs, members, order="increasing"):
     Coxeter element v_K restricted there: the height-weighted Billey sum
     along a reduced word of w_J, kept to the weak-order prefixes of v_K,
     times t^|K|. Values vanish unless K is contained in J (support
-    triangularity), and the value at K itself is positive. The values
-    are memoised with the root system; each call returns a new class.
+    triangularity), and the value at K itself is positive. Returns the
+    values as {J: c} for c t^|K| at J, over the J where they are nonzero.
+    The values are memoised with the root system; each call returns a
+    new dict.
     """
     members = frozenset(int(i) for i in members)
     memo = _memo.setdefault(rs, {})
@@ -227,7 +177,7 @@ def peterson_class(rs, members, order="increasing"):
     if values is None:
         v = coxeter_element(rs, members, order) if members else rs.identity()
         values = memo[key] = _fixed_point_values(rs, v)
-    return PetersonClass(rs, values, len(members))
+    return dict(values)
 
 
 def _label(members):
@@ -239,29 +189,32 @@ def _basis_column(rs, order):
     the class for K and its values, the class built on first use."""
 
     def column(members):
-        values = peterson_class(rs, members, order).values
+        values = peterson_class(rs, members, order)
         return values[members], values.items()
 
     return column
 
 
-def expand_in_peterson_basis(f, order="increasing"):
-    """Coefficients d_K with f equal to the sum of d_K times the basis
-    class for K, as {K: PolyT} over the nonzero d_K in subset order.
+def expand_in_peterson_basis(rs, values, degree, order="increasing"):
+    """Coefficients d_K with the class f equal to the sum of d_K times
+    the basis class for K, as {K: PolyT} over the nonzero d_K in subset
+    order.
+
+    f has degree ``degree`` and is given by its ``values``: c at J
+    stands for the value c t^degree at the fixed point J. Keys may be
+    any iterables of simple indices; zero values are dropped.
 
     Back-substitution over the rationals, by increasing subset size:
     basis classes vanish outside the subsets containing their index, so
     ``back_substitute`` applies with the diagonal value of each basis
-    class and its values. A coefficient c at K stands for c t^(d - |K|),
-    where d is the degree of f, so only subsets of size at most d can
+    class and its values. A coefficient c at K stands for
+    c t^(degree - |K|), so only subsets of size at most ``degree`` can
     carry one; a residual left at a larger subset raises NotInSpan.
     """
-    rs = f.rs
-    subsets = [m for m in all_subsets(rs) if len(m) <= f.degree]
-    coeffs = back_substitute(
-        f.values, subsets, _basis_column(rs, order), _label
-    )
-    return {m: PolyT.monomial(c, f.degree - len(m)) for m, c in coeffs.items()}
+    values = {frozenset(m): c for m, c in values.items() if c}
+    subsets = [m for m in all_subsets(rs) if len(m) <= degree]
+    coeffs = back_substitute(values, subsets, _basis_column(rs, order), _label)
+    return {m: PolyT.monomial(c, degree - len(m)) for m, c in coeffs.items()}
 
 
 def _pair_constants(members_i, members_j, values_i, values_j, subsets,
@@ -307,8 +260,8 @@ def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
     return _pair_constants(
         members_i,
         members_j,
-        peterson_class(rs, members_i, order).values,
-        peterson_class(rs, members_j, order).values,
+        peterson_class(rs, members_i, order),
+        peterson_class(rs, members_j, order),
         [m for m in all_subsets(rs) if len(m) <= degree],
         _basis_column(rs, order),
     )
@@ -328,8 +281,9 @@ def pullback_expansion(rs, w, order="increasing"):
     key = ("pullback", w, _order_key(order))
     expansion = memo.get(key)
     if expansion is None:
-        cls = PetersonClass(rs, _fixed_point_values(rs, w), w.length)
-        expansion = memo[key] = expand_in_peterson_basis(cls, order)
+        expansion = memo[key] = expand_in_peterson_basis(
+            rs, _fixed_point_values(rs, w), w.length, order
+        )
     return dict(expansion)
 
 
@@ -445,7 +399,7 @@ def peterson_table(rs, order="increasing"):
     in subset order, so the rows come out sorted.
     """
     subsets = all_subsets(rs)
-    classes = [peterson_class(rs, m, order).values for m in subsets]
+    classes = [peterson_class(rs, m, order) for m in subsets]
     columns = {m: (values[m], values.items())
                for m, values in zip(subsets, classes)}
     solve_over = [[m for m in subsets if len(m) <= d]

@@ -307,9 +307,7 @@ class RootSystem:
 
         # memo tables (idempotent writes; safe under the GIL)
         self._weyl_list = None
-        self._bruhat = {}
         self._billey = {}  # w -> complete row {v: restriction}, owned by gkm
-        self._parabolic_longest = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -592,32 +590,19 @@ def reduced_words(w):
 def bruhat_leq(u, w):
     """Bruhat order test via the lifting property.
 
-    Peels the smallest right descent s of w: if u also descends by s the
-    question reduces to (us, ws), otherwise to (u, ws). This consumes one
-    fixed reduced word of w letter by letter; results are memoised on the
-    root system.
+    Peels the smallest right descent s of w, one letter at a time: if u
+    also descends by s the question reduces to (us, ws), otherwise to
+    (u, ws). This consumes one fixed reduced word of w; nothing is
+    memoised.
     """
     rs = u.rs
-    if u.length > w.length:
-        return False
-    if u.length == 0:
-        return True
-    if u.length == w.length:
-        return u == w
-    key = (u.perm, w.perm)
-    cached = rs._bruhat.get(key)
-    if cached is not None:
-        return cached
-    i = w.right_descents()[0]
-    s = rs.simple_reflection(i)
-    ws = w * s
-    us = u * s
-    if us.length < u.length:
-        result = bruhat_leq(us, ws)
-    else:
-        result = bruhat_leq(u, ws)
-    rs._bruhat[key] = result
-    return result
+    while 0 < u.length < w.length:
+        s = rs.simple_reflection(w.right_descents()[0])
+        us = u * s
+        if us.length < u.length:
+            u = us
+        w = w * s
+    return u.length == 0 or u == w
 
 
 def _check_subset(rs, members):
@@ -637,9 +622,6 @@ def longest_element(rs, members):
     element of the parabolic with no ascent left is its longest element.
     """
     members = _check_subset(rs, members)
-    cached = rs._parabolic_longest.get(members)
-    if cached is not None:
-        return cached
     w = rs.identity()
     progressed = True
     while progressed:
@@ -649,7 +631,6 @@ def longest_element(rs, members):
                 w = w * rs.simple_reflection(i)
                 progressed = True
                 break
-    rs._parabolic_longest[members] = w
     return w
 
 

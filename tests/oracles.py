@@ -7,9 +7,10 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
 
-Four references for any root system close the file: the polynomial
+Five references for any root system close the file: the polynomial
 division that takes every quotient term through ``Fraction``, the
-reflections over all positive roots built at once by conjugation, the
+reflections over all positive roots built at once by conjugation,
+Bruhat order as chains of length-raising reflections, the
 height-weighted subword sum at one Peterson fixed point, and every
 Schubert class by divided differences from the top class.
 """
@@ -374,6 +375,25 @@ def eager_reflections(rs):
                     reached.append(image)
         frontier = reached
     return tuple(reflection[root] for root in rs.positive_roots)
+
+
+def bruhat_by_reflection_chains(rs):
+    """Bruhat order on the Weyl group of any root system, as the pairs
+    (u, w) with u <= w.
+
+    u <= w when a chain of right multiplications by reflections, each
+    raising the length, joins u to w. Elements are taken by decreasing
+    length, so the elements above each one's neighbours are known.
+    """
+    reflections = [rs.reflection(k) for k in range(len(rs.positive_roots))]
+    above = {}
+    for u in sorted(weyl_enumerate(rs), key=lambda x: -x.length):
+        above[u] = {u}
+        for t in reflections:
+            y = u * t
+            if y.length > u.length:
+                above[u] |= above[y]
+    return {(u, w) for u, ws in above.items() for w in ws}
 
 
 def height_subword_sum(rs, v, w):

@@ -179,9 +179,9 @@ def test_criterion_7_structural_invariants():
             cls = peterson_class(rs, members)
             for subset in all_subsets(rs):
                 if members <= subset:
-                    assert cls.value(subset) > 0
+                    assert cls[subset] > 0
                 else:
-                    assert cls.value(subset) == 0
+                    assert subset not in cls
     _report(7, "structural invariants")
 
 

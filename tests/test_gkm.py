@@ -115,7 +115,7 @@ def test_kostant_kumar_oracle_matches_naive_billey(label):
 
 
 @pytest.mark.parametrize(
-    "name", ["B2", "B3", "C3", "G2", "A1xG2", "reversed-C3"]
+    "name", ["B2", "B3", "C3", "G2", "A4", "A1xG2", "reversed-C3"]
 )
 def test_billey_rows_match_the_kostant_kumar_oracle(name):
     # off type A the table's base entries c(u, v, v) are Billey rows, and
@@ -155,8 +155,10 @@ def test_diagonal_and_chevalley_restrictions_have_closed_forms(name):
         )
 
 
-def test_support_iff_bruhat(a2, a3):
-    for rs in (a2, a3):
+def test_support_iff_bruhat():
+    # structure_table reads u <= w off the Billey row of w
+    for name in ("A2", "A3", "B3", "C3", "G2", "A1xG2", "reversed-C3"):
+        rs = _system(name)
         for v in weyl_enumerate(rs):
             for w in weyl_enumerate(rs):
                 zero = billey_restriction(rs, v, w).is_zero()
@@ -258,6 +260,18 @@ def test_class_product_with_one(a2):
     f = schubert_class(a2, element_from_one_line(a2, (2, 3, 1)))
     unit = schubert_class(a2, a2.identity())
     assert f * unit == f
+
+
+def test_classes_of_different_root_systems_neither_add_nor_multiply(a2, b2):
+    # a zero summand used to be returned before the root systems were
+    # compared
+    zero = LocalizedClass(a2, {}, 5)
+    other = schubert_class(b2, b2.simple_reflection(1))
+    for left, right in ((zero, other), (other, zero)):
+        with pytest.raises(ValueError, match="different flag varieties"):
+            left + right
+        with pytest.raises(ValueError, match="different flag varieties"):
+            left * right
 
 
 def test_product_golden_class_identity(a2):

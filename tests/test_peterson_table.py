@@ -201,7 +201,7 @@ def test_residual_at_a_larger_subset_is_not_in_span(monkeypatch):
     def broken(rs, members, order="increasing"):
         cls = build(rs, members, order)
         if frozenset(members) == {1, 2}:
-            cls.values[frozenset({1, 2, 3})] += 1
+            cls[frozenset({1, 2, 3})] += 1
         return cls
 
     monkeypatch.setattr(peterson, "peterson_class", broken)

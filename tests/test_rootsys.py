@@ -395,6 +395,20 @@ def test_bruhat_matches_reflection_closure(a3):
             assert bruhat_leq(u, w) == ((one_line(u), one_line(w)) in closure)
 
 
+@pytest.mark.parametrize("label", ["B3", "C3", "G2", "A1xG2"])
+def test_bruhat_matches_the_reflection_chain_oracle(label):
+    # the one-line oracles above cover type A only
+    if label == "A1xG2":
+        rs = build_root_system([[2, 0, 0], [0, 2, -1], [0, -3, 2]])
+    else:
+        rs = root_system_from_label(label)
+    order = oracles.bruhat_by_reflection_chains(rs)
+    elements = weyl_enumerate(rs)
+    for u in elements:
+        for w in elements:
+            assert bruhat_leq(u, w) == ((u, w) in order), (u, w)
+
+
 def test_bruhat_is_a_partial_order(a2, a3):
     for rs in (a2, a3):
         elements = weyl_enumerate(rs)

@@ -80,7 +80,7 @@ def test_consistency_failure_names_the_pair(monkeypatch):
     def broken(rs, members, order="increasing"):
         cls = build(rs, members, order)
         if frozenset(members) == {1, 2}:
-            cls.values[frozenset({1, 2})] += 1
+            cls[frozenset({1, 2})] += 1
         return cls
 
     monkeypatch.setattr(peterson, "peterson_class", broken)
