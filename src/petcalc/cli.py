@@ -35,8 +35,8 @@ from .rootsys import (
     DEFAULT_MAX_WEYL,
     CartanError,
     ResourceCapError,
+    RootSystem,
     _validate_cartan,
-    build_root_system,
     element_from_one_line,
     element_from_word,
     is_type_a,
@@ -102,8 +102,7 @@ def _resolve_root_system(config):
                     f'{config.cartan_path} must be JSON of the form '
                     '{"cartan": [[2,-1],[-1,2]]}'
                 )
-            return build_root_system(payload["cartan"],
-                                     max_weyl=config.max_weyl)
+            return RootSystem(payload["cartan"], max_weyl=config.max_weyl)
         if config.root_label:
             return root_system_from_label(config.root_label,
                                           max_weyl=config.max_weyl)

@@ -21,6 +21,7 @@ from .poly import (
 from .rootsys import (
     ResourceCapError,
     element_from_word,
+    inversions,
     weyl_enumerate,
     word_text,
 )
@@ -175,7 +176,7 @@ def _billey_step(rs, states, prefix, letter, within=None):
     """
     index = rs.simple_index(letter)
     s = rs.simple_reflection(letter)
-    form = rs.positive_roots[prefix.perm[index] - 1].coeffs
+    form = rs.positive_roots[prefix.perm[index] - 1]
     if within is not None:
         states = {u: acc for u, acc in states.items() if u in within}
     out = dict(states)
@@ -322,7 +323,7 @@ def gkm_verify(f):
             if diff.is_zero():
                 continue
             root = rs.positive_roots[signed - 1]
-            form = Polynomial.linear_form(rs.rank, root.coeffs)
+            form = Polynomial.linear_form(rs.rank, root)
             try:
                 divide_exact(diff, form)
             except NotDivisible:
@@ -527,16 +528,19 @@ def structure_table(rs):
     Built by the equivariant Chevalley recurrence (Kostant-Kumar 1986;
     Mihalcea 2007), with no class products and no triangular solve. Let
     D be the sum of the Schubert classes of the simple reflections;
-    D|_x is a linear form, distinct at distinct fixed points. Comparing
-    the two ways of expanding D times the product of the classes of u
-    and v gives
+    D|_x = rho - x rho is the linear form summing the positive roots
+    that x^-1 sends negative (``inversions(x.inverse())``), distinct at
+    distinct fixed points. Comparing the two ways of expanding D times
+    the product of the classes of u and v gives
 
         (D|_w - D|_v) c(u,v,w) = sum over covers v' of v of m c(u,v',w)
                                - sum over w' covered by w of m c(u,v,w'),
 
     with c(u,v,v) the restriction of the class of u at v. The covers of
     x are the x r_b one longer than x, and the Chevalley multiplicity m
-    of such a cover is <rho, b^vee>, the integer D|_(r_b) / b.
+    of such a cover is <rho, b^vee>: as D|_(r_b) = <rho, b^vee> b, it is
+    one nonzero coordinate of D|_(r_b) over the same coordinate of b.
+    Neither reads a Billey row or divides a polynomial.
 
     The set-up (W, the Billey rows, D|_x, the multiplicities and the
     covers) runs at the call, so a cap raises before any row; the rows
@@ -558,19 +562,16 @@ def structure_table(rs):
     rank = rs.rank
     zero = Polynomial.zero(rank)
     rows = {x: _fill_billey_row(rs, x) for x in order}
-    simples = [rs.simple_reflection(i) for i in range(1, rank + 1)]
-    chevalley = {}  # x -> D|_x
-    for x, row in rows.items():
-        total = zero
-        for s in simples:
-            total = total + row.get(s, zero)
-        chevalley[x] = total
+    # x -> D|_x in simple-root coordinates ([] at the identity: zero)
+    coordinates = {x: [sum(c) for c in zip(*inversions(x.inverse()))]
+                   for x in order}
+    chevalley = {x: Polynomial.linear_form(rank, d)
+                 for x, d in coordinates.items()}
 
     multiplicity = []  # positive root number k -> <rho, b_k^vee>
     for k, root in enumerate(rs.positive_roots):
-        form = Polynomial.linear_form(rank, root.coeffs)
-        quotient = divide_exact(chevalley[rs.reflection(k)], form)
-        multiplicity.append(quotient.terms[(0,) * rank])
+        j = next(j for j, c in enumerate(root) if c)  # D|_(r_b) = m b
+        multiplicity.append(coordinates[rs.reflection(k)][j] // root[j])
 
     up = {x: [] for x in order}  # x -> [(cover, multiplicity)]
     down = {x: [] for x in order}  # x -> [(covered, multiplicity)]
@@ -655,9 +656,7 @@ def integrate(f):
         return total
     denominator = Polynomial.one(rs.rank)
     for root in rs.positive_roots:
-        denominator = denominator * Polynomial.linear_form(
-            rs.rank, root.coeffs
-        )
+        denominator = denominator * Polynomial.linear_form(rs.rank, root)
     try:
         quotient = divide_exact(total, denominator)
     except NotDivisible as exc:

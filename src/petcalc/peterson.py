@@ -61,12 +61,6 @@ def all_subsets(rs):
     return out
 
 
-def peterson_fixed_point(rs, members):
-    """The fixed point indexed by K: the longest element of the
-    parabolic subgroup on K."""
-    return longest_element(rs, members)
-
-
 def _product(values_i, values_j):
     """Values of a product of two classes: pointwise, on the fixed points
     where both are nonzero."""
@@ -92,7 +86,7 @@ def _height_walk(rs, members):
     walk = []
     for letter in longest_element(rs, members).word:
         root = rs.positive_roots[prefix.perm[rs.simple_index(letter)] - 1]
-        walk.append((letter, root.height()))
+        walk.append((letter, sum(root)))
         prefix = prefix * rs.simple_reflection(letter)
     return walk
 

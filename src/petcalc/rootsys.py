@@ -27,43 +27,8 @@ class ResourceCapError(RuntimeError):
     """An enumeration exceeded its configured size cap."""
 
 
-class Root:
-    """A root written in simple-root coordinates: immutable, and equal and
-    hashed by its coordinates."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: Root is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: Root is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
-    def is_positive(self):
-        return any(self.coeffs) and all(c >= 0 for c in self.coeffs)
-
-    def is_negative(self):
-        return any(self.coeffs) and all(c <= 0 for c in self.coeffs)
-
-    def height(self):
-        return sum(self.coeffs)
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coeffs))
-
-    def __repr__(self):
-        return f"Root{self.coeffs}"
+def _negated(root):
+    return tuple(-c for c in root)
 
 
 class WeylElt:
@@ -247,10 +212,18 @@ class RootSystem:
     Positive roots are generated as the closure of the simple roots under
     the simple reflections and stored in a fixed order graded by height,
     then lexicographic on coordinates, so all derived enumerations are
-    reproducible byte for byte. The object is immutable apart from
-    internal memo tables. ``max_weyl`` caps the Weyl group for
+    reproducible byte for byte. A root is a tuple of integer simple-root
+    coordinates: ``positive_roots`` and ``simple_roots`` hold them, and
+    a negative root is a negated tuple. The object is immutable apart
+    from internal memo tables. ``max_weyl`` caps the Weyl group for
     ``weyl_enumerate`` and the states of every Billey subword sum (None
     means ``DEFAULT_MAX_WEYL``; 0 is a cap).
+
+    Raises CartanError for a bad sign/diagonal pattern,
+    NotFiniteTypeError when the matrix is not of finite type, and
+    ResourceCapError for a finite type with more than
+    ``max_positive_roots`` positive roots (None means
+    ``DEFAULT_MAX_ROOTS``; 0 is a cap).
     """
 
     def __init__(self, cartan, type_label=None, max_positive_roots=None,
@@ -265,7 +238,8 @@ class RootSystem:
         ]
         self.type_label = type_label
         self.max_weyl = DEFAULT_MAX_WEYL if max_weyl is None else max_weyl
-        cap = max_positive_roots or DEFAULT_MAX_ROOTS
+        cap = (DEFAULT_MAX_ROOTS if max_positive_roots is None
+               else max_positive_roots)
         if not _is_finite_type(cartan):
             # an infinite type has infinitely many positive roots
             raise NotFiniteTypeError(
@@ -275,7 +249,7 @@ class RootSystem:
 
         vectors, provenance = self._generate_positive_roots(cap)
         order = sorted(vectors, key=lambda v: (sum(v), v))
-        self.positive_roots = tuple(Root(v) for v in order)
+        self.positive_roots = tuple(order)
         self._index = {v: k for k, v in enumerate(order)}
         # simple root i sits at _simple_index[i - 1]
         self._simple_index = []
@@ -297,8 +271,7 @@ class RootSystem:
                 if min(img) >= 0:
                     perm.append(self._index[img] + 1)
                 else:
-                    neg = tuple(-c for c in img)
-                    perm.append(-(self._index[neg] + 1))
+                    perm.append(-(self._index[_negated(img)] + 1))
             self._simples[i] = self.element(tuple(perm))
 
         # reflections over every positive root, built on first use
@@ -356,7 +329,7 @@ class RootSystem:
                 i, parent = source
                 s = self._simples[i]
                 reflection[vec] = s * reflection[parent] * s
-        return tuple(reflection[root.coeffs] for root in self.positive_roots)
+        return tuple(reflection[root] for root in self.positive_roots)
 
     # -- element access --------------------------------------------------
 
@@ -387,7 +360,7 @@ class RootSystem:
         return self._reflections[k]
 
     def root_index(self, root):
-        idx = self._index.get(root.coeffs)
+        idx = self._index.get(root)
         if idx is None:
             raise ValueError(f"{root} is not a positive root of this system")
         return idx
@@ -398,22 +371,6 @@ class RootSystem:
     def __repr__(self):
         label = self.type_label or f"rank-{self.rank} Cartan"
         return f"RootSystem({label})"
-
-
-def build_root_system(cartan, type_label=None, max_positive_roots=None,
-                      max_weyl=None):
-    """Construct a finite root system from a Cartan matrix.
-
-    Raises CartanError for a bad sign/diagonal pattern,
-    NotFiniteTypeError when the matrix is not of finite type, and
-    ResourceCapError for a finite type with more than
-    ``max_positive_roots`` positive roots (default ``DEFAULT_MAX_ROOTS``).
-    ``max_weyl`` is the system's Weyl group cap.
-    """
-    return RootSystem(
-        cartan, type_label=type_label, max_positive_roots=max_positive_roots,
-        max_weyl=max_weyl,
-    )
 
 
 def _family_and_rank(label):
@@ -482,16 +439,17 @@ def cartan_matrix_for_label(label):
 
 def root_system_from_label(label, max_positive_roots=None, max_weyl=None):
     """The root system of a type label such as "A3" or "E6"; the caps are
-    those of ``build_root_system``. A label over the root cap raises
+    those of ``RootSystem``. A label over the root cap raises
     ResourceCapError from its closed-form root count, before its Cartan
     matrix is built."""
     type_label = label.strip().upper()
-    cap = max_positive_roots or DEFAULT_MAX_ROOTS
+    cap = (DEFAULT_MAX_ROOTS if max_positive_roots is None
+           else max_positive_roots)
     if positive_root_count(type_label) > cap:
         raise ResourceCapError(
             f"{type_label} has more than {cap} positive roots"
         )
-    return build_root_system(
+    return RootSystem(
         cartan_matrix_for_label(type_label),
         type_label=type_label,
         max_positive_roots=max_positive_roots,
@@ -555,16 +513,19 @@ def weyl_enumerate(rs, max_length=None):
 
 
 def act_on_root(w, root):
-    """Image of a root under a Weyl group element."""
+    """Image of a root, a tuple of simple-root coordinates, under a Weyl
+    group element."""
     rs = w.rs
-    if root.is_positive():
-        signed = w.perm[rs.root_index(root)]
-    elif root.is_negative():
-        signed = -w.perm[rs.root_index(-root)]
+    k = rs._index.get(root)
+    if k is not None:
+        signed = w.perm[k]
     else:
-        raise ValueError(f"{root} is not a root")
+        k = rs._index.get(_negated(root))
+        if k is None:
+            raise ValueError(f"{root} is not a root of this system")
+        signed = -w.perm[k]
     image = rs.positive_roots[abs(signed) - 1]
-    return image if signed > 0 else -image
+    return image if signed > 0 else _negated(image)
 
 
 def element_from_word(rs, word):
@@ -659,7 +620,8 @@ def coxeter_element(rs, members, order="increasing"):
 
 
 def inversions(w):
-    """Positive roots sent negative by w; their number is length(w)."""
+    """Positive roots sent negative by w, as coordinate tuples in root
+    order; their number is length(w)."""
     rs = w.rs
     return [
         rs.positive_roots[k]

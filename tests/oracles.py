@@ -370,7 +370,7 @@ def eager_reflections(rs):
             for i in range(1, rs.rank + 1):
                 s = rs.simple_reflection(i)
                 image = act_on_root(s, root)
-                if image.is_positive() and image not in reflection:
+                if min(image) >= 0 and image not in reflection:
                     reflection[image] = s * reflection[root] * s
                     reached.append(image)
         frontier = reached
@@ -413,7 +413,7 @@ def height_subword_sum(rs, v, w):
     for letter in w.word:
         index = rs.simple_index(letter)
         s = rs.simple_reflection(letter)
-        height = rs.positive_roots[prefix.perm[index] - 1].height()
+        height = sum(rs.positive_roots[prefix.perm[index] - 1])
         grown = dict(states)
         for u, acc in states.items():
             if u.perm[index] in targets:
@@ -463,10 +463,11 @@ def _lower_variable(poly, i):
     return Polynomial(poly.rank, terms)
 
 
-def kostant_kumar_classes(rs):
-    """Every Schubert class of ``rs`` as {v: {w: restriction}}, zeros
-    left out, by the Kostant-Kumar left divided differences (Kostant and
-    Kumar 1986) from the class of the longest element w_0.
+def kostant_kumar_classes(rs, min_length=0):
+    """Every Schubert class of ``rs`` of length at least ``min_length``
+    as {v: {w: restriction}}, zeros left out, by the Kostant-Kumar left
+    divided differences (Kostant and Kumar 1986) from the class of the
+    longest element w_0; the descent from w_0 stops at ``min_length``.
 
     The class of w_0 is the product of all positive roots at w_0 and zero
     elsewhere. For s_i v < v the class of v is ``delta_i`` of the class
@@ -479,7 +480,7 @@ def kostant_kumar_classes(rs):
     order = weyl_enumerate(rs)
     top = Polynomial.one(rank)
     for root in rs.positive_roots:
-        top = top * Polynomial.linear_form(rank, root.coeffs)
+        top = top * Polynomial.linear_form(rank, root)
     classes = {order[-1]: {order[-1]: top}}
     zero = Polynomial.zero(rank)
     images = {
@@ -490,6 +491,8 @@ def kostant_kumar_classes(rs):
         for i in range(1, rank + 1)
     }
     for v in reversed(order[:-1]):
+        if v.length < min_length:
+            break
         i = next(i for i in range(1, rank + 1)
                  if (rs.simple_reflection(i) * v).length > v.length)
         s = rs.simple_reflection(i)

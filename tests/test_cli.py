@@ -14,7 +14,7 @@ from petcalc import (
     NonPolynomialResult,
     NotInSpan,
     Polynomial,
-    build_root_system,
+    RootSystem,
     element_from_word,
     gkm,
     one_line,
@@ -587,7 +587,7 @@ def test_table_rows_follow_enumeration_rank_and_labels_word_text(tmp_path,
         cartan = [row[::-1] for row in cartan_matrix_for_label("C3")[::-1]]
         path = tmp_path / "cartan.json"
         path.write_text(json.dumps({"cartan": cartan}))
-        rs, source = build_root_system(cartan), ["--cartan", str(path)]
+        rs, source = RootSystem(cartan), ["--cartan", str(path)]
     else:
         rs, source = root_system_from_label(system), [system]
     expected = list(gkm.structure_table(rs))

@@ -15,8 +15,8 @@ import oracles
 from conftest import run_cli
 from petcalc import (
     ResourceCapError,
+    RootSystem,
     all_subsets,
-    build_root_system,
     coxeter_element,
     expand_in_peterson_basis,
     inversions,
@@ -34,7 +34,7 @@ _A1_X_G2 = [[2, 0, 0], [0, 2, -1], [0, -3, 2]]
 
 def _root_system(label, max_weyl=None):
     if label == "A1xG2":
-        return build_root_system(_A1_X_G2, max_weyl=max_weyl)
+        return RootSystem(_A1_X_G2, max_weyl=max_weyl)
     return root_system_from_label(label, max_weyl=max_weyl)
 
 

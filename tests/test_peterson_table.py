@@ -18,8 +18,8 @@ from conftest import run_cli
 from petcalc import (
     NotInSpan,
     PositivityViolation,
+    RootSystem,
     all_subsets,
-    build_root_system,
     coxeter_element,
     peterson,
     peterson_structure_constants,
@@ -38,7 +38,7 @@ _REDUCIBLE = {
 
 def _system(name):
     if name in _REDUCIBLE:
-        return build_root_system(_REDUCIBLE[name])
+        return RootSystem(_REDUCIBLE[name])
     return root_system_from_label(name)
 
 

@@ -4,15 +4,15 @@ from math import factorial
 import pytest
 
 import oracles
+import petcalc
 from conftest import run_cli
 from petcalc import (
     CartanError,
     NotFiniteTypeError,
     ResourceCapError,
-    Root,
+    RootSystem,
     act_on_root,
     bruhat_leq,
-    build_root_system,
     coxeter_element,
     element_from_one_line,
     element_from_word,
@@ -26,7 +26,6 @@ from petcalc import (
 )
 from petcalc.rootsys import (
     DEFAULT_MAX_ROOTS,
-    RootSystem,
     _is_finite_type,
     cartan_matrix_for_label,
     positive_root_count,
@@ -34,12 +33,12 @@ from petcalc.rootsys import (
 
 
 def test_a1_single_positive_root():
-    rs = build_root_system([[2]])
-    assert [r.coeffs for r in rs.positive_roots] == [(1,)]
+    rs = RootSystem([[2]])
+    assert list(rs.positive_roots) == [(1,)]
 
 
 def test_a2_positive_roots_exact(a2):
-    assert {r.coeffs for r in a2.positive_roots} == {(1, 0), (0, 1), (1, 1)}
+    assert set(a2.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_a3_positive_root_count_matches_oracle(a3):
@@ -51,12 +50,12 @@ def test_a3_positive_root_count_matches_oracle(a3):
 def test_positive_roots_have_uniform_sign(a3, b2):
     for rs in (a3, b2):
         for root in rs.positive_roots:
-            assert root.is_positive()
+            assert any(root) and min(root) >= 0
 
 
 def test_positive_root_order_is_height_then_lex(a3, b2):
     for rs in (a3, b2):
-        keys = [(r.height(), r.coeffs) for r in rs.positive_roots]
+        keys = [(sum(r), r) for r in rs.positive_roots]
         assert keys == sorted(keys)
 
 
@@ -64,9 +63,17 @@ def test_root_orbit_bound_is_configurable(a2):
     # A2 is of finite type: three roots over a cap of two is a resource
     # cap, not a verdict on the matrix
     with pytest.raises(ResourceCapError, match="more than 2 positive roots"):
-        build_root_system([[2, -1], [-1, 2]], max_positive_roots=2)
+        RootSystem([[2, -1], [-1, 2]], max_positive_roots=2)
     with pytest.raises(ResourceCapError, match="^A3 has more than 5 "):
         root_system_from_label("A3", max_positive_roots=5)
+
+
+def test_a_root_cap_of_zero_is_a_cap():
+    # None means DEFAULT_MAX_ROOTS; 0, as for max_weyl, caps at zero
+    with pytest.raises(ResourceCapError, match="more than 0 positive roots"):
+        RootSystem([[2]], max_positive_roots=0)
+    with pytest.raises(ResourceCapError, match="^A3 has more than 0 "):
+        root_system_from_label("A3", max_positive_roots=0)
 
 
 def _closes(cartan, cap):
@@ -112,7 +119,7 @@ def test_finite_type_matches_root_orbit_closure():
             assert _is_finite_type(matrix) == finite, matrix
             if not finite:
                 with pytest.raises(NotFiniteTypeError):
-                    build_root_system(matrix)
+                    RootSystem(matrix)
             checked += 1
     assert checked == 26 + 10 ** 3
 
@@ -122,7 +129,7 @@ def test_non_symmetrisable_cartan_is_not_finite():
     cartan = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
     assert not _is_finite_type(cartan)
     with pytest.raises(NotFiniteTypeError, match="not of finite type"):
-        build_root_system(cartan)
+        RootSystem(cartan)
 
 
 def _block_sum(*matrices):
@@ -182,7 +189,7 @@ def test_closed_form_root_count_matches_the_built_system():
 )
 def test_reducible_cartan_matrices_build(labels):
     cartan = _block_sum(*(cartan_matrix_for_label(l) for l in labels))
-    rs = build_root_system(cartan)
+    rs = RootSystem(cartan)
     assert len(rs.positive_roots) == sum(
         _roots_by_formula(l[0], int(l[1:])) for l in labels
     )
@@ -200,13 +207,13 @@ def test_positive_root_counts_by_type():
 
 def test_bad_cartan_rejected():
     with pytest.raises(CartanError):
-        build_root_system([[1]])  # bad diagonal
+        RootSystem([[1]])  # bad diagonal
     with pytest.raises(CartanError):
-        build_root_system([[2, 1], [1, 2]])  # positive off-diagonal
+        RootSystem([[2, 1], [1, 2]])  # positive off-diagonal
     with pytest.raises(CartanError):
-        build_root_system([[2, -1]])  # not square
+        RootSystem([[2, -1]])  # not square
     with pytest.raises(CartanError):
-        build_root_system([[2, -1], [0, 2]])  # asymmetric zero pattern
+        RootSystem([[2, -1], [0, 2]])  # asymmetric zero pattern
     with pytest.raises(CartanError):
         root_system_from_label("Z9")
     with pytest.raises(CartanError):
@@ -214,18 +221,18 @@ def test_bad_cartan_rejected():
     for bad in ("x", 5, [5], [[2, "a"], [-1, 2]], [[2, -1.5], [-1, 2]],
                 [[2, True], [-1, 2]]):
         with pytest.raises(CartanError):
-            build_root_system(bad)  # not a matrix of integers
+            RootSystem(bad)  # not a matrix of integers
 
 
 def test_whole_float_cartan_entries_accepted():
-    rs = build_root_system([[2.0, -1], [-1.0, 2]])
+    rs = RootSystem([[2.0, -1], [-1.0, 2]])
     assert rs.cartan == ((2, -1), (-1, 2))
     assert all(isinstance(a, int) for row in rs.cartan for a in row)
 
 
 def test_affine_cartan_rejected():
     with pytest.raises(NotFiniteTypeError):
-        build_root_system([[2, -2], [-2, 2]])
+        RootSystem([[2, -2], [-2, 2]])
 
 
 def test_weyl_sizes_and_lengths():
@@ -262,7 +269,7 @@ def test_weyl_cap():
 
 def test_weyl_cap_of_zero_is_a_cap():
     # 0 must not fall back to the default cap, on any call
-    a2 = build_root_system([[2, -1], [-1, 2]], max_weyl=0)
+    a2 = RootSystem([[2, -1], [-1, 2]], max_weyl=0)
     for _ in range(2):
         with pytest.raises(ResourceCapError):
             weyl_enumerate(a2)
@@ -292,27 +299,31 @@ def test_weyl_cap_counts_the_elements_walked():
             weyl_enumerate(a5)
 
 
+def _negated(root):
+    return tuple(-c for c in root)
+
+
 def test_simple_reflection_negates_own_root(a2):
     s1 = a2.simple_reflection(1)
     alpha1 = a2.simple_roots[0]
-    assert act_on_root(s1, alpha1) == -alpha1
+    assert act_on_root(s1, alpha1) == _negated(alpha1)
 
 
 def test_reflection_formula_example(a2):
     s1 = a2.simple_reflection(1)
     alpha2 = a2.simple_roots[1]
-    assert act_on_root(s1, alpha2) == Root((1, 1))
+    assert act_on_root(s1, alpha2) == (1, 1)
 
 
 def test_composed_action_example(a2):
     s1s2 = element_from_word(a2, (1, 2))
     alpha1 = a2.simple_roots[0]
-    assert act_on_root(s1s2, alpha1) == Root((0, 1))
+    assert act_on_root(s1s2, alpha1) == (0, 1)
 
 
 def test_action_is_a_homomorphism(a2):
     elements = weyl_enumerate(a2)
-    roots = list(a2.positive_roots) + [-r for r in a2.positive_roots]
+    roots = list(a2.positive_roots) + [_negated(r) for r in a2.positive_roots]
     for u in elements:
         for v in elements:
             uv = u * v
@@ -322,7 +333,7 @@ def test_action_is_a_homomorphism(a2):
 
 def test_act_on_non_root_rejected(a2):
     with pytest.raises(ValueError):
-        act_on_root(a2.identity(), Root((1, -1)))
+        act_on_root(a2.identity(), (1, -1))
 
 
 def test_length_is_inversion_count():
@@ -330,7 +341,7 @@ def test_length_is_inversion_count():
         rs = root_system_from_label(label)
         for w in weyl_enumerate(rs):
             negated = [r for r in rs.positive_roots
-                       if act_on_root(w, r).is_negative()]
+                       if min(act_on_root(w, r)) < 0]
             assert len(negated) == w.length
             assert inversions(w) == negated
 
@@ -399,7 +410,7 @@ def test_bruhat_matches_reflection_closure(a3):
 def test_bruhat_matches_the_reflection_chain_oracle(label):
     # the one-line oracles above cover type A only
     if label == "A1xG2":
-        rs = build_root_system([[2, 0, 0], [0, 2, -1], [0, -3, 2]])
+        rs = RootSystem([[2, 0, 0], [0, 2, -1], [0, -3, 2]])
     else:
         rs = root_system_from_label(label)
     order = oracles.bruhat_by_reflection_chains(rs)
@@ -461,7 +472,7 @@ def test_longest_element_properties(a3, b2):
             supported = [
                 r
                 for r in rs.positive_roots
-                if {i + 1 for i, c in enumerate(r.coeffs) if c} <= members
+                if {i + 1 for i, c in enumerate(r) if c} <= members
             ]
             assert w.length == len(supported)
             assert (w * w).is_identity()
@@ -512,7 +523,7 @@ def test_reflections_negate_their_roots():
         rs = root_system_from_label(label)
         for k, root in enumerate(rs.positive_roots):
             refl = rs.reflection(k)
-            assert act_on_root(refl, root) == -root
+            assert act_on_root(refl, root) == _negated(root)
             assert (refl * refl).is_identity()
             assert refl.length % 2 == 1
 
@@ -529,7 +540,7 @@ def _cartan_of_c4_reversed():
 )
 def test_reflections_built_on_first_use_match_the_eager_construction(label):
     if label == "cartan":
-        rs = build_root_system(_cartan_of_c4_reversed())
+        rs = RootSystem(_cartan_of_c4_reversed())
     else:
         rs = root_system_from_label(label)
     expected = oracles.eager_reflections(rs)
@@ -538,7 +549,7 @@ def test_reflections_built_on_first_use_match_the_eager_construction(label):
         refl = rs.reflection(k)
         assert refl == expected[k]
         assert (refl * refl).is_identity()
-        assert act_on_root(refl, root) == -root
+        assert act_on_root(refl, root) == _negated(root)
 
 
 def test_restrict_leaves_the_reflections_unbuilt(monkeypatch):
@@ -557,5 +568,14 @@ def test_restrict_leaves_the_reflections_unbuilt(monkeypatch):
 
 
 def test_highest_root_reflection_a2(a2):
-    k = a2.root_index(Root((1, 1)))
+    k = a2.root_index((1, 1))
     assert a2.reflection(k) == element_from_word(a2, (1, 2, 1))
+
+
+def test_star_import_binds_every_public_name():
+    # a name left in __all__ after its definition goes fails the import
+    namespace = {}
+    exec("from petcalc import *", namespace)
+    assert set(petcalc.__all__) <= set(namespace)
+    for gone in ("Root", "build_root_system", "peterson_fixed_point"):
+        assert gone not in namespace

@@ -5,7 +5,7 @@ import pytest
 from conftest import run_cli
 from petcalc import (
     PolyT,
-    build_root_system,
+    RootSystem,
     element_from_word,
     gkm,
     root_system_from_label,
@@ -25,7 +25,7 @@ def test_run_suite_matches_verify_json():
 
 
 def test_unsupported_sweep_is_skipped_within_a_suite():
-    checks = run_suite(build_root_system(B2), "all")
+    checks = run_suite(RootSystem(B2), "all")
     assert [check.status for check in checks] == [
         "pass", "pass", "pass", "pass", "pass", "skipped", "pass"
     ]
@@ -41,7 +41,7 @@ def test_unsupported_sweep_is_skipped_within_a_suite():
 def test_unsupported_sweep_alone_raises():
     with pytest.raises(Unsupported,
                        match="^the closed-form suite needs a type A system$"):
-        run_suite(build_root_system(B2), "closed-form")
+        run_suite(RootSystem(B2), "closed-form")
 
 
 def test_failed_check_status():
