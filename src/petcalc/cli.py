@@ -286,12 +286,14 @@ _COMMON_OPTIONS = (
             default="text", help="Output format."),
     _Option("--cache", dest="cache_dir",
             help="Directory for the restriction disk cache (no effect on "
-                 "mult, peterson-mult, pullback and table --kind peterson)."),
+                 "restrict, mult, peterson-mult, pullback and table --kind "
+                 "peterson, which need few or no whole Billey rows)."),
     _Option("--jobs", type=int, default=1,
             help="Accepted for compatibility; has no effect."),
     _Option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
             help="Abort if a command walks more Weyl group elements than "
-                 "this (mult walks only those of length at most l(u)+l(v))."),
+                 "this (mult walks only those of length at most l(u)+l(v), "
+                 "restrict only the prefixes of its class)."),
 )
 
 
@@ -487,12 +489,15 @@ def _cmd_verify(config, rs):
 
 
 def _uses_disk_cache(config):
-    """False for the Peterson jobs, which read no Billey row, and for
-    ``mult``, whose rows on the short fixed points cost less to compute
-    than to load: the disk cache would be wasted work for them."""
+    """False for the Peterson jobs, which read no Billey row; for
+    ``restrict``, which walks only the prefixes of its class and neither
+    reads nor fills a whole row; and for ``mult``, whose rows on the short
+    fixed points cost less to compute than to load: the disk cache would
+    be wasted work for them."""
     if config.command == "table":
         return config.params["kind"] == "schubert"
-    return config.command not in ("mult", "peterson-mult", "pullback")
+    return config.command not in ("restrict", "mult", "peterson-mult",
+                                  "pullback")
 
 
 def run(config):

@@ -198,9 +198,9 @@ def _billey_step(rs, states, prefix, letter, within=None):
     return out
 
 
-def _billey_dp(rs, word):
+def _billey_dp(rs, word, within=None):
     """Run the subword sum along a reduced word, one ``_billey_step`` a
-    letter.
+    letter, pruned to ``within`` when given.
 
     Returns the map u -> sum over subsequences of the word that multiply
     to u (necessarily reduced) of the product of the chosen letters'
@@ -210,7 +210,7 @@ def _billey_dp(rs, word):
     states = {rs.identity(): Polynomial.one(rs.rank)}
     prefix = rs.identity()
     for letter in word:
-        states = _billey_step(rs, states, prefix, letter)
+        states = _billey_step(rs, states, prefix, letter, within)
         prefix = prefix * rs.simple_reflection(letter)
     return states
 
@@ -280,9 +280,20 @@ def billey_row(rs, w, word=None):
 
 
 def billey_restriction(rs, v, w, word=None):
-    """Restriction of the Schubert class of v at the fixed point w: the
-    entry of ``billey_row(rs, w, word)`` at v."""
-    poly = billey_row(rs, w, word).get(v)
+    """Restriction of the Schubert class of v at the fixed point w.
+
+    With ``word``, the entry at v of ``billey_row(rs, w, word)``. Without
+    it, the entry of the memoised row of w when there is one; otherwise
+    the subword sum along ``w.word`` pruned to the right-weak prefixes of
+    v, which is exact at v and memoises nothing. For many classes at one
+    fixed point, ``billey_row`` fills the row once.
+    """
+    if word is not None:
+        row = billey_row(rs, w, word)
+    else:
+        row = rs._billey.get(w) or _billey_dp(
+            rs, w.word, _right_weak_prefixes([v]))
+    poly = row.get(v)
     return Polynomial.zero(rs.rank) if poly is None else poly
 
 
@@ -387,13 +398,23 @@ def back_substitute(values, order, column, label):
 def _right_weak_prefixes(elements):
     """The right-weak prefixes of ``elements``: every u with u y = w and
     length(u) + length(y) = length(w) for some w among them, reached from
-    w by removing right descents."""
+    w by removing right descents.
+
+    Raises ResourceCapError when they outnumber ``rs.max_weyl``.
+    """
     found = set()
     todo = list(elements)
     while todo:
         u = todo.pop()
         if u not in found:
             found.add(u)
+            if len(found) > u.rs.max_weyl:
+                raise ResourceCapError(
+                    f"Billey sum for a class of length "
+                    f"{max(x.length for x in elements)} walks its right-weak "
+                    f"prefixes, more than the cap of {u.rs.max_weyl} Weyl "
+                    "group elements"
+                )
             todo.extend(u * u.rs.simple_reflection(i)
                         for i in u.right_descents())
     return found

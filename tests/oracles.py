@@ -7,12 +7,13 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
 
-Five references for any root system close the file: the polynomial
+Six references for any root system close the file: the polynomial
 division that takes every quotient term through ``Fraction``, the
 reflections over all positive roots built at once by conjugation,
 Bruhat order as chains of length-raising reflections, the
-height-weighted subword sum at one Peterson fixed point, and every
-Schubert class by divided differences from the top class.
+height-weighted subword sum at one Peterson fixed point, every
+Schubert class by divided differences from the top class, and the
+Peterson structure table by the Peterson Monk recurrence.
 """
 
 from fractions import Fraction
@@ -24,11 +25,14 @@ from petcalc import (
     DivisionByZero,
     NotDivisible,
     Polynomial,
+    PolyT,
     ResourceCapError,
     act_on_root,
     all_subsets,
     divide_exact,
+    inversions,
     longest_element,
+    peterson_class,
     weyl_enumerate,
 )
 from petcalc.gkm import billey_row
@@ -505,3 +509,68 @@ def kostant_kumar_classes(rs, min_length=0):
                 values[w] = _lower_variable(diff, i)
         classes[v] = values
     return classes
+
+
+def peterson_monk_table(rs, order="increasing"):
+    """The Peterson structure table as ``peterson_table`` returns it, rows
+    (I, J, K, PolyT) over the nonzero coefficients in subset order, by
+    the Peterson Monk recurrence (Harada-Tymoczko 2011; Drellich 2015).
+
+    D, the sum of the basis classes p_i, restricts to a_J t at the fixed
+    point J, a_J the sum of the heights of the positive roots that w_J
+    sends negative. The Monk rule D p_K = a_K t p_K + sum over j not in K
+    of m(K, j) p_(K+j), localized at K+j, gives
+    m(K, j) = (a_(K+j) - a_K) p_K|_(K+j) / p_(K+j)|_(K+j). Expanding
+    D p_I p_J both ways gives, in rationals, for K above J,
+
+        (a_K - a_J) c(I,J,K) = sum over j not in J of m(J,j) c(I,J+j,K)
+                             - sum over k in K of m(K-k,k) c(I,J,K-k),
+
+    from c(I,J,J) = p_I|_J; J runs by decreasing size and K, which holds
+    I and J and has at most |I| + |J| members, by increasing size. As
+    a_K > a_J for J inside K, no division is by zero. Only the basis
+    values and the inversion sets are read: no ``back_substitute``.
+    """
+    subsets = all_subsets(rs)
+    position = {m: n for n, m in enumerate(subsets)}
+    simples = range(1, rs.rank + 1)
+    values = {m: peterson_class(rs, m, order) for m in subsets}
+    a = {m: sum(sum(root) for root in inversions(longest_element(rs, m)))
+         for m in subsets}
+    monk = {}
+    for m in subsets:
+        for j in simples:
+            if j not in m:
+                up = m | {j}
+                monk[m, j] = (Fraction(a[up] - a[m]) * values[m].get(up, 0)
+                              / values[up][up])
+    rows = []
+    for members_i in subsets:
+        known = {}  # (J, K) -> c(I, J, K), nonzero only
+        for members_j in reversed(subsets):
+            base = values[members_i].get(members_j)
+            if base:
+                known[members_j, members_j] = Fraction(base)
+            for members_k in subsets:
+                if len(members_k) > len(members_i) + len(members_j):
+                    break
+                if not (members_j < members_k and members_i <= members_k):
+                    continue
+                rhs = sum(monk[members_j, j]
+                          * known.get((members_j | {j}, members_k), 0)
+                          for j in simples if j not in members_j)
+                rhs -= sum(monk[members_k - {k}, k]
+                           * known.get((members_j, members_k - {k}), 0)
+                           for k in members_k)
+                if rhs:
+                    known[members_j, members_k] = rhs / (a[members_k]
+                                                         - a[members_j])
+        degree = len(members_i)
+        rows.extend(
+            (members_i, members_j, members_k,
+             PolyT.monomial(c, degree + len(members_j) - len(members_k)))
+            for (members_j, members_k), c in sorted(
+                known.items(), key=lambda item: (position[item[0][0]],
+                                                 position[item[0][1]]))
+        )
+    return rows

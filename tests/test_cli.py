@@ -434,22 +434,37 @@ def _b3_longest_word():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["pullback", "B3", "--w"], ["restrict", "B3", "--class", "e", "--at"]],
+    "args, message",
+    [(["pullback", "B3", "--w", "{w0}"], "Billey sum at "),
+     (["restrict", "B3", "--class", "{w0}", "--at", "{w0}"],
+      "Billey sum for a class of length 9 ")],
     ids=["pullback", "restrict"],
 )
-def test_billey_sum_counts_its_states_against_the_cap(args):
-    # both walk every element below w_0, and B3 has 48 of them
-    args = [*args, _b3_longest_word(), "--max-weyl"]
+def test_billey_sum_counts_its_states_against_the_cap(args, message):
+    # both walk every prefix of w_0, and B3 has 48 of them; restrict
+    # walks the prefixes of its class, whatever the fixed point
+    w0 = _b3_longest_word()
+    args = [arg.format(w0=w0) for arg in args] + ["--max-weyl"]
     for cap in ("10", "47"):
         code, out, err = run_cli([*args, cap])
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("resource cap: Billey sum at ")
+        assert err.startswith("resource cap: " + message)
     code, out, err = run_cli([*args, "48"])
     assert code == 0
     assert err == ""
+
+
+RESTRICT_231_AT_321 = ["restrict", "A2", "--class", "231", "--at", "321"]
+
+
+def _expand_a2_class_of_s1(tmp_path):
+    """An ``expand`` command line for the A2 class of s1, of degree 1."""
+    path = tmp_path / "class-of-s1.json"
+    path.write_text(json.dumps(
+        {"type": "A2", "degree": 1, "values": _A2_CLASS_OF_S1}))
+    return ["expand", "A2", "--values", str(path)]
 
 
 class _LoadReached(Exception):
@@ -471,12 +486,14 @@ def _refuse_save(self, rs):
         ["pullback", "D4", "--w", "2 1 3 2 1 4 2 1"],
         ["table", "A2", "--kind", "peterson"],
         ["mult", "D4", "--u", "1 2 4", "--v", "3 4"],
+        ["restrict", "D4", "--class", "1 2 4", "--at", "2 1 3 2 1 4 2 1"],
     ],
-    ids=["peterson-mult", "pullback", "table-peterson", "mult"],
+    ids=["peterson-mult", "pullback", "table-peterson", "mult", "restrict"],
 )
 def test_peterson_jobs_do_not_load_the_cache(tmp_path, monkeypatch, args):
     # mult reads Billey rows, but only on the short fixed points: cheaper
-    # to compute than to load from a cache of whole-W rows
+    # to compute than to load from a cache of whole-W rows; restrict reads
+    # no whole row at all
     cache = tmp_path / "cache"
     expected = run_cli(args)[1]
     monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
@@ -489,9 +506,30 @@ def test_peterson_jobs_do_not_load_the_cache(tmp_path, monkeypatch, args):
 
 def test_schubert_jobs_still_load_the_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(BilleyDiskCache, "load", _refuse_load)
-    for args in (RESTRICT_231_AT_321, ["table", "A2", "--kind", "schubert"]):
+    for args in (_expand_a2_class_of_s1(tmp_path),
+                 ["table", "A2", "--kind", "schubert"],
+                 ["verify", "A2", "--suite", "gkm"]):
         with pytest.raises(_LoadReached):
             run_cli([*args, "--cache", str(tmp_path)])
+
+
+@pytest.mark.parametrize("nested", [False, True],
+                         ids=["regular-file", "path-under-a-file"])
+@pytest.mark.parametrize(
+    "args", [RESTRICT_231_AT_321, ["mult", "A2", "--u", "213", "--v", "213"]],
+    ids=["restrict", "mult"],
+)
+def test_jobs_without_the_cache_ignore_a_path_that_cannot_be_one(tmp_path,
+                                                                 args, nested):
+    # no load and no save, so neither a file at the path nor one above it
+    # matters
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = blocker / "sub" if nested else blocker
+    expected = run_cli(args)
+    assert expected[0] == 0
+    assert run_cli([*args, "--cache", str(cache)]) == expected
+    assert blocker.read_text() == ""
 
 
 def test_table_deterministic_across_jobs():
@@ -627,7 +665,7 @@ def test_cache_identical_bytes(tmp_path):
 
 def test_corrupt_cache_is_ignored(tmp_path):
     cache = tmp_path / "cache"
-    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    args = TABLE_A2 + ["--cache", str(cache)]
     baseline = run_cli(args)
     path = cache / "billey-cache.jsonl"
     content = path.read_text().splitlines()
@@ -650,9 +688,9 @@ def test_cache_row_with_a_zero_denominator_is_skipped(tmp_path):
 def test_cache_save_survives_a_squatted_temp_name(tmp_path):
     cache = tmp_path / "cache"
     (cache / "billey-cache.tmp").mkdir(parents=True)
-    code, out, _ = run_cli(RESTRICT_231_AT_321 + ["--cache", str(cache)])
+    code, out, _ = run_cli(TABLE_A2 + ["--cache", str(cache)])
     assert code == 0
-    assert out == "a1*a2 + a1^2\n"
+    assert out == run_cli(TABLE_A2)[1]
     assert sorted(os.listdir(cache)) == ["billey-cache.jsonl",
                                          "billey-cache.tmp"]
 
@@ -662,7 +700,7 @@ def test_cache_save_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
         raise OSError("replace refused")
 
     rs = root_system_from_label("A1")
-    gkm.billey_restriction(rs, rs.identity(), rs.simple_reflection(1))
+    gkm.billey_row(rs, rs.simple_reflection(1))
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
         BilleyDiskCache(tmp_path).save(rs)
@@ -684,10 +722,9 @@ def test_cache_path_that_cannot_be_a_directory(tmp_path, nested):
     blocker.write_text("")
     cache = blocker / "sub" if nested else blocker
     reason = "Not a directory" if nested else "File exists"
-    code, out, err = run_cli(
-        ["restrict", "G2", "--class", "1", "--at", "1", "--cache", str(cache)])
+    code, out, err = run_cli(["table", "A1", "--cache", str(cache)])
     assert code == 2
-    assert out == "a1\n"
+    assert out == run_cli(["table", "A1"])[1]
     assert err == f"cache: cannot write {cache}: {reason}\n"
     assert blocker.read_text() == ""
 
@@ -715,8 +752,7 @@ def test_stale_cache_format_is_ignored(tmp_path, stale):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "billey-cache.jsonl").write_text(stale)
-    assert run_cli(RESTRICT_231_AT_321 + ["--cache", str(cache)]) == (
-        0, "a1*a2 + a1^2\n", "")
+    assert run_cli(TABLE_A2 + ["--cache", str(cache)]) == run_cli(TABLE_A2)
     assert (cache / "billey-cache.jsonl").read_text().startswith(
         '{"format": 3}\n'
     )
@@ -733,20 +769,16 @@ def test_well_formed_but_wrong_cache_row_is_rejected(tmp_path, header):
     cache.mkdir()
     (cache / "billey-cache.jsonl").write_text(header + EMPTY_A2_ROW)
     assert BilleyDiskCache(cache).load(root_system_from_label("A2")) == 0
-    code, out, _ = run_cli(RESTRICT_231_AT_321 + ["--cache", str(cache)])
-    assert code == 0
-    assert out == "a1*a2 + a1^2\n"
-
-
-RESTRICT_231_AT_321 = ["restrict", "A2", "--class", "231", "--at", "321"]
+    assert run_cli(TABLE_A2 + ["--cache", str(cache)]) == run_cli(TABLE_A2)
 
 
 def test_clean_cache_is_not_rewritten(tmp_path):
     cache = tmp_path / "cache"
-    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
-    assert run_cli(args) == (0, "a1*a2 + a1^2\n", "")
+    args = TABLE_A2 + ["--cache", str(cache)]
+    expected = run_cli(TABLE_A2)
+    assert run_cli(args) == expected
     before = os.stat(cache / "billey-cache.jsonl")
-    assert run_cli(args) == (0, "a1*a2 + a1^2\n", "")
+    assert run_cli(args) == expected
     after = os.stat(cache / "billey-cache.jsonl")
     assert (after.st_ino, after.st_mtime_ns) == (
         before.st_ino, before.st_mtime_ns
@@ -756,11 +788,12 @@ def test_clean_cache_is_not_rewritten(tmp_path):
 def test_cache_parses_only_the_rows_of_its_root_system(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ["--cache", str(cache)]
-    run_cli(["restrict", "B3", "--class", "e", "--at", "e", *args])
-    run_cli([*RESTRICT_231_AT_321, *args])
+    run_cli(["table", "G2", *args])
+    # a class of degree 1 saves the A2 rows of length at most 1
+    assert run_cli([*_expand_a2_class_of_s1(tmp_path), *args])[0] == 0
     lines = (cache / "billey-cache.jsonl").read_text().splitlines()
     own = [line for line in lines if line.startswith('{"rs":"A2",')]
-    assert own and len(own) < len(lines) - 1
+    assert len(own) == 3 and len(own) < len(lines) - 1
     parsed = []
     loads = cache_module.json.loads
     monkeypatch.setattr(cache_module.json, "loads",
@@ -769,13 +802,13 @@ def test_cache_parses_only_the_rows_of_its_root_system(tmp_path, monkeypatch):
     store = BilleyDiskCache(cache)
     assert store.load(rs) > 0
     assert parsed == [lines[0], *own]
-    gkm.billey_restriction(rs, rs.identity(), rs.simple_reflection(1))
+    gkm.billey_row(rs, weyl_enumerate(rs)[-1])
     parsed.clear()
     store.save(rs)  # a new row, so the file is rewritten
     assert parsed == [lines[0]]
     kept = (cache / "billey-cache.jsonl").read_text().splitlines()
-    assert [line for line in kept if line.startswith('{"rs":"B3",')] == [
-        line for line in lines if line.startswith('{"rs":"B3",')
+    assert [line for line in kept if line.startswith('{"rs":"G2",')] == [
+        line for line in lines if line.startswith('{"rs":"G2",')
     ]
 
 
@@ -791,7 +824,7 @@ def test_cache_streams_the_lines_of_other_root_systems(tmp_path):
             handle.write(other % k)
     rs = root_system_from_label("A2")
     store = BilleyDiskCache(cache)
-    gkm.billey_restriction(rs, rs.identity(), rs.simple_reflection(1))
+    gkm.billey_row(rs, rs.simple_reflection(1))
     tracemalloc.start()
     try:
         assert store.load(rs) == 0
@@ -805,8 +838,12 @@ def test_cache_streams_the_lines_of_other_root_systems(tmp_path):
     assert [line[:19] for line in lines[2401:]] == ['{"rs":"A2","w":[1],']
 
 
+TABLE_A2 = ["table", "A2", "--out", "csv"]
+
+
 def _cached_row_lines(cache):
-    """The A2 cache after one restriction run: header and the row of s1 s2 s1."""
+    """The lines of the A2 cache after ``TABLE_A2``, and the index of the
+    row of s1 s2 s1 among them."""
     lines = (cache / "billey-cache.jsonl").read_text().splitlines()
     assert lines[0] == '{"format": 3}'
     (index,) = [i for i, line in enumerate(lines) if '"w":[1,2,1]' in line]
@@ -815,22 +852,20 @@ def _cached_row_lines(cache):
 
 def test_truncated_cache_row_is_recomputed_whole(tmp_path):
     cache = tmp_path / "cache"
-    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    args = TABLE_A2 + ["--cache", str(cache)]
     run_cli(args)
     lines, index = _cached_row_lines(cache)
     whole = lines[index]
-    # cut the line before the (v = s1 s2) entry that the query reads
+    # cut the line before the (v = s1 s2) entry, which the table reads
     lines[index] = whole[: whole.index("[[1,2],")]
     (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
-    code, out, err = run_cli(args)
-    assert code == 0
-    assert out == "a1*a2 + a1^2\n"
+    assert run_cli(args) == run_cli(TABLE_A2)
     assert _cached_row_lines(cache)[0][index] == whole
 
 
 def test_cache_row_with_a_non_reduced_word_is_rejected(tmp_path):
     cache = tmp_path / "cache"
-    args = RESTRICT_231_AT_321 + ["--cache", str(cache)]
+    args = TABLE_A2 + ["--cache", str(cache)]
     baseline = run_cli(args)
     lines, index = _cached_row_lines(cache)
     whole = lines[index]
@@ -840,7 +875,9 @@ def test_cache_row_with_a_non_reduced_word_is_rejected(tmp_path):
     lines[index] = _signed_line(entry)  # only the word check can reject it
     (cache / "billey-cache.jsonl").write_text("\n".join(lines) + "\n")
     rs = root_system_from_label("A2")
-    assert BilleyDiskCache(cache).load(rs) == 0
+    BilleyDiskCache(cache).load(rs)
+    w0 = weyl_enumerate(rs)[-1]
+    assert len(rs._billey) == 5 and w0 not in rs._billey
     assert run_cli(args) == baseline
     assert _cached_row_lines(cache)[0][index] == whole
 

@@ -283,7 +283,8 @@ def test_a_process_keeps_its_error_line(tmp_path):
 
 
 def test_a_process_leaves_a_whole_disk_cache(tmp_path):
-    result = _python("-m", "petcalc.cli", *RESTRICT, "--cache", str(tmp_path))
+    result = _python("-m", "petcalc.cli", "table", "A3", "--cache",
+                     str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert [path.name for path in tmp_path.iterdir()] == ["billey-cache.jsonl"]
     assert BilleyDiskCache(tmp_path).load(root_system_from_label("A3")) > 0

@@ -21,6 +21,7 @@ from petcalc import (
     integrate,
     inversions,
     is_graham_positive,
+    longest_element,
     one_line,
     reduced_words,
     root_system_from_label,
@@ -762,3 +763,73 @@ def test_non_gkm_residual_outside_the_fixed_points_survives(a3):
         expand_in_schubert_basis(g, weyl_enumerate(g.rs, x.length - 1))
     assert caught.value.element.perm == x.perm
     assert caught.value.remainder == f.value(x)
+
+
+def _assert_pruned_restrictions_match_rows(name, pairs):
+    # billey_restriction walks only the prefixes of v on a cold memo, and
+    # keeps no row; the whole rows come from a second, separate system
+    rs, reference = _system(name), _system(name)
+    zero = Polynomial.zero(rs.rank)
+    for v, w in pairs(weyl_enumerate(rs)):
+        row = gkm.billey_row(reference, reference.element(w.perm))
+        got = billey_restriction(rs, v, w)
+        assert got == row.get(reference.element(v.perm), zero)
+    assert not rs._billey
+
+
+@pytest.mark.parametrize(
+    "name", ["A3", "B3", "C3", "G2", "A1xG2", "reversed-C3"]
+)
+def test_pruned_restriction_matches_the_whole_row(name):
+    _assert_pruned_restrictions_match_rows(
+        name, lambda elements: [(v, w) for w in elements for v in elements])
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "F4"])
+def test_pruned_restriction_matches_the_whole_row_on_sampled_pairs(name):
+    # 100 pairs on 10 fixed points, so that only 10 whole rows are filled
+    rng = random.Random(name)
+    _assert_pruned_restrictions_match_rows(
+        name, lambda elements: [(v, w) for w in rng.sample(elements, 10)
+                                for v in rng.sample(elements, 10)])
+
+
+def test_pruned_restriction_reads_a_memoised_row():
+    rs = root_system_from_label("A2")
+    w0 = weyl_enumerate(rs)[-1]
+    row = gkm.billey_row(rs, w0)
+    rs._billey[w0] = {v: p * 2 for v, p in row.items()}  # marks a memo read
+    for v, poly in row.items():
+        assert billey_restriction(rs, v, w0) == poly * 2
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_simple_classes_at_the_longest_element_sum_to_the_positive_roots(
+        label):
+    # D|_(w_0) = rho - w_0 rho, the sum of all positive roots; the pruned
+    # walk keeps two states a letter, so it needs no enumeration of W
+    rs = root_system_from_label(label)
+    w0 = longest_element(rs, range(1, rs.rank + 1))
+    zero = Polynomial.zero(rs.rank)
+    total = sum((billey_restriction(rs, rs.simple_reflection(i), w0)
+                 for i in range(1, rs.rank + 1)), zero)
+    assert total == sum((Polynomial.linear_form(rs.rank, root)
+                         for root in rs.positive_roots), zero)
+    assert not rs._billey
+
+
+@pytest.mark.parametrize("cap, fits", [(3, True), (2, False)])
+def test_right_weak_prefixes_count_against_the_cap(cap, fits):
+    # s1 s2 in A2 has the prefixes e, s1 and s1 s2
+    rs = root_system_from_label("A2", max_weyl=cap)
+    v = element_from_word(rs, [1, 2])
+    if fits:
+        assert gkm._right_weak_prefixes([v]) == {
+            rs.identity(), rs.simple_reflection(1), v}
+        assert billey_restriction(rs, v, v) == billey_restriction(
+            root_system_from_label("A2"), v, v)
+    else:
+        with pytest.raises(ResourceCapError, match="cap of 2 "):
+            gkm._right_weak_prefixes([v])
+        with pytest.raises(ResourceCapError, match="cap of 2 "):
+            billey_restriction(rs, v, v)

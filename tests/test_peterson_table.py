@@ -3,8 +3,10 @@
 The table is the certificate of Peterson positivity that ``table --kind
 peterson`` prints, so its rows are checked exhaustively against the
 route through the flag variety (Schubert structure constants of the two
-Coxeter elements, each term pulled back) and against the per-pair
-``peterson_structure_constants``, row order included. Its failure paths
+Coxeter elements, each term pulled back), against the Peterson Monk
+recurrence (``oracles.peterson_monk_table``, which runs no triangular
+solve) and against the per-pair ``peterson_structure_constants``, row
+order included. Its failure paths
 (a negative coefficient, a residual left at a larger subset) are pinned
 too, and single queries are checked not to build basis classes their
 solve never reads.
@@ -14,6 +16,7 @@ import warnings
 
 import pytest
 
+import oracles
 from conftest import run_cli
 from petcalc import (
     NotInSpan,
@@ -100,6 +103,19 @@ def test_table_matches_per_pair_constants(label):
             rs, lambda mi, mj: peterson_structure_constants(rs, mi, mj, order)
         )
         assert peterson_table(rs, order) == expected
+
+
+@pytest.mark.parametrize(
+    "label, order",
+    [("B4", "increasing"), ("D4", "increasing"), ("F4", "increasing"),
+     ("D5", "increasing"), ("E6", "increasing"), ("E7", "increasing"),
+     ("A2xG2", "increasing"), ("A5", "increasing"), ("A5", "decreasing")],
+)
+def test_table_matches_the_peterson_monk_recurrence(label, order):
+    # the recurrence shares only the basis values with the table: no
+    # back-substitution, and E6 and E7 are checked against it alone
+    rs = _system(label)
+    assert peterson_table(rs, order) == oracles.peterson_monk_table(rs, order)
 
 
 def test_table_rejects_an_explicit_order_like_a_single_pair():
