@@ -198,9 +198,9 @@ def _billey_step(rs, states, prefix, letter, within=None):
     return out
 
 
-def _billey_dp(rs, word, within=None):
+def _billey_dp(rs, word):
     """Run the subword sum along a reduced word, one ``_billey_step`` a
-    letter, pruned to ``within`` when given.
+    letter.
 
     Returns the map u -> sum over subsequences of the word that multiply
     to u (necessarily reduced) of the product of the chosen letters'
@@ -210,7 +210,7 @@ def _billey_dp(rs, word, within=None):
     states = {rs.identity(): Polynomial.one(rs.rank)}
     prefix = rs.identity()
     for letter in word:
-        states = _billey_step(rs, states, prefix, letter, within)
+        states = _billey_step(rs, states, prefix, letter)
         prefix = prefix * rs.simple_reflection(letter)
     return states
 
@@ -223,26 +223,47 @@ def _parent(w):
     return w * w.rs.simple_reflection(letter), letter
 
 
+def _stepped_row(rs, w, within=None, pruned=None):
+    """The Billey row of w, exact at the elements of ``within`` (a set
+    closed under right-weak prefixes; every element when None).
+
+    The row is read from the memo ``rs._billey`` or from ``pruned`` when
+    either holds it; otherwise it is one ``_billey_step``, pruned to
+    ``within``, from the row of the parent w s (s the last letter of
+    ``w.word``), found the same way, down to the identity. The rows made
+    are kept in ``pruned`` when it is a dict, and never in the memo, so
+    walking fixed points in ``weyl_enumerate`` order with one ``pruned``
+    dict costs one step a fixed point.
+    """
+    row = rs._billey.get(w)
+    if row is None and pruned is not None:
+        row = pruned.get(w)
+    if row is None:
+        if w.length:
+            parent, letter = _parent(w)
+            row = _billey_step(rs, _stepped_row(rs, parent, within, pruned),
+                               parent, letter, within)
+        else:
+            row = {w: Polynomial.one(rs.rank)}
+        if pruned is not None:
+            pruned[w] = row
+    return row
+
+
 def _fill_billey_row(rs, w):
     """``billey_row(rs, w)``, computed whole and memoised on ``rs._billey``
     (so a row in the memo is complete).
 
-    When the memo holds the row of the parent w s (s the last letter of
-    ``w.word``) the row is one ``_billey_step`` from it, sharing its
-    restrictions; otherwise it is the subword sum along the whole word.
-    Filling rows in ``weyl_enumerate`` order therefore costs one step a
-    fixed point. Restrictions are sums of products of positive roots, so
-    none is zero and the row needs no pruning.
+    The row is ``_stepped_row`` unpruned: stepped along ``w.word`` from
+    the nearest memoised row on the way, sharing its restrictions, and
+    only the row of w is memoised. Filling rows in ``weyl_enumerate``
+    order therefore costs one step a fixed point. Restrictions are sums
+    of products of positive roots, so none is zero and the row needs no
+    pruning.
     """
     row = rs._billey.get(w)
     if row is None:
-        parent, letter = _parent(w) if w.length else (None, None)
-        prev = rs._billey.get(parent)
-        if prev is not None:
-            row = _billey_step(rs, prev, parent, letter)
-        else:
-            row = _billey_dp(rs, w.word)
-        rs._billey[w] = row
+        row = rs._billey[w] = _stepped_row(rs, w)
     return row
 
 
@@ -285,31 +306,48 @@ def billey_restriction(rs, v, w, word=None):
     With ``word``, the entry at v of ``billey_row(rs, w, word)``. Without
     it, the entry of the memoised row of w when there is one; otherwise
     the subword sum along ``w.word`` pruned to the right-weak prefixes of
-    v, which is exact at v and memoises nothing. For many classes at one
-    fixed point, ``billey_row`` fills the row once.
+    v (``_stepped_row``), which is exact at v and memoises nothing. For
+    many classes at one fixed point, ``billey_row`` fills the row once.
     """
     if word is not None:
         row = billey_row(rs, w, word)
     else:
-        row = rs._billey.get(w) or _billey_dp(
-            rs, w.word, _right_weak_prefixes([v]))
+        row = rs._billey.get(w) or _stepped_row(
+            rs, w, _right_weak_prefixes([v]))
     poly = row.get(v)
     return Polynomial.zero(rs.rank) if poly is None else poly
 
 
 def _billey_column(rs, w, fixed_points=None):
-    # the fixed points (all of W by default) where the Schubert class of
-    # w restricts nonzero
+    """The fixed points x (all of W by default, in order) where the
+    Schubert class of w restricts nonzero, as (x, restriction) pairs.
+
+    A row the memo holds is read whole; any other is stepped from its
+    parent's row by ``_stepped_row``, pruned to the right-weak prefixes
+    of w: a Billey state grows only into longer states of which it is a
+    prefix, so the entry at w is exact. The pruned rows are dropped on
+    return; the memo is left as it was.
+    """
+    points = weyl_enumerate(rs) if fixed_points is None else fixed_points
+    within = _right_weak_prefixes([w])
+    pruned = {}
     col = []
-    for x in weyl_enumerate(rs) if fixed_points is None else fixed_points:
-        poly = _fill_billey_row(rs, x).get(w)
+    for x in points:
+        poly = _stepped_row(rs, x, within, pruned).get(w)
         if poly is not None:
             col.append((x, poly))
     return col
 
 
 def schubert_class(rs, v):
-    """The equivariant Schubert class of v as a localized class."""
+    """The equivariant Schubert class of v as a localized class.
+
+    Its values come from ``_billey_column``: the memoised rows where
+    there are some, and otherwise rows pruned to the right-weak prefixes
+    of v, so the memo stays as it was and the walk holds states for those
+    prefixes only. For every class of W, fill the rows once first
+    (``billey_row`` at every fixed point).
+    """
     values = dict(_billey_column(rs, v))
     return LocalizedClass(rs, values, v.length)
 
@@ -439,12 +477,12 @@ def expand_in_schubert_basis(f, fixed_points=None):
     at x must vanish, or NotInSpan names x with the residual as its
     remainder, as the full solve's division by the diagonal restriction
     at x (of larger degree) would. The rows there are read whole from the
-    memo when it has them, and otherwise one ``_billey_step`` from the row
-    of the parent, pruned to the right-weak prefixes of the solved
-    classes: a Billey state grows only to longer states of which it is a
-    prefix, so the pruned row is exact at those classes. Pruned rows stay
-    out of the memo. A value of f off the list raises NotInSpan as a
-    residual that survived.
+    memo when it has them, and otherwise stepped from the row of the
+    parent by ``_stepped_row``, pruned to the right-weak prefixes of the
+    solved classes: a Billey state grows only to longer states of which
+    it is a prefix, so the pruned row is exact at those classes. Pruned
+    rows stay out of the memo. A value of f off the list raises NotInSpan
+    as a residual that survived.
     """
     rs = f.rs
     if fixed_points is None:
@@ -468,25 +506,12 @@ def expand_in_schubert_basis(f, fixed_points=None):
     )
     within = _right_weak_prefixes(coeffs)
     pruned = {}
-
-    def row(x):
-        whole = rs._billey.get(x)
-        if whole is not None or x.length <= degree:
-            return whole or _fill_billey_row(rs, x)
-        got = pruned.get(x)
-        if got is None:
-            parent, letter = _parent(x)
-            got = pruned[x] = _billey_step(
-                rs, row(parent), parent, letter, within=within
-            )
-        return got
-
     for x in fixed_points:
         if x.length <= degree:
             continue
         residual = f.value(x)
         if coeffs:
-            at_x = row(x)
+            at_x = _stepped_row(rs, x, within, pruned)
             for w, d in coeffs.items():
                 poly = at_x.get(w)
                 if poly is not None:
@@ -531,6 +556,8 @@ def structure_constants(rs, u, v):
     than an exception, since the honest value is still returned.
     """
     block = weyl_enumerate(rs, u.length + v.length)
+    for x in block:  # the solve reads these whole rows; so do the columns
+        billey_row(rs, x)
     xi_u, xi_v = (
         LocalizedClass(rs, dict(_billey_column(rs, x, block)), x.length)
         for x in (u, v)

@@ -147,6 +147,8 @@ def _peterson(rs, elements, coxeter_order):
 
 
 def _gkm(rs, elements, coxeter_order):
+    for w in elements:  # fill whole rows, so no class walks W again
+        billey_row(rs, w)
     failures = [
         f"class of {word_text(v)}"
         for v in elements

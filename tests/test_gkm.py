@@ -674,6 +674,8 @@ def _by_perm(coeffs):
 ])
 def test_expand_is_the_same_on_a_cold_and_a_warm_memo(name, u, v):
     warm = _system(name)
+    for x in weyl_enumerate(warm):
+        gkm.billey_row(warm, x)
     u, v = (element_from_word(warm, word) for word in (u, v))
     product = schubert_class(warm, u) * schubert_class(warm, v)
     assert len(warm._billey) == len(weyl_enumerate(warm))
@@ -833,3 +835,123 @@ def test_right_weak_prefixes_count_against_the_cap(cap, fits):
             gkm._right_weak_prefixes([v])
         with pytest.raises(ResourceCapError, match="cap of 2 "):
             billey_restriction(rs, v, v)
+
+
+def _assert_pruned_columns_match_rows(name, classes, points=None):
+    # schubert_class walks rows pruned to the prefixes of v on a cold memo,
+    # and keeps none; the whole rows come from a second, separate system,
+    # at every fixed point or at the sampled ``points``
+    rs, reference = _system(name), _system(name)
+    elements = weyl_enumerate(rs)
+    xs = elements if points is None else points(elements)
+    rows = {x.perm: gkm.billey_row(reference, reference.element(x.perm))
+            for x in xs}
+    for v in classes(elements):
+        key = reference.element(v.perm)
+        f = schubert_class(rs, v)
+        assert not rs._billey
+        assert f.degree == v.length
+        want = {x.perm: rows[x.perm][key] for x in xs if key in rows[x.perm]}
+        assert {x.perm: p for x, p in f.values.items()
+                if x.perm in rows} == want
+        if points is None:
+            assert len(f.values) == len(want)
+
+
+@pytest.mark.parametrize(
+    "name", ["A3", "B3", "C3", "G2", "A1xG2", "reversed-C3"]
+)
+def test_pruned_column_matches_the_whole_rows(name):
+    _assert_pruned_columns_match_rows(name, lambda elements: elements)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_pruned_column_matches_the_whole_rows_on_sampled_classes(name):
+    rng = random.Random(name)
+    _assert_pruned_columns_match_rows(
+        name, lambda elements: rng.sample(elements, 12))
+
+
+def test_pruned_column_matches_whole_rows_at_sampled_f4_points():
+    # whole F4 rows at every fixed point take about half a minute and
+    # 3 GB, so the rows are read at 8 points, for 4 classes of length at
+    # most 9 (the walk for a class of length 17 already takes 2 s)
+    rng = random.Random("F4")
+    _assert_pruned_columns_match_rows(
+        "F4",
+        lambda elements: rng.sample(
+            [v for v in elements if 2 <= v.length <= 9], 4),
+        lambda elements: rng.sample(elements, 8),
+    )
+
+
+def test_schubert_class_reads_a_memoised_row():
+    rs = root_system_from_label("A2")
+    elements = weyl_enumerate(rs)
+    w0 = elements[-1]
+    row = gkm.billey_row(rs, w0)
+    rs._billey[w0] = {v: p * 2 for v, p in row.items()}  # marks a memo read
+    for v in elements:
+        f = schubert_class(rs, v)
+        assert f.value(w0) == row[v] * 2
+        assert list(rs._billey) == [w0]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_schubert_class_counts_its_prefixes_against_the_cap(name):
+    # the class of w_0 walks every element as a prefix
+    fits = _system(name)
+    w0 = weyl_enumerate(fits)[-1]
+    count = len(gkm._right_weak_prefixes([w0]))
+    assert count == len(weyl_enumerate(fits))
+    for cap in (count - 1, count):
+        rs = _system(name)
+        rs.max_weyl = cap
+        v = rs.element(w0.perm)
+        if cap < count:
+            with pytest.raises(ResourceCapError, match=f"cap of {cap} "):
+                schubert_class(rs, v)
+        else:
+            assert _by_perm(schubert_class(rs, v).values) == _by_perm(
+                schubert_class(fits, w0).values)
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "G2"])
+def test_a_pruned_column_holds_only_the_prefixes_of_its_class(name):
+    # on a list of fixed points made before the cap is lowered, a column
+    # fits in a cap of its class's prefix count, and not one below it
+    rng = random.Random(name)
+    reference = _system(name)
+    for w in rng.sample(weyl_enumerate(reference)[1:-1], 5):
+        count = len(gkm._right_weak_prefixes([w]))
+        for cap in (count - 1, count):
+            rs = _system(name)
+            points = weyl_enumerate(rs)
+            rs.max_weyl = cap
+            v = rs.element(w.perm)
+            if cap < count:
+                with pytest.raises(ResourceCapError,
+                                   match=f"prefixes, more than the cap of "
+                                         f"{cap} "):
+                    gkm._billey_column(rs, v, points)
+            else:
+                got = gkm._billey_column(rs, v, points)
+                assert [(x.perm, p) for x, p in got] == [
+                    (x.perm, p) for x, p in gkm._billey_column(
+                        reference, w, weyl_enumerate(reference))]
+            assert not rs._billey
+
+
+def test_the_class_of_a_short_d5_element_needs_no_whole_row():
+    # whole-W rows made this class take minutes and gigabytes
+    rs = root_system_from_label("D5")
+    v = element_from_word(rs, [1, 2, 3])
+    f = schubert_class(rs, v)
+    assert not rs._billey
+    elements = weyl_enumerate(rs)
+    assert set(f.values) == {x for x in elements if bruhat_leq(v, x)}
+    rng = random.Random("D5")
+    reference = root_system_from_label("D5")
+    for x in rng.sample(elements, 20):
+        assert f.value(x) == billey_restriction(
+            reference, reference.element(v.perm), reference.element(x.perm))
