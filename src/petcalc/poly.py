@@ -125,13 +125,6 @@ class Polynomial:
         return cls.constant(rank, 1)
 
     @classmethod
-    def variable(cls, rank, i):
-        """The simple-root symbol a_i, 1-indexed."""
-        exps = [0] * rank
-        exps[i - 1] = 1
-        return cls(rank, {tuple(exps): 1})
-
-    @classmethod
     def linear_form(cls, rank, coeffs):
         """The linear combination sum(coeffs[i] * a_{i+1})."""
         terms = {}
@@ -274,14 +267,6 @@ class Polynomial:
         out.rank = rank
         out.terms = terms
         return out
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.rank)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -84,10 +84,6 @@ class WeylElt:
                 inv[-v - 1] = -(k + 1)
         return self.rs.element(tuple(inv))
 
-    def is_identity(self):
-        # no inversions forces the identity in a finite Weyl group
-        return self.length == 0
-
     def right_descents(self):
         """Simple indices i with length(w s_i) < length(w)."""
         rs = self.rs
@@ -238,14 +234,10 @@ class RootSystem:
         ]
         self.type_label = type_label
         self.max_weyl = DEFAULT_MAX_WEYL if max_weyl is None else max_weyl
+        if not _is_finite_type(cartan):
+            raise NotFiniteTypeError("the Cartan matrix is not of finite type")
         cap = (DEFAULT_MAX_ROOTS if max_positive_roots is None
                else max_positive_roots)
-        if not _is_finite_type(cartan):
-            # an infinite type has infinitely many positive roots
-            raise NotFiniteTypeError(
-                f"more than {cap} positive roots; "
-                "the Cartan matrix is not of finite type"
-            )
 
         vectors, provenance = self._generate_positive_roots(cap)
         order = sorted(vectors, key=lambda v: (sum(v), v))

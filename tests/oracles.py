@@ -246,7 +246,8 @@ def roots_in_y(poly, n_letters):
     for exps, c in poly.terms.items():
         term = Polynomial.constant(n_letters, c)
         for form, e in zip(forms, exps):
-            term = term * form**e
+            for _ in range(e):
+                term = term * form
         total = total + term
     return total
 
@@ -450,8 +451,8 @@ def _reflect_variables(poly, images):
     for exps, c in poly.terms.items():
         term = Polynomial.constant(poly.rank, c)
         for image, e in zip(images, exps):
-            if e:
-                term = term * image ** e
+            for _ in range(e):
+                term = term * image
         total = total + term
     return total
 

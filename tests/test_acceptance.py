@@ -43,8 +43,8 @@ def test_criterion_1_restriction_golden():
     start = time.monotonic()
     rs = root_system_from_label("A2")
     v = element_from_one_line(rs, (2, 3, 1))
-    a1 = Polynomial.variable(2, 1)
-    a2 = Polynomial.variable(2, 2)
+    a1 = Polynomial.linear_form(2, (1, 0))
+    a2 = Polynomial.linear_form(2, (0, 1))
     expected = a1 * (a1 + a2)  # a1 * a3 with a3 = a1 + a2
     for w in weyl_enumerate(rs):
         value = billey_restriction(rs, v, w)
@@ -62,8 +62,9 @@ def test_criterion_2_product_golden():
     s = element_from_one_line(rs, (2, 1, 3))
     product = schubert_class(rs, s) * schubert_class(rs, s)
     coeffs = expand_in_schubert_basis(product)
+    a1 = Polynomial.linear_form(2, (1, 0))
     assert coeffs == {
-        element_from_one_line(rs, (2, 1, 3)): Polynomial.variable(2, 1),
+        element_from_one_line(rs, (2, 1, 3)): a1,
         element_from_one_line(rs, (3, 1, 2)): Polynomial.one(2),
     }
     _report(2, "product golden test")
@@ -81,12 +82,13 @@ def test_criterion_3_expansion_golden():
         2,
     )
     coeffs = expand_in_schubert_basis(gamma)
+    minus_a2 = Polynomial.linear_form(2, (0, -1))
     assert coeffs == {
-        element_from_one_line(rs, (2, 1, 3)): -1 * Polynomial.variable(2, 2),
+        element_from_one_line(rs, (2, 1, 3)): minus_a2,
         element_from_one_line(rs, (3, 1, 2)): Polynomial.one(2),
     }
     product = gamma * schubert_class(rs, element_from_one_line(rs, (2, 3, 1)))
-    assert integrate(product) == Polynomial.variable(2, 1)
+    assert integrate(product) == Polynomial.linear_form(2, (1, 0))
     _report(3, "expansion golden test")
 
 

@@ -288,8 +288,7 @@ def test_infinite_type_cartan_file_is_a_usage_error(tmp_path, cartan):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1] == (
-        "Error: more than 2000 positive roots; "
-        "the Cartan matrix is not of finite type"
+        "Error: the Cartan matrix is not of finite type"
     )
 
 
@@ -415,6 +414,22 @@ def test_mult_walks_only_short_elements_of_e6_and_e7():
         assert err == ""
         outputs.append(out)
     assert outputs[0] == outputs[1] != ""
+
+
+@pytest.mark.parametrize(
+    "label, u, v, digest",
+    [("E7", "1 3 4 5", "7 6 5 4",
+      "83f0bf46d45b30056d28a55f736bcef177a03426f79b3dfa6191808fb6116b80"),
+     ("E6", "1 3 4 2 5", "6 5 4 3 1",
+      "50a6caa9a5e569d23da6f061a6ed601461b8d3f766c2b623ee7d14226001cf57")],
+    ids=["e7-4x4", "e6-5x5"],
+)
+def test_mult_output_bytes_pinned(label, u, v, digest):
+    # taken from the localization solve over every fixed point of length
+    # at most l(u) + l(v), which needed 0.4 GB (E7) and 1.8 GB (E6) here
+    code, out, err = run_cli(["mult", label, "--u", u, "--v", v])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -968,7 +983,7 @@ def test_a_maths_error_while_the_table_streams(monkeypatch, out, written,
     def failing_stream(rs):
         s1 = rs.simple_reflection(1)
         for _ in range(rows_before):
-            yield s1, s1, s1, Polynomial.variable(rs.rank, 1)
+            yield s1, s1, s1, Polynomial.linear_form(rs.rank, (1,))
         raise error
 
     monkeypatch.setattr(cli_module, "structure_table", failing_stream)

@@ -349,8 +349,7 @@ def test_a_type_label_over_the_root_cap_is_a_resource_cap(tmp_path):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1] == (
-        "Error: more than 2000 positive roots; "
-        "the Cartan matrix is not of finite type"
+        "Error: the Cartan matrix is not of finite type"
     )
 
 

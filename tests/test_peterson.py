@@ -33,7 +33,7 @@ def t_mono(c, k):
 
 
 def test_fixed_points(a2, a3):
-    assert longest_element(a2, frozenset()).is_identity()
+    assert longest_element(a2, frozenset()) == a2.identity()
     assert longest_element(a2, {1, 2}) == element_from_word(a2, (1, 2, 1))
     assert longest_element(a3, {2}) == a3.simple_reflection(2)
 

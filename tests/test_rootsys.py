@@ -256,7 +256,7 @@ def test_enumeration_graded_and_stable(a3):
     elements = weyl_enumerate(a3)
     keys = [w.sort_key() for w in elements]
     assert keys == sorted(keys)
-    assert elements[0].is_identity()
+    assert elements[0] == a3.identity()
     assert elements[-1].length == len(a3.positive_roots)
     assert weyl_enumerate(a3) == elements
 
@@ -437,7 +437,7 @@ def test_bruhat_is_a_partial_order(a2, a3):
 
 
 def test_longest_element_empty_subset(a2):
-    assert longest_element(a2, frozenset()).is_identity()
+    assert longest_element(a2, frozenset()) == a2.identity()
 
 
 def test_longest_element_full_a2(a2):
@@ -475,7 +475,7 @@ def test_longest_element_properties(a3, b2):
                 if {i + 1 for i, c in enumerate(r) if c} <= members
             ]
             assert w.length == len(supported)
-            assert (w * w).is_identity()
+            assert w * w == rs.identity()
             assert w.support() == members
 
 
@@ -524,7 +524,7 @@ def test_reflections_negate_their_roots():
         for k, root in enumerate(rs.positive_roots):
             refl = rs.reflection(k)
             assert act_on_root(refl, root) == _negated(root)
-            assert (refl * refl).is_identity()
+            assert refl * refl == rs.identity()
             assert refl.length % 2 == 1
 
 
@@ -548,7 +548,7 @@ def test_reflections_built_on_first_use_match_the_eager_construction(label):
     for k, root in enumerate(rs.positive_roots):
         refl = rs.reflection(k)
         assert refl == expected[k]
-        assert (refl * refl).is_identity()
+        assert refl * refl == rs.identity()
         assert act_on_root(refl, root) == _negated(root)
 
 
