@@ -4,9 +4,9 @@ A cohomology class is presented by its vector of restrictions at the
 torus fixed points, which are indexed by Weyl group elements. Schubert
 class restrictions come from Billey's subword formula; products are
 pointwise; expansion in the Schubert basis is Bruhat-triangular
-back-substitution; structure constants, for one product or the whole
-table, come from the equivariant Chevalley recurrence instead;
-pushforward to a point is the fixed-point sum with inverse Euler classes.
+back-substitution; the full structure-constant table comes from the
+equivariant Chevalley recurrence instead; pushforward to a point is the
+fixed-point sum with inverse Euler classes.
 """
 
 import warnings
@@ -20,7 +20,6 @@ from .poly import (
 )
 from .rootsys import (
     ResourceCapError,
-    WeylElt,
     element_from_word,
     inversions,
     weyl_enumerate,
@@ -319,9 +318,10 @@ def billey_restriction(rs, v, w, word=None):
     return Polynomial.zero(rs.rank) if poly is None else poly
 
 
-def _billey_column(rs, w):
-    """The fixed points x, in ``weyl_enumerate`` order, where the Schubert
-    class of w restricts nonzero, as (x, restriction) pairs.
+def _billey_column(rs, w, fixed_points=None):
+    """The fixed points x (all of W by default, in ``weyl_enumerate``
+    order) where the Schubert class of w restricts nonzero, as
+    (x, restriction) pairs.
 
     A row the memo holds is read whole; any other is stepped from its
     parent's row by ``_stepped_row``, pruned to the right-weak prefixes
@@ -331,11 +331,12 @@ def _billey_column(rs, w):
     the walk is more than one length past them; the memo is left as it
     was.
     """
+    points = weyl_enumerate(rs) if fixed_points is None else fixed_points
     within = _right_weak_prefixes([w])
     pruned = {}
     length = 0
     col = []
-    for x in weyl_enumerate(rs):
+    for x in points:
         if x.length > length:
             length = x.length
             pruned = {y: row for y, row in pruned.items()
@@ -465,9 +466,14 @@ def _right_weak_prefixes(elements):
     return found
 
 
-def expand_in_schubert_basis(f):
+def expand_in_schubert_basis(f, fixed_points=None):
     """Coefficients d_w with f equal to the sum of d_w times the Schubert
     class of w.
+
+    ``fixed_points`` is the list to solve over, in ``weyl_enumerate``
+    order (all of W by default); a Bruhat lower set such as
+    ``weyl_enumerate(rs, L)`` gives exactly the coefficients d_w of the
+    full solve for every w in it, since the system is triangular.
 
     A coefficient d_w has degree ``f.degree`` - length(w), so only the
     classes of length at most the degree d carry one, and the fixed points
@@ -483,11 +489,14 @@ def expand_in_schubert_basis(f):
     parent by ``_stepped_row``, pruned to the right-weak prefixes of the
     solved classes: a Billey state grows only to longer states of which
     it is a prefix, so the pruned row is exact at those classes. Pruned
-    rows stay out of the memo.
+    rows stay out of the memo. A value of f off the list raises NotInSpan
+    as a residual that survived.
     """
     rs = f.rs
-    fixed_points = weyl_enumerate(rs)
-    block = [x for x in fixed_points if x.length <= f.degree]
+    if fixed_points is None:
+        fixed_points = weyl_enumerate(rs)
+    degree = f.degree
+    block = [x for x in fixed_points if x.length <= degree]
     columns = None  # v -> [(x, restriction of the class of v at x)]
 
     def column(w):
@@ -505,7 +514,9 @@ def expand_in_schubert_basis(f):
     )
     within = _right_weak_prefixes(coeffs)
     pruned = {}
-    for x in fixed_points[len(block):]:
+    for x in fixed_points:
+        if x.length <= degree:
+            continue
         residual = f.value(x)
         if coeffs:
             at_x = _stepped_row(rs, x, within, pruned)
@@ -515,6 +526,14 @@ def expand_in_schubert_basis(f):
                     residual = residual - d * poly
         if residual:
             raise _off_diagonal(x, residual, word_text)
+    points = set(fixed_points)
+    for x, poly in f.values.items():
+        if x not in points:
+            raise NotInSpan(
+                f"nonzero residual survived at {word_text(x)}",
+                element=x,
+                remainder=poly,
+            )
     return coeffs
 
 
@@ -530,134 +549,29 @@ def _certify(u, v, w, c):
         )
 
 
-def _chevalley_covers(rs, v, top=None):
-    """The set-up of the Chevalley recurrence on the elements above v of
-    length at most ``top`` (no cut when None): maps up, down, chevalley.
-
-    The covers of x are the x r_b one longer than x. ``up`` maps each
-    element reached from v by covers, by increasing length, to its covers
-    (none at length ``top``), and ``down`` maps it to the elements reached
-    that it covers, both as (element, m) pairs. The multiplicity m is
-    <rho, b^vee>: as D|_(r_b) = <rho, b^vee> b, it is one nonzero
-    coordinate of D|_(r_b) over the same coordinate of b. For D the sum
-    of the classes of the simple reflections, ``chevalley`` holds
-    D|_x = rho - x rho, the sum of the positive roots that x^-1 sends
-    negative (``inversions(x.inverse())``), distinct at distinct x.
-    Neither reads a Billey row or divides a polynomial.
-    """
-    def coordinates(x):  # D|_x in simple-root coordinates ([] at e: zero)
-        return [sum(c) for c in zip(*inversions(x.inverse()))]
-
-    multiplicity = []  # positive root number k -> <rho, b_k^vee>
-    for k, root in enumerate(rs.positive_roots):
-        j = next(j for j, c in enumerate(root) if c)  # D|_(r_b) = m b
-        multiplicity.append(coordinates(rs.reflection(k))[j] // root[j])
-    up, down = {}, {v: []}
-    level = [v]
-    while level:
-        above = {}
-        for x in level:
-            up[x] = covers = []
-            if x.length == top:
-                continue
-            for k, m in enumerate(multiplicity):
-                y = x * rs.reflection(k)
-                if y.length == x.length + 1:
-                    covers.append((y, m))
-                    down.setdefault(y, []).append((x, m))
-                    above[y] = None
-        level = list(above)
-    chevalley = {x: Polynomial.linear_form(rs.rank, coordinates(x))
-                 for x in up}
-    return up, down, chevalley
-
-
-def _chevalley_constants(u, above, up, down, chevalley, column):
-    """The nonzero c(u,v,w) for v in ``above`` and w above v, as
-    {(v, w): c}, by the equivariant Chevalley recurrence (Kostant-Kumar
-    1986; Mihalcea 2007):
-
-        (D|_w - D|_v) c(u,v,w) = sum over covers v' of v of m c(u,v',w)
-                               - sum over w' covered by w of m c(u,v,w'),
-
-    with c(u,v,v) the restriction of the class of u at v. ``above`` lists
-    elements of ``up`` (see ``_chevalley_covers``) closed upwards under
-    covers, by decreasing length; ``column`` maps each x with u <= x to
-    the class of u at x, which is nonzero exactly then (Kostant-Kumar
-    1986; Billey 1999). For each v, the w above v with u <= w are taken by
-    cover distance 1..length(u) (a nonzero c(u,v,w) has length(w) at most
-    length(u) + length(v)), so every value read is known. Each entry is
-    one exact division by a linear form; a remainder, which only a broken
-    input or a bug can leave, raises NotInSpan.
-    """
-    zero = Polynomial.zero(u.rs.rank)
-    known = {}
-    for v in above:
-        base = column.get(v)
-        if base is not None:
-            known[(v, v)] = base
-        at_v = chevalley[v]
-        level = [v]
-        for _ in range(u.length):
-            level = list(dict.fromkeys(y for x in level for y, _ in up[x]))
-            for w in level:
-                if w not in column:
-                    continue
-                rhs = zero
-                for v2, m in up[v]:
-                    c = known.get((v2, w))
-                    if c is not None:
-                        rhs = rhs + c * m
-                for w2, m in down[w]:
-                    c = known.get((v, w2))
-                    if c is not None:
-                        rhs = rhs - c * m
-                if not rhs:
-                    continue
-                try:
-                    c = divide_exact(rhs, chevalley[w] - at_v)
-                except NotDivisible as exc:
-                    raise NotInSpan(
-                        f"Chevalley recurrence at {word_text(w)} for "
-                        f"{word_text(u)} and {word_text(v)} is not a "
-                        "multiple of D|_w - D|_v",
-                        element=w,
-                        remainder=exc.remainder,
-                    ) from exc
-                known[(v, w)] = c
-    return known
-
-
 def structure_constants(rs, u, v):
-    """Expansion coefficients of the product of two Schubert classes, as
-    {w: c(u,v,w)} over the nonzero ones, in ``weyl_enumerate`` order.
+    """Expansion coefficients of the product of two Schubert classes.
 
-    The table's recurrence (``_chevalley_constants``) for this u, on the
-    elements above v of length at most L = length(u) + length(v) only: a
-    nonzero c(u,v,w) has v <= w and length(w) <= L, and its recurrence
-    reads only c(u,v',w') with v <= v' and w' <= w. The class of u comes
-    from Billey rows pruned to its right-weak prefixes (``_stepped_row``),
-    so no whole row is filled and the memo is left as it was. The
-    ``rs.max_weyl`` cap bounds the fixed points of length at most L.
+    Only the fixed points of length at most L = length(u) + length(v)
+    are used: a nonzero coefficient at w has length(w) <= L, and the
+    class of w vanishes at x unless w <= x, so those points form a closed
+    lower block of the triangular system and solving there gives the
+    coefficients of the full solve. The ``rs.max_weyl`` cap bounds that
+    block, not W.
 
     Each coefficient is checked against the simple-root positivity
     certificate; a failure raises a PositivityViolation warning rather
     than an exception, since the honest value is still returned.
     """
-    top = u.length + v.length
-    weyl_enumerate(rs, top)  # for its cap only
-    up, down, chevalley = _chevalley_covers(rs, v, top)
-    within = _right_weak_prefixes([u])
-    pruned = {}
-    column = {}
-    for x in up:
-        poly = _stepped_row(rs, x, within, pruned).get(u)
-        if poly is not None:
-            column[x] = poly
-    known = _chevalley_constants(u, reversed(up), up, down, chevalley, column)
-    coeffs = {}
-    for w in sorted((w for x, w in known if x is v), key=WeylElt.sort_key):
-        coeffs[w] = c = known[(v, w)]
+    block = weyl_enumerate(rs, u.length + v.length)
+    for x in block:  # the solve reads these whole rows; so do the columns
+        billey_row(rs, x)
+    xi_u, xi_v = (
+        LocalizedClass(rs, dict(_billey_column(rs, x, block)), x.length)
+        for x in (u, v)
+    )
+    coeffs = expand_in_schubert_basis(xi_u * xi_v, block)
+    for w, c in coeffs.items():
         _certify(u, v, w, c)
     return coeffs
 
@@ -667,32 +581,106 @@ def structure_table(rs):
     over the nonzero coefficients, in table order: by the enumeration
     rank of u, then of v, then of w.
 
-    Built by the equivariant Chevalley recurrence (``_chevalley_constants``)
-    over W, with no class products and no triangular solve. The set-up (W,
-    the whole Billey rows, ``_chevalley_covers``) runs at the call, so a
-    cap raises before any row; the rows then come from a generator, one u
-    at a time in enumeration order. The recurrence for u runs over the v
-    at or after u, closed upwards under covers, and reads the class of u
-    from the rows: the row of w holds u exactly when u <= w. Each mirrored
-    row (v, u, w) waits for v; when u is done its rows, its own and those
-    that waited for it, are sorted by the ranks of v and w, yielded and
-    dropped. Each entry carries the positivity certificate of
+    Built by the equivariant Chevalley recurrence (Kostant-Kumar 1986;
+    Mihalcea 2007), with no class products and no triangular solve. Let
+    D be the sum of the Schubert classes of the simple reflections;
+    D|_x = rho - x rho is the linear form summing the positive roots
+    that x^-1 sends negative (``inversions(x.inverse())``), distinct at
+    distinct fixed points. Comparing the two ways of expanding D times
+    the product of the classes of u and v gives
+
+        (D|_w - D|_v) c(u,v,w) = sum over covers v' of v of m c(u,v',w)
+                               - sum over w' covered by w of m c(u,v,w'),
+
+    with c(u,v,v) the restriction of the class of u at v. The covers of
+    x are the x r_b one longer than x, and the Chevalley multiplicity m
+    of such a cover is <rho, b^vee>: as D|_(r_b) = <rho, b^vee> b, it is
+    one nonzero coordinate of D|_(r_b) over the same coordinate of b.
+    Neither reads a Billey row or divides a polynomial.
+
+    The set-up (W, the Billey rows, D|_x, the multiplicities and the
+    covers) runs at the call, so a cap raises before any row; the rows
+    then come from a generator, one u at a time in enumeration order.
+    For each u, the v at or after u are taken in decreasing length, and
+    for each the w above v with u <= w by cover distance 1..length(u) (a
+    nonzero c(u,v,w) has length(w) at most length(u) + length(v)).
+    Whether u <= w is read from the Billey row of w, which holds u
+    exactly then (Kostant-Kumar 1986; Billey 1999). The v at or after u
+    are closed upwards under covers, so every value read is already
+    known, and it is one of u's own entries: those are kept only while
+    u runs. Each mirrored row (v, u, w) waits for v; when u is done its
+    rows, its own and those that waited for it, are sorted by the ranks
+    of v and w, yielded and dropped. Each entry is one exact division by
+    a linear form, and carries the same positivity certificate as
     ``structure_constants``.
     """
     order = weyl_enumerate(rs)
+    rank = rs.rank
+    zero = Polynomial.zero(rank)
     rows = {x: _fill_billey_row(rs, x) for x in order}
-    up, down, chevalley = _chevalley_covers(rs, rs.identity())
+    # x -> D|_x in simple-root coordinates ([] at the identity: zero)
+    coordinates = {x: [sum(c) for c in zip(*inversions(x.inverse()))]
+                   for x in order}
+    chevalley = {x: Polynomial.linear_form(rank, d)
+                 for x, d in coordinates.items()}
+
+    multiplicity = []  # positive root number k -> <rho, b_k^vee>
+    for k, root in enumerate(rs.positive_roots):
+        j = next(j for j, c in enumerate(root) if c)  # D|_(r_b) = m b
+        multiplicity.append(coordinates[rs.reflection(k)][j] // root[j])
+
+    up = {x: [] for x in order}  # x -> [(cover, multiplicity)]
+    down = {x: [] for x in order}  # x -> [(covered, multiplicity)]
+    for x in order:
+        for k, m in enumerate(multiplicity):
+            y = x * rs.reflection(k)
+            if y.length == x.length + 1:
+                up[x].append((y, m))
+                down[y].append((x, m))
 
     def table_rows():
         position = {x: k for k, x in enumerate(order)}
         waiting = {x: [] for x in order}  # v -> rows (v, u, w, c), u before v
         for index, u in enumerate(order):
-            column = {x: row[u] for x, row in rows.items() if u in row}
-            known = _chevalley_constants(u, reversed(order[index:]), up, down,
-                                         chevalley, column)
+            known = {}  # (v, w) -> c(u, v, w)
+            for v in reversed(order[index:]):
+                base = rows[v].get(u)
+                if base is not None:
+                    _certify(u, v, v, base)
+                    known[(v, v)] = base
+                at_v = chevalley[v]
+                level = [v]
+                for _ in range(u.length):
+                    level = list(dict.fromkeys(
+                        y for x in level for y, _ in up[x]))
+                    for w in level:
+                        if u not in rows[w]:
+                            continue
+                        rhs = zero
+                        for v2, m in up[v]:
+                            c = known.get((v2, w))
+                            if c is not None:
+                                rhs = rhs + c * m
+                        for w2, m in down[w]:
+                            c = known.get((v, w2))
+                            if c is not None:
+                                rhs = rhs - c * m
+                        if not rhs:
+                            continue
+                        try:
+                            c = divide_exact(rhs, chevalley[w] - at_v)
+                        except NotDivisible as exc:
+                            raise NotInSpan(
+                                f"Chevalley recurrence at {word_text(w)} for "
+                                f"{word_text(u)} and {word_text(v)} is not a "
+                                "multiple of D|_w - D|_v",
+                                element=w,
+                                remainder=exc.remainder,
+                            ) from exc
+                        _certify(u, v, w, c)
+                        known[(v, w)] = c
             out = waiting.pop(u)
             for (v, w), c in known.items():
-                _certify(u, v, w, c)
                 out.append((u, v, w, c))
                 if v is not u:
                     waiting[v].append((v, u, w, c))

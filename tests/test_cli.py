@@ -416,22 +416,6 @@ def test_mult_walks_only_short_elements_of_e6_and_e7():
     assert outputs[0] == outputs[1] != ""
 
 
-@pytest.mark.parametrize(
-    "label, u, v, digest",
-    [("E7", "1 3 4 5", "7 6 5 4",
-      "83f0bf46d45b30056d28a55f736bcef177a03426f79b3dfa6191808fb6116b80"),
-     ("E6", "1 3 4 2 5", "6 5 4 3 1",
-      "50a6caa9a5e569d23da6f061a6ed601461b8d3f766c2b623ee7d14226001cf57")],
-    ids=["e7-4x4", "e6-5x5"],
-)
-def test_mult_output_bytes_pinned(label, u, v, digest):
-    # taken from the localization solve over every fixed point of length
-    # at most l(u) + l(v), which needed 0.4 GB (E7) and 1.8 GB (E6) here
-    code, out, err = run_cli(["mult", label, "--u", u, "--v", v])
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_max_weyl_below_one_is_a_usage_error(cap):
     code, out, err = run_cli(
