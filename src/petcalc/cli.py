@@ -2,9 +2,10 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 a
 mathematical verification failed (positivity or localization-condition
-violation), 2 usage error (or a ``--cache`` path that is, or lies under,
-a regular file, after the output), 3 resource cap exceeded. Output bytes are
-deterministic for a given job, independent of cache state.
+violation), 2 usage error (or, for ``table`` and ``verify``, a ``--cache``
+path that is, or lies under, a regular file, after the output), 3 resource
+cap exceeded. Output bytes are deterministic for a given job, independent
+of cache state.
 """
 
 import os
@@ -287,7 +288,8 @@ _COMMON_OPTIONS = (
     _Option("--cache", dest="cache_dir",
             help="Directory for the restriction disk cache (no effect on "
                  "restrict, mult, peterson-mult, pullback and table --kind "
-                 "peterson, which need few or no whole Billey rows)."),
+                 "peterson, which need few or no whole Billey rows; expand "
+                 "only reads it)."),
     _Option("--jobs", type=int, default=1,
             help="Accepted for compatibility; has no effect."),
     _Option("--max-weyl", type=int, default=DEFAULT_MAX_WEYL,
@@ -489,11 +491,11 @@ def _cmd_verify(config, rs):
 
 
 def _uses_disk_cache(config):
-    """False for the Peterson jobs, which read no Billey row; for
-    ``restrict``, which walks only the prefixes of its class and neither
-    reads nor fills a whole row; and for ``mult``, whose rows on the short
-    fixed points cost less to compute than to load: the disk cache would
-    be wasted work for them."""
+    """False for the Peterson jobs, which read no Billey row, and for
+    ``restrict`` and ``mult``, which step the rows they read from the row
+    below for less than loading them costs, and keep none: the disk cache
+    would be wasted work for them. ``expand`` reads rows from it and adds
+    none."""
     if config.command == "table":
         return config.params["kind"] == "schubert"
     return config.command not in ("restrict", "mult", "peterson-mult",

@@ -471,61 +471,56 @@ def expand_in_schubert_basis(f, fixed_points=None):
     class of w.
 
     ``fixed_points`` is the list to solve over, in ``weyl_enumerate``
-    order (all of W by default); a Bruhat lower set such as
-    ``weyl_enumerate(rs, L)`` gives exactly the coefficients d_w of the
-    full solve for every w in it, since the system is triangular.
+    order (all of W by default). It must hold every point where f is
+    nonzero and every w with a nonzero d_w, of degree ``f.degree`` -
+    length(w): ``weyl_enumerate(rs, L)`` with L at least the degree d
+    qualifies when it holds the support of f, and so does the support of
+    a product of the classes of u and v, whose coefficients are nonzero
+    only at w above u and v.
 
-    A coefficient d_w has degree ``f.degree`` - length(w), so only the
-    classes of length at most the degree d carry one, and the fixed points
-    of length at most d are a closed lower block of the Bruhat-triangular
-    system. ``back_substitute`` solves on that block, in length order, with
-    the diagonal restriction of each class and its column read from the
-    whole memoised rows there. Each longer fixed point x, in order, is
-    then only checked: the residual f|_x - sum of d_w times the class of w
-    at x must vanish, or NotInSpan names x with the residual as its
-    remainder, as the full solve's division by the diagonal restriction
-    at x (of larger degree) would. The rows there are read whole from the
-    memo when it has them, and otherwise stepped from the row of the
-    parent by ``_stepped_row``, pruned to the right-weak prefixes of the
-    solved classes: a Billey state grows only to longer states of which
-    it is a prefix, so the pruned row is exact at those classes. Pruned
-    rows stay out of the memo. A value of f off the list raises NotInSpan
-    as a residual that survived.
+    One forward pass: at each x the residual f|_x - sum of d_w times the
+    class of w at x has only x's own class left to carry it, since the
+    system is triangular. Up to length d a nonzero residual is divided by
+    the diagonal restriction at x (the division must be exact); past it
+    the residual must vanish. Either way NotInSpan names x with the
+    remainder. The row at x is read from the memo when it has it, and
+    otherwise stepped from the row of the parent by ``_stepped_row``:
+    whole up to length d, and past it pruned to the right-weak prefixes
+    of the solved classes (a Billey state grows only to longer states of
+    which it is a prefix, so the pruned row is exact at those classes).
+    The stepped rows stay out of the memo and are dropped once the walk
+    is more than one length past them. A value of f off the list raises
+    NotInSpan as a residual that survived.
     """
     rs = f.rs
     if fixed_points is None:
         fixed_points = weyl_enumerate(rs)
     degree = f.degree
-    block = [x for x in fixed_points if x.length <= degree]
-    columns = None  # v -> [(x, restriction of the class of v at x)]
-
-    def column(w):
-        nonlocal columns
-        if columns is None:
-            columns = {}
-            for x in block:
-                for v, poly in billey_row(rs, x).items():
-                    columns.setdefault(v, []).append((x, poly))
-        return billey_restriction(rs, w, w), columns.get(w, ())
-
-    coeffs = back_substitute(
-        {x: f.values[x] for x in block if x in f.values},
-        block, column, word_text,
-    )
-    within = _right_weak_prefixes(coeffs)
+    coeffs = {}
+    within = None
     pruned = {}
+    length = 0
     for x in fixed_points:
-        if x.length <= degree:
-            continue
+        if x.length > length:
+            length = x.length
+            pruned = {y: row for y, row in pruned.items()
+                      if y.length == length - 1}
+            if length > degree and within is None:
+                within = _right_weak_prefixes(coeffs)
+        row = _stepped_row(rs, x, within, pruned)
         residual = f.value(x)
-        if coeffs:
-            at_x = _stepped_row(rs, x, within, pruned)
-            for w, d in coeffs.items():
-                poly = at_x.get(w)
-                if poly is not None:
-                    residual = residual - d * poly
-        if residual:
+        for w, d in coeffs.items():
+            poly = row.get(w)
+            if poly is not None:
+                residual = residual - d * poly
+        if not residual:
+            continue
+        if x.length > degree:
             raise _off_diagonal(x, residual, word_text)
+        try:
+            coeffs[x] = divide_exact(residual, row[x])
+        except NotDivisible as exc:
+            raise _off_diagonal(x, exc.remainder, word_text) from exc
     points = set(fixed_points)
     for x, poly in f.values.items():
         if x not in points:
@@ -553,24 +548,25 @@ def structure_constants(rs, u, v):
     """Expansion coefficients of the product of two Schubert classes.
 
     Only the fixed points of length at most L = length(u) + length(v)
-    are used: a nonzero coefficient at w has length(w) <= L, and the
-    class of w vanishes at x unless w <= x, so those points form a closed
-    lower block of the triangular system and solving there gives the
-    coefficients of the full solve. The ``rs.max_weyl`` cap bounds that
-    block, not W.
+    are used, since a nonzero coefficient at w has length(w) <= L; the
+    ``rs.max_weyl`` cap bounds that block, not W. The classes of u and v
+    are restricted there on rows pruned to their prefixes
+    (``_billey_column``), and their product is expanded over its support
+    alone, the x above both u and v, which holds every w with a nonzero
+    coefficient. No row is memoised.
 
     Each coefficient is checked against the simple-root positivity
     certificate; a failure raises a PositivityViolation warning rather
     than an exception, since the honest value is still returned.
     """
     block = weyl_enumerate(rs, u.length + v.length)
-    for x in block:  # the solve reads these whole rows; so do the columns
-        billey_row(rs, x)
     xi_u, xi_v = (
         LocalizedClass(rs, dict(_billey_column(rs, x, block)), x.length)
         for x in (u, v)
     )
-    coeffs = expand_in_schubert_basis(xi_u * xi_v, block)
+    product = xi_u * xi_v
+    coeffs = expand_in_schubert_basis(
+        product, [x for x in block if x in product.values])
     for w, c in coeffs.items():
         _certify(u, v, w, c)
     return coeffs

@@ -515,13 +515,16 @@ def test_schubert_jobs_still_load_the_cache(tmp_path, monkeypatch):
 @pytest.mark.parametrize("nested", [False, True],
                          ids=["regular-file", "path-under-a-file"])
 @pytest.mark.parametrize(
-    "args", [RESTRICT_231_AT_321, ["mult", "A2", "--u", "213", "--v", "213"]],
-    ids=["restrict", "mult"],
+    "args", [RESTRICT_231_AT_321, ["mult", "A2", "--u", "213", "--v", "213"],
+             "expand"],
+    ids=["restrict", "mult", "expand"],
 )
 def test_jobs_without_the_cache_ignore_a_path_that_cannot_be_one(tmp_path,
                                                                  args, nested):
-    # no load and no save, so neither a file at the path nor one above it
-    # matters
+    # no save, so neither a file at the path nor one above it matters;
+    # expand loads, finds no file there, and adds no row to write
+    if args == "expand":
+        args = _expand_a2_class_of_s1(tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     cache = blocker / "sub" if nested else blocker
@@ -611,6 +614,30 @@ def test_table_output_bytes_pinned(args, digest):
     code, out, err = run_cli(args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["mult", "E7", "--u", "1 3 4 5", "--v", "7 6 5 4"],
+         "83f0bf46d45b30056d28a55f736bcef177a03426f79b3dfa6191808fb6116b80"),
+        (["mult", "E6", "--u", "1 3 4 2 5", "--v", "6 5 4 3 1"],
+         "50a6caa9a5e569d23da6f061a6ed601461b8d3f766c2b623ee7d14226001cf57"),
+    ],
+    ids=["e7-4x4", "e6-5x5"],
+)
+def test_mult_output_bytes_pinned(args, digest, monkeypatch):
+    # the product is solved on its support from stepped rows, so the
+    # memo of the root system stays empty
+    systems = []
+    resolve = cli_module._resolve_root_system
+    monkeypatch.setattr(cli_module, "_resolve_root_system",
+                        lambda config: systems.append(resolve(config))
+                        or systems[-1])
+    code, out, err = run_cli(args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(systems) == 1 and not systems[0]._billey
 
 
 @pytest.mark.parametrize(
@@ -788,8 +815,11 @@ def test_cache_parses_only_the_rows_of_its_root_system(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ["--cache", str(cache)]
     run_cli(["table", "G2", *args])
-    # a class of degree 1 saves the A2 rows of length at most 1
-    assert run_cli([*_expand_a2_class_of_s1(tmp_path), *args])[0] == 0
+    # the A2 rows of length at most 1, saved next to the G2 ones
+    short = root_system_from_label("A2")
+    for x in weyl_enumerate(short, 1):
+        gkm.billey_row(short, x)
+    BilleyDiskCache(cache).save(short)
     lines = (cache / "billey-cache.jsonl").read_text().splitlines()
     own = [line for line in lines if line.startswith('{"rs":"A2",')]
     assert len(own) == 3 and len(own) < len(lines) - 1

@@ -691,9 +691,8 @@ def test_expand_is_the_same_on_a_cold_and_a_warm_memo(name, u, v):
     got = _by_perm(expand_in_schubert_basis(cold))
     assert got == _by_perm(expand_in_schubert_basis(product))
     assert got == _by_perm(structure_constants(warm, u, v))
-    # pruned rows stay out of the memo
-    assert cold.rs._billey
-    assert all(x.length <= product.degree for x in cold.rs._billey)
+    # stepped rows, whole or pruned, stay out of the memo
+    assert not cold.rs._billey
 
 
 def _perturbed(rs, u, x):
@@ -811,6 +810,24 @@ def test_pruned_restriction_reads_a_memoised_row():
     rs._billey[w0] = {v: p * 2 for v, p in row.items()}  # marks a memo read
     for v, poly in row.items():
         assert billey_restriction(rs, v, w0) == poly * 2
+
+
+@pytest.mark.parametrize("u,v", [((1,), ()), ((1,), (1,))])
+def test_expand_reads_the_memoised_rows(u, v):
+    # every memoised row doubled marks a memo read: the expansion of twice
+    # a class is then that of the class, both where the rows are whole and
+    # past the degree, where they would be pruned
+    clean, rs = _system("A2"), _system("A2")
+    u, v = (element_from_word(clean, word) for word in (u, v))
+    product = schubert_class(clean, u) * schubert_class(clean, v)
+    expected = _by_perm(expand_in_schubert_basis(product))
+    rows = {x: gkm.billey_row(rs, x) for x in weyl_enumerate(rs)}
+    for x, row in rows.items():
+        rs._billey[x] = {y: p * 2 for y, p in row.items()}
+    doubled = LocalizedClass(
+        rs, {rs.element(x.perm): p * 2 for x, p in product.values.items()},
+        product.degree)
+    assert _by_perm(expand_in_schubert_basis(doubled)) == expected
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
