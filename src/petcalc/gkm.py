@@ -3,10 +3,11 @@
 A cohomology class is presented by its vector of restrictions at the
 torus fixed points, which are indexed by Weyl group elements. Schubert
 class restrictions come from Billey's subword formula; products are
-pointwise; expansion in the Schubert basis is Bruhat-triangular
-back-substitution; the full structure-constant table comes from the
-equivariant Chevalley recurrence instead; pushforward to a point is the
-fixed-point sum with inverse Euler classes.
+pointwise; expansion in the Schubert basis is Bruhat-triangular forward
+substitution (``forward_substitute``, which the Peterson basis shares);
+the full structure-constant table comes from the equivariant Chevalley
+recurrence instead; pushforward to a point is the fixed-point sum with
+inverse Euler classes.
 """
 
 import warnings
@@ -397,42 +398,50 @@ def _off_diagonal(k, remainder, label):
     )
 
 
-def back_substitute(values, order, column, label):
+def forward_substitute(values, points, degree, grade, row, label):
     """Coefficients d_k with ``values`` equal to the sum of d_k times the
-    basis class of k, for a basis that is triangular along ``order``.
+    basis class of k, for a basis that is triangular along ``points``:
+    the class of k vanishes at the points before k and has degree
+    ``grade(k)``.
 
-    ``column(k)`` returns the diagonal value of the basis class of k at k
-    and its (key, value) pairs; every key of the support must come at or
-    after k in ``order``. At the first key carrying a nonzero residual
-    only its own basis class can contribute, so the coefficient there is
-    the residual divided by the diagonal value (the division must be
-    exact). Subtracting and repeating terminates because of the support
-    condition; a residual left at a key outside ``order`` means the input
-    is not in the span. ``label(k)`` renders a key for error messages.
+    One forward pass. At each point x the residual, values[x] minus the
+    sum of d_k times the class of k at x over the keys solved so far, has
+    only the class of x left to carry it. Where grade(x) is at most
+    ``degree`` a nonzero residual is divided by the diagonal value, the
+    class of x at x (the division must be exact); past it the residual
+    must vanish. Either way NotInSpan names x with the remainder. A value
+    at a key off ``points`` raises NotInSpan as a residual that survived.
+
+    ``row(x, solved)`` gives the basis classes at x as a mapping, read
+    with ``get`` (None for zero) at the keys of ``solved``, the
+    coefficients found so far, and with ``[x]`` for the diagonal where a
+    residual is divided. ``label(k)`` renders a key for error messages.
     Values are polynomials or rationals, whatever ``divide_exact`` takes;
     a zero value is falsy.
     """
-    residual = dict(values)
     coeffs = {}
-    for k in order:
-        r = residual.get(k)
-        if not r:
+    found = 0
+    for x in points:
+        at_x = row(x, coeffs)
+        residual = values.get(x, 0)
+        found += x in values
+        for k, d in coeffs.items():
+            value = at_x.get(k)
+            if value is not None:
+                residual = residual - d * value
+        if not residual:
             continue
-        diagonal, entries = column(k)
+        if grade(x) > degree:
+            raise _off_diagonal(x, residual, label)
         try:
-            d = divide_exact(r, diagonal)
+            coeffs[x] = divide_exact(residual, at_x[x])
         except NotDivisible as exc:
-            raise _off_diagonal(k, exc.remainder, label) from exc
-        coeffs[k] = d
-        for x, val in entries:
-            cur = residual.get(x)
-            new = (cur - d * val) if cur is not None else -(d * val)
-            if not new:
-                residual.pop(x, None)
-            else:
-                residual[x] = new
-    for k, r in residual.items():
-        if r:
+            raise _off_diagonal(x, exc.remainder, label) from exc
+    if found == len(values):
+        return coeffs
+    points = set(points)
+    for k, r in values.items():
+        if r and k not in points:
             raise NotInSpan(
                 f"nonzero residual survived at {label(k)}",
                 element=k,
@@ -478,58 +487,37 @@ def expand_in_schubert_basis(f, fixed_points=None):
     a product of the classes of u and v, whose coefficients are nonzero
     only at w above u and v.
 
-    One forward pass: at each x the residual f|_x - sum of d_w times the
-    class of w at x has only x's own class left to carry it, since the
-    system is triangular. Up to length d a nonzero residual is divided by
-    the diagonal restriction at x (the division must be exact); past it
-    the residual must vanish. Either way NotInSpan names x with the
-    remainder. The row at x is read from the memo when it has it, and
+    Solved by ``forward_substitute`` along the list, the class of w
+    having degree length(w): up to length d a nonzero residual is divided
+    by the diagonal restriction at x, and past it the residual must
+    vanish. The Billey row at x is read from the memo when it has it, and
     otherwise stepped from the row of the parent by ``_stepped_row``:
     whole up to length d, and past it pruned to the right-weak prefixes
     of the solved classes (a Billey state grows only to longer states of
     which it is a prefix, so the pruned row is exact at those classes).
     The stepped rows stay out of the memo and are dropped once the walk
-    is more than one length past them. A value of f off the list raises
-    NotInSpan as a residual that survived.
+    is more than one length past them.
     """
     rs = f.rs
     if fixed_points is None:
         fixed_points = weyl_enumerate(rs)
     degree = f.degree
-    coeffs = {}
     within = None
     pruned = {}
     length = 0
-    for x in fixed_points:
+
+    def row(x, solved):
+        nonlocal within, pruned, length
         if x.length > length:
             length = x.length
-            pruned = {y: row for y, row in pruned.items()
+            pruned = {y: kept for y, kept in pruned.items()
                       if y.length == length - 1}
             if length > degree and within is None:
-                within = _right_weak_prefixes(coeffs)
-        row = _stepped_row(rs, x, within, pruned)
-        residual = f.value(x)
-        for w, d in coeffs.items():
-            poly = row.get(w)
-            if poly is not None:
-                residual = residual - d * poly
-        if not residual:
-            continue
-        if x.length > degree:
-            raise _off_diagonal(x, residual, word_text)
-        try:
-            coeffs[x] = divide_exact(residual, row[x])
-        except NotDivisible as exc:
-            raise _off_diagonal(x, exc.remainder, word_text) from exc
-    points = set(fixed_points)
-    for x, poly in f.values.items():
-        if x not in points:
-            raise NotInSpan(
-                f"nonzero residual survived at {word_text(x)}",
-                element=x,
-                remainder=poly,
-            )
-    return coeffs
+                within = _right_weak_prefixes(solved)
+        return _stepped_row(rs, x, within, pruned)
+
+    return forward_substitute(f.values, fixed_points, degree,
+                              lambda x: x.length, row, word_text)
 
 
 def _certify(u, v, w, c):

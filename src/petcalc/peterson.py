@@ -19,7 +19,8 @@ A class of degree d takes the value c t^d at every fixed point, so it
 is stored by the rationals c alone, as a dict {J: c} over the fixed
 points where it is nonzero. Everything else (expansions,
 structure constants, pullbacks of general Schubert classes) is
-inclusion-triangular back-substitution over those rationals, and the
+inclusion-triangular forward substitution over those rationals, by the
+loop the Schubert basis uses (``gkm.forward_substitute``), and the
 grading fixes the power of t: the coefficient at K is c_K t^(d - |K|).
 That power is attached here, once per coefficient; no polynomial in t
 is divided.
@@ -27,10 +28,11 @@ is divided.
 
 import warnings
 import weakref
+from collections import defaultdict
 from itertools import combinations
 from math import factorial
 
-from .gkm import PositivityViolation, back_substitute, structure_constants
+from .gkm import PositivityViolation, forward_substitute, structure_constants
 from .poly import PolyT, specialize_to_t
 from .rootsys import (
     ResourceCapError,
@@ -178,15 +180,20 @@ def _label(members):
     return f"{{{subset_text(members)}}}"
 
 
-def _basis_column(rs, order):
-    """``back_substitute``'s column of the basis: the diagonal value of
-    the class for K and its values, the class built on first use."""
+def _basis_rows(rs, order):
+    """``forward_substitute``'s rows of the basis: the row at J maps K to
+    the value at J of the class for K, over the classes entered so far.
+    A class is built and entered in every row when its diagonal value is
+    first read, so a solve builds only the classes it divides by."""
 
-    def column(members):
-        values = peterson_class(rs, members, order)
-        return values[members], values.items()
+    class Row(dict):
+        def __missing__(self, members):
+            for point, c in peterson_class(rs, members, order).items():
+                rows[point][members] = c
+            return self[members]
 
-    return column
+    rows = defaultdict(Row)
+    return lambda members, solved: rows[members]
 
 
 def expand_in_peterson_basis(rs, values, degree, order="increasing"):
@@ -198,35 +205,36 @@ def expand_in_peterson_basis(rs, values, degree, order="increasing"):
     stands for the value c t^degree at the fixed point J. Keys may be
     any iterables of simple indices; zero values are dropped.
 
-    Back-substitution over the rationals, by increasing subset size:
-    basis classes vanish outside the subsets containing their index, so
-    ``back_substitute`` applies with the diagonal value of each basis
-    class and its values. A coefficient c at K stands for
-    c t^(degree - |K|), so only subsets of size at most ``degree`` can
-    carry one; a residual left at a larger subset raises NotInSpan.
+    Basis classes vanish outside the subsets containing their index, so
+    ``forward_substitute`` solves over the rationals along every subset
+    in subset order, the class for K having degree |K|. A coefficient c
+    at K stands for c t^(degree - |K|), so a residual at a subset larger
+    than ``degree`` raises NotInSpan.
     """
     values = {frozenset(m): c for m, c in values.items() if c}
-    subsets = [m for m in all_subsets(rs) if len(m) <= degree]
-    coeffs = back_substitute(values, subsets, _basis_column(rs, order), _label)
+    coeffs = forward_substitute(values, all_subsets(rs), degree, len,
+                                _basis_rows(rs, order), _label)
     return {m: PolyT.monomial(c, degree - len(m)) for m, c in coeffs.items()}
 
 
-def _pair_constants(members_i, members_j, values_i, values_j, subsets,
-                    column):
+def _pair_constants(members_i, members_j, values_i, values_j, points, row):
     """The structure constants of the basis classes for I and J, given by
-    their values, as {K: coefficient} in the order of ``subsets``.
+    their values, as {K: coefficient} in subset order.
 
     The product is formed on the common fixed points and solved by
-    ``back_substitute`` over ``subsets``, the subsets of size at most
-    d = |I| + |J| in subset order, with ``column`` the basis column. The
-    rational c at K becomes the monomial c t^(d - |K|). A negative
-    coefficient is diagnosed with a PositivityViolation warning (it
-    would falsify the implementation).
+    ``forward_substitute`` along ``points``, the supersets of the union
+    of I and J in subset order, of every size (off them the product and
+    every class it can carry vanish), with ``row`` the rows of the
+    basis. Past d = |I| + |J| the residual must vanish; the rational c at
+    K becomes the monomial c t^(d - |K|). A negative coefficient is
+    diagnosed with a PositivityViolation warning (it would falsify the
+    implementation).
     """
     product = _product(values_i, values_j)
     degree = len(members_i) + len(members_j)
     coeffs = {}
-    for members, c in back_substitute(product, subsets, column, _label).items():
+    solved = forward_substitute(product, points, degree, len, row, _label)
+    for members, c in solved.items():
         poly = coeffs[members] = PolyT.monomial(c, degree - len(members))
         if c < 0:
             warnings.warn(
@@ -250,14 +258,14 @@ def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
     """
     members_i = frozenset(int(i) for i in members_i)
     members_j = frozenset(int(i) for i in members_j)
-    degree = len(members_i) + len(members_j)
+    union = members_i | members_j
     return _pair_constants(
         members_i,
         members_j,
         peterson_class(rs, members_i, order),
         peterson_class(rs, members_j, order),
-        [m for m in all_subsets(rs) if len(m) <= degree],
-        _basis_column(rs, order),
+        [m for m in all_subsets(rs) if union <= m],
+        _basis_rows(rs, order),
     )
 
 
@@ -386,18 +394,15 @@ def peterson_table(rs, order="increasing"):
     """Structure constants for every pair of subsets, as rows
     (I, J, K, coefficient) in subset order.
 
-    The basis is built once: the values of every class give both the
-    products and the columns of the solve. Each unordered pair is solved
-    once, over the subsets of size at most |I| + |J|, and its
-    coefficients are shared with the mirrored pair. The solve reports K
-    in subset order, so the rows come out sorted.
+    The basis is built once, and its rows are shared by every solve.
+    Each unordered pair is solved once, along the supersets of I and J,
+    and its coefficients are shared with the mirrored pair. The solve
+    reports K in subset order, so the rows come out sorted.
     """
     subsets = all_subsets(rs)
     classes = [peterson_class(rs, m, order) for m in subsets]
-    columns = {m: (values[m], values.items())
-               for m, values in zip(subsets, classes)}
-    solve_over = [[m for m in subsets if len(m) <= d]
-                  for d in range(2 * rs.rank + 1)]
+    row = _basis_rows(rs, order)
+    supersets = {m: [k for k in subsets if m <= k] for m in subsets}
     mirrored = {}
     rows = []
     for a, members_i in enumerate(subsets):
@@ -407,8 +412,7 @@ def peterson_table(rs, order="increasing"):
             else:
                 coeffs = _pair_constants(
                     members_i, members_j, classes[a], classes[b],
-                    solve_over[len(members_i) + len(members_j)],
-                    columns.__getitem__,
+                    supersets[members_i | members_j], row,
                 )
                 if b > a:
                     mirrored[(a, b)] = coeffs

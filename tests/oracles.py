@@ -7,13 +7,14 @@ are differences e_a - e_b, and formulas are evaluated by brute force
 polynomial arithmetic is reused, and, by the one oracle here that holds
 for every root system (``triangular_solve``), its whole Billey rows.
 
-Six references for any root system close the file: the polynomial
+Seven references for any root system close the file: the polynomial
 division that takes every quotient term through ``Fraction``, the
 reflections over all positive roots built at once by conjugation,
 Bruhat order as chains of length-raising reflections, the
 height-weighted subword sum at one Peterson fixed point, every
-Schubert class by divided differences from the top class, and the
-Peterson structure table by the Peterson Monk recurrence.
+Schubert class by divided differences from the top class, the
+Peterson structure table by the Peterson Monk recurrence, and the
+column-wise back-substitution in the Peterson basis.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from operator import add
 from petcalc import (
     DivisionByZero,
     NotDivisible,
+    NotInSpan,
     Polynomial,
     PolyT,
     ResourceCapError,
@@ -308,7 +310,7 @@ def triangular_solve(f):
     the sum of the coefficients found so far times their classes at x is
     divided by the diagonal restriction, the class of x at x. Every
     restriction is read from the whole row ``billey_row(rs, x)``; there is
-    no block, no pruning and no ``back_substitute``. A failed division
+    no block, no pruning and no ``forward_substitute``. A failed division
     raises ``NotDivisible``.
     """
     rs = f.rs
@@ -530,7 +532,7 @@ def peterson_monk_table(rs, order="increasing"):
     from c(I,J,J) = p_I|_J; J runs by decreasing size and K, which holds
     I and J and has at most |I| + |J| members, by increasing size. As
     a_K > a_J for J inside K, no division is by zero. Only the basis
-    values and the inversion sets are read: no ``back_substitute``.
+    values and the inversion sets are read: no triangular solve.
     """
     subsets = all_subsets(rs)
     position = {m: n for n, m in enumerate(subsets)}
@@ -575,3 +577,63 @@ def peterson_monk_table(rs, order="increasing"):
                                                  position[item[0][1]]))
         )
     return rows
+
+
+def back_substitute(values, order, column, label):
+    """Coefficients d_k with ``values`` equal to the sum of d_k times the
+    basis class of k, for a basis that is triangular along ``order``,
+    solved column by column.
+
+    ``column(k)`` returns the diagonal value of the basis class of k at k
+    and its (key, value) pairs; every key of the support must come at or
+    after k in ``order``. At the first key carrying a nonzero residual
+    only its own basis class can contribute, so the coefficient there is
+    the residual divided by the diagonal value (the division must be
+    exact), and the whole class times it is subtracted. A residual left
+    at a key outside ``order`` means the input is not in the span.
+    """
+    residual = dict(values)
+    coeffs = {}
+    for k in order:
+        r = residual.get(k)
+        if not r:
+            continue
+        diagonal, entries = column(k)
+        try:
+            d = divide_exact(r, diagonal)
+        except NotDivisible as exc:
+            raise NotInSpan(
+                f"residual at {label(k)} is not a multiple of the diagonal",
+                element=k,
+                remainder=exc.remainder,
+            ) from exc
+        coeffs[k] = d
+        for x, val in entries:
+            cur = residual.get(x)
+            new = (cur - d * val) if cur is not None else -(d * val)
+            if not new:
+                residual.pop(x, None)
+            else:
+                residual[x] = new
+    for k, r in residual.items():
+        if r:
+            raise NotInSpan(
+                f"nonzero residual survived at {label(k)}",
+                element=k,
+                remainder=r,
+            )
+    return coeffs
+
+
+def peterson_back_substitute(rs, values, degree, order="increasing"):
+    """The coefficients {K: c} of the Peterson class of degree ``degree``
+    with ``values`` {J: c}, by ``back_substitute`` over the subsets of
+    size at most ``degree``: a residual left at a larger subset raises
+    NotInSpan as one that survived."""
+
+    def column(members):
+        basis = peterson_class(rs, members, order)
+        return basis[members], basis.items()
+
+    subsets = [m for m in all_subsets(rs) if len(m) <= degree]
+    return back_substitute(values, subsets, column, sorted)

@@ -581,6 +581,8 @@ def test_table_deterministic_across_jobs():
          "b1436a61d0e8c19885115497a68c4c3870d726ff9c5b5f597d21c5c92dc7c994"),
         (["table", "E7", "--kind", "peterson", "--out", "csv"],
          "75aba14ff4647340dc9c940b86c3922fe33a4c2a9d020e10c0fd03f945679ad5"),
+        (["table", "E8", "--kind", "peterson", "--out", "csv"],
+         "992f34bf3f3a92c7678d00a702d64c096f3e821ced6639750660c0b306af8447"),
         (["table", "E6", "--kind", "peterson", "--out", "json"],
          "9156a63ebbe03c6d9c2836b5e5122941c63524b43b24f971cdaf41a05cdd00b0"),
         (["table", "D5", "--kind", "peterson"],
@@ -606,6 +608,7 @@ def test_table_deterministic_across_jobs():
          "peterson-json", "peterson-text", "peterson-f4-csv",
          "peterson-a5-csv", "peterson-b3-csv", "peterson-c4-csv",
          "peterson-d5-csv", "peterson-g2-json", "peterson-e7-csv",
+         "peterson-e8-csv",
          "peterson-e6-json", "peterson-d5-text", "pullback-e6-json",
          "schubert-b3-json", "verify-a3-text", "verify-a3-csv",
          "verify-a3-json", "verify-g2-json", "verify-b3-billey-json"],
@@ -921,7 +924,7 @@ def test_verify_reports_failures_loudly(monkeypatch):
 
 
 def _negated(solve):
-    # every Peterson pair is solved by back_substitute: negate its result
+    # every Peterson pair is solved by forward_substitute: negate its result
     def negated(*args):
         return {k: -c for k, c in solve(*args).items()}
 
@@ -936,7 +939,7 @@ def _negated(solve):
         (["table", "A2"],
          gkm, "is_graham_positive", lambda expand: lambda p: False),
         (["peterson-mult", "A2", "--I", "1", "--J", "2"],
-         peterson, "back_substitute", _negated),
+         peterson, "forward_substitute", _negated),
     ],
     ids=["mult", "table", "peterson-mult"],
 )

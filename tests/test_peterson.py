@@ -6,6 +6,7 @@ import oracles
 from petcalc import (
     NotInSpan,
     PolyT,
+    RootSystem,
     all_subsets,
     billey_restriction,
     closed_form_coefficient,
@@ -332,14 +333,16 @@ def test_peterson_table_rows_sorted(a2):
 def test_expand_rejects_non_multiple_of_diagonal(a2):
     # the constant 1 at {1} is no multiple of the diagonal value t there:
     # its coefficient would be t^-1
-    with pytest.raises(NotInSpan, match="survived") as caught:
+    with pytest.raises(NotInSpan, match="not a multiple of the diagonal") \
+            as caught:
         expand_in_peterson_basis(a2, {frozenset({1}): 1}, 0)
     assert caught.value.element == frozenset({1})
 
 
 def test_expand_rejects_residual_above_the_degree(a2):
     # t at {1,2} alone: the coefficient there would be t^-1
-    with pytest.raises(NotInSpan, match="survived") as caught:
+    with pytest.raises(NotInSpan, match="not a multiple of the diagonal") \
+            as caught:
         expand_in_peterson_basis(a2, {frozenset({1, 2}): 1}, 1)
     assert caught.value.element == frozenset({1, 2})
     assert caught.value.remainder == 1
@@ -350,6 +353,56 @@ def test_expand_rejects_residual_outside_the_subsets(a2):
     with pytest.raises(NotInSpan, match="survived") as caught:
         expand_in_peterson_basis(a2, {frozenset({5}): 1}, 1)
     assert caught.value.element == frozenset({5})
+
+
+def _reference_solve(rs, values, degree, order):
+    # the column-wise back-substitution, with the library's grading
+    solved = oracles.peterson_back_substitute(rs, values, degree, order)
+    return [(members, PolyT.monomial(c, degree - len(members)))
+            for members, c in solved.items()]
+
+
+@pytest.mark.parametrize(
+    "label, order",
+    [("A2", "increasing"), ("A3", "increasing"), ("A4", "increasing"),
+     ("A4", "decreasing"), ("B3", "increasing"), ("C3", "increasing"),
+     ("G2", "increasing"), ("F4", "increasing"), ("A1xG2", "increasing")],
+)
+def test_forward_pass_matches_column_back_substitution(label, order):
+    # every pair, every pullback of A3, B3 and G2, and two perturbed
+    # inputs: the forward pass and the column-wise reference return the
+    # same coefficients in the same order, or the same NotInSpan
+    if label == "A1xG2":
+        rs = RootSystem([[2, 0, 0], [0, 2, -1], [0, -3, 2]])
+    else:
+        rs = root_system_from_label(label)
+    subsets = all_subsets(rs)
+    for members_i in subsets:
+        for members_j in subsets:
+            product = _product(peterson_class(rs, members_i, order),
+                               peterson_class(rs, members_j, order))
+            degree = len(members_i) + len(members_j)
+            got = peterson_structure_constants(rs, members_i, members_j,
+                                               order)
+            assert list(got.items()) == _reference_solve(rs, product, degree,
+                                                         order)
+    if label in ("A3", "B3", "G2"):
+        for w in weyl_enumerate(rs):
+            values = oracles.peterson_values(rs, w)
+            assert list(pullback_expansion(rs, w, order).items()) == (
+                _reference_solve(rs, values, w.length, order))
+    # the class for {1}, of degree 1, bumped at the full set (past the
+    # degree) and at a key that is no subset of the simple roots
+    full = subsets[-1]
+    for key in (full, frozenset({99})):
+        bumped = peterson_class(rs, {1}, order)
+        bumped[key] = bumped.get(key, 0) + 1
+        with pytest.raises(NotInSpan) as got:
+            expand_in_peterson_basis(rs, bumped, 1, order)
+        with pytest.raises(NotInSpan) as reference:
+            oracles.peterson_back_substitute(rs, bumped, 1, order)
+        assert got.value.element == reference.value.element == key
+        assert got.value.remainder == reference.value.remainder
 
 
 def test_zero_values_are_dropped(a2):

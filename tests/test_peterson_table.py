@@ -135,9 +135,9 @@ def test_table_rejects_an_explicit_order_like_a_single_pair():
     assert peterson_structure_constants(rs, full, (), order) == expected
 
 
-def _negating(back_substitute):
+def _negating(solve):
     def negated(*args, **kwargs):
-        return {k: -c for k, c in back_substitute(*args, **kwargs).items()}
+        return {k: -c for k, c in solve(*args, **kwargs).items()}
 
     return negated
 
@@ -161,7 +161,8 @@ _A2_NEGATIVE = [
 
 def test_negative_table_coefficient_is_a_positivity_violation(monkeypatch):
     monkeypatch.setattr(
-        peterson, "back_substitute", _negating(peterson.back_substitute)
+        peterson, "forward_substitute",
+        _negating(peterson.forward_substitute)
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PositivityViolation)
@@ -200,7 +201,8 @@ I,J,K,coefficient
 
 def test_negative_table_coefficient_exits_one(monkeypatch):
     monkeypatch.setattr(
-        peterson, "back_substitute", _negating(peterson.back_substitute)
+        peterson, "forward_substitute",
+        _negating(peterson.forward_substitute)
     )
     code, out, err = run_cli(
         ["table", "A2", "--kind", "peterson", "--out", "csv"])
@@ -221,7 +223,10 @@ def test_residual_at_a_larger_subset_is_not_in_span(monkeypatch):
         return cls
 
     monkeypatch.setattr(peterson, "peterson_class", broken)
-    with pytest.raises(NotInSpan, match=r"survived at \{1,2,3\}") as caught:
+    with pytest.raises(
+            NotInSpan,
+            match=r"residual at \{1,2,3\} is not a multiple of the diagonal",
+    ) as caught:
         peterson_table(rs)
     assert caught.value.element == frozenset({1, 2, 3})
     assert caught.value.remainder == -1
