@@ -128,3 +128,61 @@ def test_closed_form_sweep_follows_the_coxeter_order(monkeypatch):
                          "decreasing")
     assert orders == {"decreasing"}
     assert check.status == "pass"
+
+
+def _corrupt_pair(monkeypatch, pair, change):
+    # every pair of the Peterson sweep is solved by peterson._pair_constants,
+    # whose first two arguments are I and J
+    solve = peterson._pair_constants
+
+    def corrupted(members_i, members_j, *rest):
+        coeffs = solve(members_i, members_j, *rest)
+        if (members_i, members_j) == pair:
+            change(coeffs)
+        return coeffs
+
+    monkeypatch.setattr(peterson, "_pair_constants", corrupted)
+
+
+def _set(members_k, poly):
+    return lambda coeffs: coeffs.__setitem__(frozenset(members_k), poly)
+
+
+@pytest.mark.parametrize(
+    "pair, change, failures",
+    [
+        (({1}, {1}), _set({1}, PolyT.monomial(-1, 1)),
+         ["({1}, {1}) -> {1}: negative -t^1"]),
+        (({1}, {1}), _set({1, 2}, PolyT.monomial(1, 1)),
+         ["({1}, {1}) -> {1,2}: degree is not 0"]),
+        (({1}, {1}), _set({2}, PolyT.monomial(1, 1)),
+         ["({1}, {1}) -> {2}: support misses the union"]),
+        ((set(), set()), _set({1}, PolyT.one()),
+         ["({}, {}) -> {1}: degree is not -1",
+          "({}, {}) -> {1}: index larger than the degrees allow"]),
+        (({1}, {2}), _set({1, 2}, PolyT.monomial(3, 0)),
+         ["asymmetric constants for {1}, {2}",
+          "asymmetric constants for {2}, {1}"]),
+    ],
+    ids=["negative", "degree", "support", "index", "asymmetric"],
+)
+def test_peterson_sweep_names_a_corrupted_pair(monkeypatch, pair, change,
+                                               failures):
+    _corrupt_pair(monkeypatch, pair, change)
+    check = run_suite(root_system_from_label("A2"), "positivity")[2]
+    assert check.name == "peterson-positivity"
+    assert check.failures == failures
+
+
+def test_peterson_sweep_names_a_negative_pullback(monkeypatch):
+    pullback = verify.pullback_expansion
+
+    def negated_at_s1(rs, w, order="increasing"):
+        expansion = pullback(rs, w, order)
+        if w.word == (1,):
+            return {members: poly * -1 for members, poly in expansion.items()}
+        return expansion
+
+    monkeypatch.setattr(verify, "pullback_expansion", negated_at_s1)
+    check = run_suite(root_system_from_label("A2"), "positivity")[2]
+    assert check.failures == ["pullback of s1 at {1}: -1"]
