@@ -15,7 +15,6 @@ import warnings
 from .poly import (
     NotDivisible,
     Polynomial,
-    _is_rational,
     divide_exact,
     is_graham_positive,
 )
@@ -110,11 +109,6 @@ class LocalizedClass:
             return LocalizedClass(
                 self.rs, values, self.degree + other.degree()
             )
-        if _is_rational(other):
-            if other == 0:
-                return LocalizedClass(self.rs, {}, self.degree)
-            values = {w: poly * other for w, poly in self.values.items()}
-            return LocalizedClass(self.rs, values, self.degree)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -135,9 +129,6 @@ class LocalizedClass:
             cur = values.get(w)
             values[w] = poly if cur is None else cur + poly
         return LocalizedClass(self.rs, values, self.degree)
-
-    def __sub__(self, other):
-        return self + (other * -1)
 
     def __eq__(self, other):
         if not isinstance(other, LocalizedClass):

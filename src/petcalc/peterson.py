@@ -41,9 +41,6 @@ from .rootsys import (
     longest_element,
 )
 
-# root system -> {key: basis class or pullback expansion}; an entry lives
-# as long as its root system
-_memo = weakref.WeakKeyDictionary()
 # root system -> {J: height walk of w_J, or None until first read}, over
 # every subset J in ``all_subsets`` order
 _walks = weakref.WeakKeyDictionary()
@@ -61,23 +58,6 @@ def all_subsets(rs):
         for combo in combinations(range(1, rs.rank + 1), size):
             out.append(frozenset(combo))
     return out
-
-
-def _product(values_i, values_j):
-    """Values of a product of two classes: pointwise, on the fixed points
-    where both are nonzero."""
-    if len(values_j) < len(values_i):
-        values_i, values_j = values_j, values_i
-    out = {}
-    for members, c in values_i.items():
-        q = values_j.get(members)
-        if q is not None:
-            out[members] = c * q
-    return out
-
-
-def _order_key(order):
-    return order if isinstance(order, str) else tuple(order)
 
 
 def _height_walk(rs, members):
@@ -163,17 +143,12 @@ def peterson_class(rs, members, order="increasing"):
     times t^|K|. Values vanish unless K is contained in J (support
     triangularity), and the value at K itself is positive. Returns the
     values as {J: c} for c t^|K| at J, over the J where they are nonzero.
-    The values are memoised with the root system; each call returns a
-    new dict.
+    Each call builds the class; solves read it through ``_basis_rows``,
+    which builds each class once.
     """
     members = frozenset(int(i) for i in members)
-    memo = _memo.setdefault(rs, {})
-    key = ("class", _order_key(order), members)
-    values = memo.get(key)
-    if values is None:
-        v = coxeter_element(rs, members, order) if members else rs.identity()
-        values = memo[key] = _fixed_point_values(rs, v)
-    return dict(values)
+    v = coxeter_element(rs, members, order) if members else rs.identity()
+    return _fixed_point_values(rs, v)
 
 
 def _label(members):
@@ -181,19 +156,21 @@ def _label(members):
 
 
 def _basis_rows(rs, order):
-    """``forward_substitute``'s rows of the basis: the row at J maps K to
-    the value at J of the class for K, over the classes entered so far.
-    A class is built and entered in every row when its diagonal value is
-    first read, so a solve builds only the classes it divides by."""
+    """The basis by fixed point, the one store of its values: the row at J
+    maps K to the value at J of the class for K, over the classes entered
+    so far. Reading a class that is not there builds it by
+    ``peterson_class`` and enters it in every row, so a solve builds only
+    the classes it reads, each once; the class is 0 in a row it misses.
+    There is a row for every subset of the simple roots."""
 
     class Row(dict):
         def __missing__(self, members):
             for point, c in peterson_class(rs, members, order).items():
                 rows[point][members] = c
-            return self[members]
+            return self.setdefault(members, 0)
 
-    rows = defaultdict(Row)
-    return lambda members, solved: rows[members]
+    rows = {members: Row() for members in all_subsets(rs)}
+    return rows
 
 
 def expand_in_peterson_basis(rs, values, degree, order="increasing"):
@@ -212,28 +189,33 @@ def expand_in_peterson_basis(rs, values, degree, order="increasing"):
     than ``degree`` raises NotInSpan.
     """
     values = {frozenset(m): c for m, c in values.items() if c}
+    rows = _basis_rows(rs, order)
     coeffs = forward_substitute(values, all_subsets(rs), degree, len,
-                                _basis_rows(rs, order), _label)
+                                lambda x, _: rows[x], _label)
     return {m: PolyT.monomial(c, degree - len(m)) for m, c in coeffs.items()}
 
 
-def _pair_constants(members_i, members_j, values_i, values_j, points, row):
-    """The structure constants of the basis classes for I and J, given by
-    their values, as {K: coefficient} in subset order.
+def _pair_constants(members_i, members_j, points, rows):
+    """The structure constants of the basis classes for I and J, as
+    {K: coefficient} in subset order.
 
-    The product is formed on the common fixed points and solved by
-    ``forward_substitute`` along ``points``, the supersets of the union
-    of I and J in subset order, of every size (off them the product and
-    every class it can carry vanish), with ``row`` the rows of the
-    basis. Past d = |I| + |J| the residual must vanish; the rational c at
+    ``points`` are the supersets of the union of I and J in subset order,
+    of every size: off them the product and every class it can carry
+    vanish. The product is read off ``rows``, the ``_basis_rows`` of the
+    basis, at each of them and solved by ``forward_substitute`` along
+    them. Past d = |I| + |J| the residual must vanish; the rational c at
     K becomes the monomial c t^(d - |K|). A negative coefficient is
     diagnosed with a PositivityViolation warning (it would falsify the
     implementation).
     """
-    product = _product(values_i, values_j)
+    product = {}
+    for point in points:
+        at = rows[point]
+        product[point] = at[members_i] * at[members_j]
     degree = len(members_i) + len(members_j)
     coeffs = {}
-    solved = forward_substitute(product, points, degree, len, row, _label)
+    solved = forward_substitute(product, points, degree, len,
+                                lambda x, _: rows[x], _label)
     for members, c in solved.items():
         poly = coeffs[members] = PolyT.monomial(c, degree - len(members))
         if c < 0:
@@ -247,6 +229,25 @@ def _pair_constants(members_i, members_j, values_i, values_j, points, row):
     return coeffs
 
 
+def _solve_pairs(rs, pairs, order):
+    """Solve each pair (I, J) of ``pairs``, frozensets, in turn against
+    one ``_basis_rows``, yielding (I, J, constants) with the constants as
+    ``_pair_constants`` returns them. Each basis class is built when a
+    solve first reads it, and the supersets of each union are listed
+    once."""
+    subsets = all_subsets(rs)
+    rows = _basis_rows(rs, order)
+    supersets = {}
+    for members_i, members_j in pairs:
+        union = members_i | members_j
+        points = supersets.get(union)
+        if points is None:
+            points = supersets[union] = [m for m in subsets if union <= m]
+        yield members_i, members_j, _pair_constants(
+            members_i, members_j, points, rows
+        )
+
+
 def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
     """Structure constants of the product of two basis classes, as
     {K: PolyT} over the nonzero coefficients in subset order.
@@ -254,19 +255,13 @@ def peterson_structure_constants(rs, members_i, members_j, order="increasing"):
     Each coefficient should be a nonnegative monomial in t, homogeneous
     of degree |I| + |J| - |K|; a negative coefficient is diagnosed with a
     PositivityViolation warning (it would falsify the implementation).
-    Only the basis classes the solve reads are built.
+    Only the basis classes the solve reads are built, and none is kept
+    for the next call: ``peterson_table`` solves every pair at once.
     """
-    members_i = frozenset(int(i) for i in members_i)
-    members_j = frozenset(int(i) for i in members_j)
-    union = members_i | members_j
-    return _pair_constants(
-        members_i,
-        members_j,
-        peterson_class(rs, members_i, order),
-        peterson_class(rs, members_j, order),
-        [m for m in all_subsets(rs) if union <= m],
-        _basis_rows(rs, order),
-    )
+    pair = (frozenset(int(i) for i in members_i),
+            frozenset(int(i) for i in members_j))
+    ((_, _, coeffs),) = _solve_pairs(rs, [pair], order)
+    return coeffs
 
 
 def pullback_expansion(rs, w, order="increasing"):
@@ -276,17 +271,12 @@ def pullback_expansion(rs, w, order="increasing"):
     Restricts the class at every Peterson fixed point by the
     height-weighted Billey sum, kept to the weak-order prefixes of w, and
     expands in the basis. Each coefficient is a single monomial in t of
-    degree length(w) - |K| with nonnegative coefficient. The expansion
-    is memoised with the root system; each call returns a new dict.
+    degree length(w) - |K| with nonnegative coefficient. Each call builds
+    the basis classes its solve reads.
     """
-    memo = _memo.setdefault(rs, {})
-    key = ("pullback", w, _order_key(order))
-    expansion = memo.get(key)
-    if expansion is None:
-        expansion = memo[key] = expand_in_peterson_basis(
-            rs, _fixed_point_values(rs, w), w.length, order
-        )
-    return dict(expansion)
+    return expand_in_peterson_basis(
+        rs, _fixed_point_values(rs, w), w.length, order
+    )
 
 
 def _is_interval(members):
@@ -365,28 +355,23 @@ def cross_validate(rs, order="increasing"):
     intervals = _consecutive_intervals(rs.rank)
     checked = 0
     failures = []
-    for members_i in intervals:
-        for members_j in intervals:
-            coeffs = peterson_structure_constants(
-                rs, members_i, members_j, order
-            )
-            union = members_i | members_j
-            for members_k in intervals:
-                if not union <= members_k:
-                    continue
-                if len(members_k) > len(members_i) + len(members_j):
-                    continue
-                checked += 1
-                computed = coeffs.get(members_k, PolyT.zero())
-                formula = closed_form_coefficient(
-                    members_i, members_j, members_k
+    pairs = ((i, j) for i in intervals for j in intervals)
+    for members_i, members_j, coeffs in _solve_pairs(rs, pairs, order):
+        union = members_i | members_j
+        for members_k in intervals:
+            if not union <= members_k:
+                continue
+            if len(members_k) > len(members_i) + len(members_j):
+                continue
+            checked += 1
+            computed = coeffs.get(members_k, PolyT.zero())
+            formula = closed_form_coefficient(members_i, members_j, members_k)
+            if computed != formula:
+                failures.append(
+                    f"I={_label(members_i)} J={_label(members_j)} "
+                    f"K={_label(members_k)}: computed {computed.text()}, "
+                    f"formula {formula.text()}"
                 )
-                if computed != formula:
-                    failures.append(
-                        f"I={_label(members_i)} J={_label(members_j)} "
-                        f"K={_label(members_k)}: computed {computed.text()}, "
-                        f"formula {formula.text()}"
-                    )
     return checked, failures
 
 
@@ -394,30 +379,25 @@ def peterson_table(rs, order="increasing"):
     """Structure constants for every pair of subsets, as rows
     (I, J, K, coefficient) in subset order.
 
-    The basis is built once, and its rows are shared by every solve.
-    Each unordered pair is solved once, along the supersets of I and J,
-    and its coefficients are shared with the mirrored pair. The solve
-    reports K in subset order, so the rows come out sorted.
+    Every pair (I, J) with J not before I is solved by one pair driver
+    against one ``_basis_rows``, which builds each basis class once, and
+    its coefficients are shared with the mirrored pair (J, I): row I
+    opens, at the pair (I, I), with the pairs (I, H) for every H before
+    I. The solve reports K in subset order, so the rows come out sorted.
     """
     subsets = all_subsets(rs)
-    classes = [peterson_class(rs, m, order) for m in subsets]
-    row = _basis_rows(rs, order)
-    supersets = {m: [k for k in subsets if m <= k] for m in subsets}
-    mirrored = {}
+    upper = ((i, j) for a, i in enumerate(subsets) for j in subsets[a:])
+    waiting = defaultdict(list)  # J -> [(I, constants of (I, J))], I before J
     rows = []
-    for a, members_i in enumerate(subsets):
-        for b, members_j in enumerate(subsets):
-            if b < a:
-                coeffs = mirrored.pop((b, a))
-            else:
-                coeffs = _pair_constants(
-                    members_i, members_j, classes[a], classes[b],
-                    supersets[members_i | members_j], row,
-                )
-                if b > a:
-                    mirrored[(a, b)] = coeffs
-            for members_k, poly in coeffs.items():
-                rows.append((members_i, members_j, members_k, poly))
+    for members_i, members_j, coeffs in _solve_pairs(rs, upper, order):
+        if members_i == members_j:
+            for members_h, mirror in waiting.pop(members_i, ()):
+                for members_k, poly in mirror.items():
+                    rows.append((members_i, members_h, members_k, poly))
+        else:
+            waiting[members_j].append((members_i, coeffs))
+        for members_k, poly in coeffs.items():
+            rows.append((members_i, members_j, members_k, poly))
     return rows
 
 
@@ -436,22 +416,23 @@ def flag_consistency_report(rs, order="increasing"):
         members: coxeter_element(rs, members, order) if members else rs.identity()
         for members in subsets
     }
-    for members_i in subsets:
-        for members_j in subsets:
-            direct = peterson_structure_constants(
-                rs, members_i, members_j, order
-            )
-            via = {}  # (K, power) -> coefficient: a stray power stays apart
-            pair = coxeter[members_i], coxeter[members_j]
-            for w, c in structure_constants(rs, *pair).items():
-                ct = specialize_to_t(c)
-                for members_k, b in pullback_expansion(rs, w, order).items():
-                    term = ct * b
-                    key = members_k, term.k
-                    via[key] = term + via.get(key, 0)
-            checked += 1
-            if {key: p for key, p in via.items() if p} != {
-                (members_k, p.k): p for members_k, p in direct.items()
-            }:
-                failures.append(f"I={_label(members_i)} J={_label(members_j)}")
+    pullbacks = {}
+    pairs = ((i, j) for i in subsets for j in subsets)
+    for members_i, members_j, direct in _solve_pairs(rs, pairs, order):
+        via = {}  # (K, power) -> coefficient: a stray power stays apart
+        pair = coxeter[members_i], coxeter[members_j]
+        for w, c in structure_constants(rs, *pair).items():
+            ct = specialize_to_t(c)
+            expansion = pullbacks.get(w)
+            if expansion is None:
+                expansion = pullbacks[w] = pullback_expansion(rs, w, order)
+            for members_k, b in expansion.items():
+                term = ct * b
+                key = members_k, term.k
+                via[key] = term + via.get(key, 0)
+        checked += 1
+        if {key: p for key, p in via.items() if p} != {
+            (members_k, p.k): p for members_k, p in direct.items()
+        }:
+            failures.append(f"I={_label(members_i)} J={_label(members_j)}")
     return checked, failures

@@ -13,10 +13,10 @@ from .gkm import (
     structure_table,
 )
 from .peterson import (
+    _solve_pairs,
     all_subsets,
     cross_validate,
     flag_consistency_report,
-    peterson_structure_constants,
     pullback_expansion,
     subset_text,
 )
@@ -110,25 +110,22 @@ def _peterson(rs, elements, coxeter_order):
     check = Check("peterson-positivity")
     failures = check.failures
     expansions = {}
-    for members_i in subsets:
-        for members_j in subsets:
-            coeffs = peterson_structure_constants(
-                rs, members_i, members_j, coxeter_order
-            )
-            expansions[(members_i, members_j)] = coeffs
-            label_ij = f"({{{subset_text(members_i)}}}, {{{subset_text(members_j)}}})"
-            for members_k, poly in coeffs.items():
-                check.checked += 1
-                label = f"{label_ij} -> {{{subset_text(members_k)}}}"
-                if poly.c < 0:
-                    failures.append(f"{label}: negative {poly.text()}")
-                expected = len(members_i) + len(members_j) - len(members_k)
-                if poly.degree() != expected:
-                    failures.append(f"{label}: degree is not {expected}")
-                if not members_i | members_j <= members_k:
-                    failures.append(f"{label}: support misses the union")
-                if len(members_k) > len(members_i) + len(members_j):
-                    failures.append(f"{label}: index larger than the degrees allow")
+    pairs = ((i, j) for i in subsets for j in subsets)  # both orders
+    for members_i, members_j, coeffs in _solve_pairs(rs, pairs, coxeter_order):
+        expansions[(members_i, members_j)] = coeffs
+        label_ij = f"({{{subset_text(members_i)}}}, {{{subset_text(members_j)}}})"
+        for members_k, poly in coeffs.items():
+            check.checked += 1
+            label = f"{label_ij} -> {{{subset_text(members_k)}}}"
+            if poly.c < 0:
+                failures.append(f"{label}: negative {poly.text()}")
+            expected = len(members_i) + len(members_j) - len(members_k)
+            if poly.degree() != expected:
+                failures.append(f"{label}: degree is not {expected}")
+            if not members_i | members_j <= members_k:
+                failures.append(f"{label}: support misses the union")
+            if len(members_k) > len(members_i) + len(members_j):
+                failures.append(f"{label}: index larger than the degrees allow")
     for (members_i, members_j), coeffs in expansions.items():
         if coeffs != expansions[(members_j, members_i)]:
             failures.append(

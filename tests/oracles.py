@@ -14,7 +14,9 @@ Bruhat order as chains of length-raising reflections, the
 height-weighted subword sum at one Peterson fixed point, every
 Schubert class by divided differences from the top class, the
 Peterson structure table by the Peterson Monk recurrence, and the
-column-wise back-substitution in the Peterson basis.
+column-wise back-substitution in the Peterson basis. The pointwise
+product of two Peterson classes, which the library reads off its basis
+rows, comes last.
 """
 
 from fractions import Fraction
@@ -637,3 +639,10 @@ def peterson_back_substitute(rs, values, degree, order="increasing"):
 
     subsets = [m for m in all_subsets(rs) if len(m) <= degree]
     return back_substitute(values, subsets, column, sorted)
+
+
+def peterson_product(values_i, values_j):
+    """Values {J: c} of the product of two Peterson classes given by their
+    values: pointwise, on the fixed points where both are nonzero."""
+    return {members: c * values_j[members]
+            for members, c in values_i.items() if members in values_j}

@@ -293,6 +293,24 @@ def test_classes_of_different_root_systems_neither_add_nor_multiply(a2, b2):
             left * right
 
 
+def test_a_zero_summand_of_any_degree_leaves_the_other_class(a2):
+    f = schubert_class(a2, element_from_word(a2, (1,)))
+    zero = LocalizedClass(a2, {}, 5)
+    assert zero + f is f
+    assert f + zero is f
+    g = schubert_class(a2, element_from_word(a2, (1, 2)))
+    with pytest.raises(ValueError,
+                       match="^adding classes of different degrees$"):
+        f + g
+
+
+def test_classes_take_no_rational_scalar_and_no_difference(a2):
+    f = schubert_class(a2, element_from_word(a2, (1,)))
+    for bad in (lambda: f * 2, lambda: 2 * f, lambda: f - f):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_product_golden_class_identity(a2):
     # the square of the class of [213] agrees pointwise with
     # a1 * (class of [213]) + (class of [312])

@@ -232,23 +232,19 @@ def test_residual_at_a_larger_subset_is_not_in_span(monkeypatch):
     assert caught.value.remainder == -1
 
 
-def _memo_classes(rs):
-    return sorted(
-        (len(key[2]), sorted(key[2]))
-        for key in peterson._memo[rs]
-        if key[0] == "class"
-    )
+def test_single_queries_build_only_the_classes_they_read(monkeypatch):
+    # the table builds every basis class; a single product or pullback on
+    # E8 (256 subsets) must still build only what it reads, each once
+    built = []
+    build = peterson.peterson_class
 
+    def recording(rs, members, order="increasing"):
+        built.append((len(members), sorted(members)))
+        return build(rs, members, order)
 
-def test_single_queries_build_only_the_classes_they_read():
-    # the table builds every basis class up front; a single product or
-    # pullback on E8 (256 subsets) must still build only what it reads
+    monkeypatch.setattr(peterson, "peterson_class", recording)
     e8 = root_system_from_label("E8")
     peterson_structure_constants(e8, {1}, {2})
-    assert _memo_classes(e8) == [(1, [1]), (1, [2]), (2, [1, 2])]
-    assert len(peterson._memo[e8]) == 3
+    assert sorted(built) == [(1, [1]), (1, [2]), (2, [1, 2])]
     pullback_expansion(e8, coxeter_element(e8, {3, 4}))
-    assert _memo_classes(e8) == [
-        (1, [1]), (1, [2]), (2, [1, 2]), (2, [3, 4]),
-    ]
-    assert len(peterson._memo[e8]) == 5  # four classes and the pullback
+    assert sorted(built) == [(1, [1]), (1, [2]), (2, [1, 2]), (2, [3, 4])]

@@ -74,7 +74,7 @@ def test_closed_form_failure_names_the_triple(monkeypatch):
 
 
 def test_consistency_failure_names_the_pair(monkeypatch):
-    a2 = root_system_from_label("A2")  # fresh: no pullback memoised yet
+    a2 = root_system_from_label("A2")
     build = peterson.peterson_class
 
     def broken(rs, members, order="increasing"):
@@ -117,13 +117,13 @@ def test_consistency_sweep_reports_a_pullback_of_the_wrong_power(monkeypatch):
 
 def test_closed_form_sweep_follows_the_coxeter_order(monkeypatch):
     orders = set()
-    constants = peterson.peterson_structure_constants
+    build = peterson.peterson_class
 
-    def recording(rs, members_i, members_j, order="increasing"):
+    def recording(rs, members, order="increasing"):
         orders.add(order)
-        return constants(rs, members_i, members_j, order)
+        return build(rs, members, order)
 
-    monkeypatch.setattr(peterson, "peterson_structure_constants", recording)
+    monkeypatch.setattr(peterson, "peterson_class", recording)
     (check,) = run_suite(root_system_from_label("A3"), "closed-form",
                          "decreasing")
     assert orders == {"decreasing"}
